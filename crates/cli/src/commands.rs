@@ -643,14 +643,14 @@ fn batch(
             BoundNetwork::from_mime(&net).map_err(io_err)
         })
         .collect::<Result<_, String>>()?;
-    // Pack FC weight panels once per process (shared read-only across
-    // the parallel workers) unless the run is pinned to the unfused
+    // Pack the weights once per process (shared read-only across the
+    // parallel workers) unless the run is pinned to the raw-weight
     // reference path.
     if !no_prepack {
         let stats = mime_runtime::prepack_plans(&mut plans).map_err(io_err)?;
         let _ = writeln!(
             out,
-            "prepacked {} fc layer(s) ({} shared, {} bytes) in {:.2} ms",
+            "prepacked {} weighted layer(s) ({} shared, {} bytes) in {:.2} ms",
             stats.layers, stats.shared, stats.bytes, stats.ms
         );
     }
@@ -866,7 +866,7 @@ fn serve(
         let stats = mime_runtime::prepack_plans(&mut plans).map_err(io_err)?;
         let _ = writeln!(
             out,
-            "prepacked {} fc layer(s) ({} shared, {} bytes) in {:.2} ms",
+            "prepacked {} weighted layer(s) ({} shared, {} bytes) in {:.2} ms",
             stats.layers, stats.shared, stats.bytes, stats.ms
         );
     }

@@ -4,7 +4,7 @@ use mime_core::faults::first_non_finite;
 use mime_core::{MimeError, MimeNetwork};
 use mime_nn::{Sequential, VggArch, VggBlock};
 use mime_systolic::LayerGeometry;
-use mime_tensor::{PrepackedB, Tensor, TensorError};
+use mime_tensor::{PrepackedA, PrepackedB, Tensor, TensorError};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -18,8 +18,9 @@ pub enum BoundLayer {
     Array {
         /// Hardware-visible geometry.
         geom: LayerGeometry,
-        /// Weights `[K, C, R, R]`.
-        weight: Tensor,
+        /// Weights `[K, C, R, R]`. [`prepack_plans`] makes every plan
+        /// over one backbone share a single copy per layer.
+        weight: Arc<Tensor>,
         /// Bias `[K]`.
         bias: Tensor,
         /// Per-neuron threshold bank (`K·sites` values) for MIME plans;
@@ -28,9 +29,13 @@ pub enum BoundLayer {
         /// FC weights prepacked once into the blocked microkernel layout
         /// (`Wᵀ` panels, see [`PrepackedB`]), shared read-only across
         /// every worker thread and every plan built from the same
-        /// backbone. `None` (conv steps, or before
-        /// [`BoundNetwork::prepack`] runs) keeps the on-the-fly path.
+        /// backbone. `None` (conv steps, or before [`prepack_plans`]
+        /// runs) keeps the on-the-fly path.
         packed: Option<Arc<PrepackedB>>,
+        /// Conv weights prepacked once into the GEMM's `A` strips (see
+        /// [`PrepackedA`]), shared like `packed`. `None` (FC steps, or
+        /// before [`prepack_plans`] runs) keeps the raw-weight path.
+        packed_a: Option<Arc<PrepackedA>>,
     },
     /// 2×2/s2 max pooling, performed by the on-chip pooling unit (host
     /// arithmetic, negligible energy at this model's granularity).
@@ -136,15 +141,17 @@ impl BoundNetwork {
             .steps
             .iter()
             .map(|s| match s {
-                BoundLayer::Array { geom, weight, bias, packed, .. } => {
+                BoundLayer::Array { geom, weight, bias, packed, packed_a, .. } => {
                     BoundLayer::Array {
                         geom: geom.clone(),
-                        weight: weight.clone(),
+                        weight: Arc::clone(weight),
                         bias: bias.clone(),
                         thresholds: None,
                         // stripping thresholds never touches the weights,
-                        // so the degraded plan keeps the shared panels
+                        // so the degraded plan keeps the shared weights
+                        // and panels
                         packed: packed.clone(),
+                        packed_a: packed_a.clone(),
                     }
                 }
                 other => other.clone(),
@@ -175,10 +182,10 @@ impl BoundNetwork {
             .steps
             .iter()
             .map(|s| match s {
-                BoundLayer::Array { geom, weight, bias, thresholds, packed } => {
+                BoundLayer::Array { geom, weight, bias, thresholds, packed, packed_a } => {
                     BoundLayer::Array {
                         geom: geom.clone(),
-                        weight: weight.clone(),
+                        weight: Arc::clone(weight),
                         bias: bias.clone(),
                         // raise every threshold monotonically in
                         // `factor`, whatever its sign: positive values
@@ -189,8 +196,9 @@ impl BoundNetwork {
                             t.map(|v| if v >= 0.0 { v * factor } else { v / factor })
                         }),
                         // thresholds never touch the weights, so every
-                        // rung keeps the shared prepacked panels
+                        // rung keeps the shared weights and panels
                         packed: packed.clone(),
+                        packed_a: packed_a.clone(),
                     }
                 }
                 other => other.clone(),
@@ -204,56 +212,6 @@ impl BoundNetwork {
         }
     }
 
-    /// Prepacks this plan's FC weight panels (see [`prepack_plans`] for
-    /// the multi-plan entry that shares panels across tasks).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when an FC step's weight length disagrees with
-    /// its geometry (cannot happen for plans built by this module).
-    pub fn prepack(&mut self) -> crate::Result<PrepackStats> {
-        let mut cache = HashMap::new();
-        self.prepack_with_cache(&mut cache)
-    }
-
-    /// [`prepack`](Self::prepack) with a caller-owned dedup cache keyed
-    /// on weight content, so plans sharing a frozen backbone (every MIME
-    /// task) share one `Arc` per layer instead of packing per task.
-    fn prepack_with_cache(
-        &mut self,
-        cache: &mut HashMap<u64, Arc<PrepackedB>>,
-    ) -> crate::Result<PrepackStats> {
-        let mut stats = PrepackStats::default();
-        for step in &mut self.steps {
-            let BoundLayer::Array { geom, weight, packed, .. } = step else { continue };
-            // Only FC steps flip through the prepacked fused path: conv
-            // weights enter the GEMM as the A operand and their B-side
-            // packing is amortized over NC-wide column blocks, so
-            // prepacking them buys nothing (DESIGN.md §11).
-            if geom.r != 1 || packed.is_some() {
-                continue;
-            }
-            let key = weight_fingerprint(weight, geom);
-            let pb = match cache.get(&key) {
-                Some(pb) => {
-                    stats.shared += 1;
-                    Arc::clone(pb)
-                }
-                None => {
-                    let pb = Arc::new(PrepackedB::from_weight_transposed(
-                        weight, geom.c, geom.k,
-                    )?);
-                    stats.bytes += pb.bytes();
-                    cache.insert(key, Arc::clone(&pb));
-                    pb
-                }
-            };
-            stats.layers += 1;
-            *packed = Some(pb);
-        }
-        Ok(stats)
-    }
-
     /// Binds a MIME network: frozen backbone weights plus the currently
     /// installed threshold banks. Per-channel banks are broadcast to
     /// per-neuron form for the PE comparators.
@@ -263,11 +221,8 @@ impl BoundNetwork {
     /// Returns an error when the network's parameters are inconsistent
     /// with its architecture (should not happen for well-formed networks).
     pub fn from_mime(net: &MimeNetwork) -> crate::Result<Self> {
-        let params: HashMap<String, Tensor> = net
-            .backbone_params()
-            .into_iter()
-            .map(|p| (p.name().to_string(), p.value.clone()))
-            .collect();
+        let params: HashMap<&str, &Tensor> =
+            net.backbone_params().into_iter().map(|p| (p.name(), &p.value)).collect();
         let banks = net.export_thresholds();
         Self::build(net.arch(), &params, Some(&banks))
     }
@@ -280,21 +235,24 @@ impl BoundNetwork {
     /// Returns an error when the network's parameters do not match
     /// `arch`.
     pub fn from_baseline(arch: &VggArch, net: &Sequential) -> crate::Result<Self> {
-        let params: HashMap<String, Tensor> = net
-            .parameters()
-            .into_iter()
-            .map(|p| (p.name().to_string(), p.value.clone()))
-            .collect();
+        let params: HashMap<&str, &Tensor> =
+            net.parameters().into_iter().map(|p| (p.name(), &p.value)).collect();
         Self::build(arch, &params, None)
     }
 
+    /// Builds the plan from borrowed parameters, copying each tensor
+    /// exactly once into its step.
     fn build(
         arch: &VggArch,
-        params: &HashMap<String, Tensor>,
+        params: &HashMap<&str, &Tensor>,
         banks: Option<&[Tensor]>,
     ) -> crate::Result<Self> {
-        let missing = |name: &str| {
-            TensorError::InvalidGeometry(format!("bound network: missing parameter {name}"))
+        let param = |name: String| {
+            params.get(name.as_str()).copied().ok_or_else(|| {
+                TensorError::InvalidGeometry(format!(
+                    "bound network: missing parameter {name}"
+                ))
+            })
         };
         let extents = arch.conv_spatial_extents();
         let mut steps = Vec::new();
@@ -311,17 +269,12 @@ impl BoundNetwork {
                     let geom = LayerGeometry::conv(&name, in_ch, out_ch, hw);
                     let thresholds = take_bank(banks, &mut mask_i, out_ch, hw * hw)?;
                     steps.push(BoundLayer::Array {
-                        weight: params
-                            .get(&format!("{name}.weight"))
-                            .ok_or_else(|| missing(&name))?
-                            .clone(),
-                        bias: params
-                            .get(&format!("{name}.bias"))
-                            .ok_or_else(|| missing(&name))?
-                            .clone(),
+                        weight: Arc::new(param(format!("{name}.weight"))?.clone()),
+                        bias: param(format!("{name}.bias"))?.clone(),
                         geom,
                         thresholds,
                         packed: None,
+                        packed_a: None,
                     });
                 }
                 VggBlock::Pool => steps.push(BoundLayer::Pool),
@@ -330,24 +283,20 @@ impl BoundNetwork {
                     weighted += 1;
                     let name = format!("fc{weighted}");
                     let geom = LayerGeometry::fc(&name, in_f, out_f, activation);
-                    let weight = params
-                        .get(&format!("{name}.weight"))
-                        .ok_or_else(|| missing(&name))?
-                        .reshape(&[out_f, in_f, 1, 1])?;
+                    let weight =
+                        param(format!("{name}.weight"))?.reshape(&[out_f, in_f, 1, 1])?;
                     let thresholds = if activation {
                         take_bank(banks, &mut mask_i, out_f, 1)?
                     } else {
                         None
                     };
                     steps.push(BoundLayer::Array {
-                        weight,
-                        bias: params
-                            .get(&format!("{name}.bias"))
-                            .ok_or_else(|| missing(&name))?
-                            .clone(),
+                        weight: Arc::new(weight),
+                        bias: param(format!("{name}.bias"))?.clone(),
                         geom,
                         thresholds,
                         packed: None,
+                        packed_a: None,
                     });
                 }
             }
@@ -401,39 +350,81 @@ pub fn geometry_from_arch(arch: &VggArch) -> Vec<LayerGeometry> {
 /// check.sh can assert prepack happens exactly once per process.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PrepackStats {
-    /// FC steps now carrying a prepacked panel set (across all plans).
+    /// Weighted steps (conv and FC) now carrying a prepacked operand
+    /// (across all plans).
     pub layers: usize,
-    /// Of those, steps that reused another plan's panels (shared frozen
+    /// Of those, steps that reused another plan's operand (shared frozen
     /// backbone) instead of packing their own copy.
     pub shared: usize,
-    /// Heap bytes of *unique* panel storage built (shared `Arc`s counted
-    /// once).
+    /// Heap bytes of *unique* packed storage built — FC panels and conv
+    /// strips, shared `Arc`s counted once.
     pub bytes: usize,
     /// Wall-clock milliseconds the pass took (set by [`prepack_plans`]).
     pub ms: f64,
 }
 
-/// Prepacks the FC weight panels of every plan, once per process:
-/// identical weight matrices (the shared MIME backbone) are packed once
-/// and shared via `Arc` across plans — and from there, read-only, across
-/// `run_batch_parallel` workers and serve worker threads. Publishes
-/// `mime_prepack_ms` / `mime_prepack_bytes` gauges and bumps the
-/// `mime_prepack_total` counter (exactly once per call, so a serve
+/// One distinct backbone weight of a prepack pass and the operands packed
+/// from it.
+struct Resident {
+    weight: Arc<Tensor>,
+    fc: Option<Arc<PrepackedB>>,
+    conv: Option<Arc<PrepackedA>>,
+}
+
+/// Prepacks the weighted steps of every plan, once per process. First the
+/// plans' raw weights are deduplicated: a layer whose weight equals
+/// another plan's bit for bit (the shared MIME backbone) takes that
+/// plan's `Arc`, so the backbone is held once before anything is packed.
+/// Then each distinct weight is packed once — FC weights as fused-kernel
+/// panels ([`PrepackedB`]), conv weights as GEMM `A` strips
+/// ([`PrepackedA`]) — and shared via `Arc` across plans, and from there,
+/// read-only, across `run_batch_parallel` workers and serve worker
+/// threads. Steps that already carry an operand are left as they are.
+/// Publishes `mime_prepack_ms` / `mime_prepack_bytes` gauges and bumps
+/// the `mime_prepack_total` counter (exactly once per call, so a serve
 /// process startup shows `1` however many requests follow).
 ///
 /// # Errors
 ///
-/// Returns an error when an FC step's weight length disagrees with its
-/// geometry (cannot happen for plans built by this module).
+/// Returns an error when a step's weight disagrees with its geometry
+/// (cannot happen for plans built by this module).
 pub fn prepack_plans(plans: &mut [BoundNetwork]) -> crate::Result<PrepackStats> {
     let start = Instant::now();
-    let mut cache = HashMap::new();
+    let mut residents: Vec<Resident> = Vec::new();
+    for step in plans.iter_mut().flat_map(|p| p.steps.iter_mut()) {
+        let BoundLayer::Array { weight, .. } = step else { continue };
+        // bits, not `==`: the packed operand is built from them
+        match residents.iter().find(|r| r.weight.bits_eq(weight)) {
+            Some(r) => *weight = Arc::clone(&r.weight),
+            None => residents.push(Resident {
+                weight: Arc::clone(weight),
+                fc: None,
+                conv: None,
+            }),
+        }
+    }
     let mut stats = PrepackStats::default();
-    for plan in plans.iter_mut() {
-        let s = plan.prepack_with_cache(&mut cache)?;
-        stats.layers += s.layers;
-        stats.shared += s.shared;
-        stats.bytes += s.bytes;
+    for step in plans.iter_mut().flat_map(|p| p.steps.iter_mut()) {
+        let BoundLayer::Array { geom, weight, packed, packed_a, .. } = step else {
+            continue;
+        };
+        let resident = residents
+            .iter_mut()
+            .find(|r| Arc::ptr_eq(&r.weight, weight))
+            .expect("the dedup pass made every weight resident");
+        if geom.r == 1 {
+            share_or_pack(packed, &mut resident.fc, &mut stats, || {
+                let pb = PrepackedB::from_weight_transposed(weight, geom.c, geom.k)?;
+                let bytes = pb.bytes();
+                Ok((pb, bytes))
+            })?;
+        } else {
+            share_or_pack(packed_a, &mut resident.conv, &mut stats, || {
+                let pa = PrepackedA::from_weight(weight)?;
+                let bytes = pa.bytes();
+                Ok((pa, bytes))
+            })?;
+        }
     }
     stats.ms = start.elapsed().as_secs_f64() * 1e3;
     let r = mime_obs::metrics::global();
@@ -442,7 +433,7 @@ pub fn prepack_plans(plans: &mut [BoundNetwork]) -> crate::Result<PrepackStats> 
     r.counter("mime_prepack_total").add(1);
     mime_obs::info!(
         "runtime.prepack",
-        "prepacked fc weight panels",
+        "prepacked weighted layers",
         layers = stats.layers,
         shared = stats.shared,
         bytes = stats.bytes
@@ -450,26 +441,33 @@ pub fn prepack_plans(plans: &mut [BoundNetwork]) -> crate::Result<PrepackStats> 
     Ok(stats)
 }
 
-/// Content fingerprint for the prepack dedup cache: FNV-1a over the
-/// weight bytes plus the packed geometry. Plans cloned from one trained
-/// backbone hold equal-but-separately-allocated tensors, so identity
-/// must be by value; a 64-bit collision between same-shaped FC weight
-/// matrices is vanishingly unlikely and at worst shares a wrong —
-/// but identically-shaped — panel set.
-fn weight_fingerprint(weight: &Tensor, geom: &LayerGeometry) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// Gives a step the operand packed from its weight: the one another plan
+/// already packed, or a fresh one. A step that already carries an operand
+/// (from an earlier pass) offers it to the other plans instead.
+fn share_or_pack<T>(
+    slot: &mut Option<Arc<T>>,
+    resident: &mut Option<Arc<T>>,
+    stats: &mut PrepackStats,
+    pack: impl FnOnce() -> crate::Result<(T, usize)>,
+) -> crate::Result<()> {
+    if let Some(own) = slot {
+        resident.get_or_insert_with(|| Arc::clone(own));
+        return Ok(());
+    }
+    let operand = match resident {
+        Some(shared) => {
+            stats.shared += 1;
+            Arc::clone(shared)
+        }
+        None => {
+            let (operand, bytes) = pack()?;
+            stats.bytes += bytes;
+            Arc::clone(resident.insert(Arc::new(operand)))
         }
     };
-    eat(&(geom.c as u64).to_le_bytes());
-    eat(&(geom.k as u64).to_le_bytes());
-    for v in weight.as_slice() {
-        eat(&v.to_bits().to_le_bytes());
-    }
-    h
+    stats.layers += 1;
+    *slot = Some(operand);
+    Ok(())
 }
 
 /// Pulls the next threshold bank (if plans are MIME-bound) and normalizes

@@ -6,8 +6,9 @@ use mime_core::faults::first_non_finite;
 use mime_core::{channel_activity_rescan, MimeError};
 use mime_systolic::{AccessCounters, ArrayConfig, FunctionalArray, LayerGeometry, Mapper};
 use mime_tensor::{
-    conv2d_sparse_with_scratch, matmul_fused_batch_into, matmul_fused_row_into, max_pool2d,
-    ConvScratch, ConvSpec, FusedMask, PoolSpec, PrepackedB, SparseDispatch, Tensor,
+    conv2d_sparse_prepacked_with_scratch, conv2d_sparse_with_scratch,
+    matmul_fused_batch_into, matmul_fused_row_into, max_pool2d, ConvScratch, ConvSpec,
+    FusedMask, PoolSpec, PrepackedA, PrepackedB, SparseDispatch, SparseStats, Tensor,
     TensorError,
 };
 use std::sync::Arc;
@@ -200,7 +201,7 @@ impl HardwareExecutor {
         for (index, step) in plan.steps().iter().enumerate() {
             guard(index)?;
             match step {
-                BoundLayer::Array { geom, weight, bias, thresholds, packed } => {
+                BoundLayer::Array { geom, weight, bias, thresholds, packed, packed_a } => {
                     let start = profiling.then(Instant::now);
                     // FC steps expect a flat [C,1,1] activation
                     let staged =
@@ -230,6 +231,7 @@ impl HardwareExecutor {
                                 bias,
                                 thresholds.as_ref(),
                                 packed.as_deref(),
+                                packed_a.as_deref(),
                                 &staged,
                                 zero_skip,
                                 pending.as_deref(),
@@ -299,7 +301,9 @@ impl HardwareExecutor {
     /// the eq. (2) compare/ReLU plus the activity bitmap are applied in
     /// the microkernel epilogue — retiring the separate re-scan passes.
     /// Both routes are bit-identical; the fused bitmap is
-    /// `debug_assert`ed against the mime-core re-scan reference.
+    /// `debug_assert`ed against the mime-core re-scan reference. A conv
+    /// step with resident `A` strips (`packed_a`) runs the same lowering
+    /// over them instead of re-gathering the raw weight.
     ///
     /// Counters are reconstructed analytically so `zero_skip` accounting
     /// matches the functional array MAC-for-MAC (the output values never
@@ -312,6 +316,7 @@ impl HardwareExecutor {
         bias: &Tensor,
         thresholds: Option<&Tensor>,
         packed: Option<&PrepackedB>,
+        packed_a: Option<&PrepackedA>,
         staged: &Tensor,
         zero_skip: bool,
         active_in: Option<&[bool]>,
@@ -359,15 +364,8 @@ impl HardwareExecutor {
         } else {
             let spec = ConvSpec::new(geom.r, 1, (geom.r - 1) / 2)?;
             let x4 = staged.reshape(&[1, geom.c, geom.in_hw, geom.in_hw])?;
-            let (out4, stats) = conv2d_sparse_with_scratch(
-                &x4,
-                weight,
-                bias,
-                &spec,
-                &mut self.scratch,
-                active_in,
-                self.dispatch,
-            )?;
+            let (out4, stats) =
+                self.conv_step(&x4, weight, packed_a, bias, &spec, active_in)?;
             let mut out = out4.reshape(&[geom.k, geom.out_hw, geom.out_hw])?;
             if let Some(t) = thresholds {
                 // same comparison the array's drain stage applies
@@ -386,6 +384,29 @@ impl HardwareExecutor {
             analytic_taps(staged.as_slice(), geom, zero_skip) * geom.k as u64;
         publish_sparse_step(&stats, geom);
         Ok((out, activity))
+    }
+
+    /// The §9 im2col lowering of one step over `x4: [B, C, H, W]`: over the
+    /// resident `A` strips when the plan carries them, else over the raw
+    /// weight (the `--no-prepack` reference). Bit-identical either way.
+    fn conv_step(
+        &mut self,
+        x4: &Tensor,
+        weight: &Tensor,
+        packed_a: Option<&PrepackedA>,
+        bias: &Tensor,
+        spec: &ConvSpec,
+        active: Option<&[bool]>,
+    ) -> crate::Result<(Tensor, SparseStats)> {
+        let (scratch, dispatch) = (&mut self.scratch, self.dispatch);
+        Ok(match packed_a {
+            Some(pa) => conv2d_sparse_prepacked_with_scratch(
+                x4, pa, bias, spec, scratch, active, dispatch,
+            )?,
+            None => conv2d_sparse_with_scratch(
+                x4, weight, bias, spec, scratch, active, dispatch,
+            )?,
+        })
     }
 
     /// Executes a coalesced batch — one image per plan reference — as a
@@ -541,7 +562,7 @@ impl HardwareExecutor {
         for index in 0..steps {
             guard(index)?;
             match &lead.steps()[index] {
-                BoundLayer::Array { geom, weight, bias, .. } => {
+                BoundLayer::Array { geom, weight, bias, packed_a, .. } => {
                     let start = profiling.then(Instant::now);
                     let sites = geom.sites();
                     // each sample swaps in its own plan's threshold bank
@@ -631,14 +652,15 @@ impl HardwareExecutor {
                                 }
                                 u
                             });
-                        let (mut out4, stats) = conv2d_sparse_with_scratch(
+                        // the lead plan's strips were packed from the
+                        // weight every plan shares (see the contract above)
+                        let (mut out4, stats) = self.conv_step(
                             x4,
                             weight,
+                            packed_a.as_deref(),
                             bias,
                             &spec,
-                            &mut self.scratch,
                             union.as_deref(),
-                            self.dispatch,
                         )?;
                         publish_sparse_step(&stats, geom);
                         let per_out = geom.k * sites;
@@ -1044,15 +1066,7 @@ fn coalescible(plans: &[&BoundNetwork]) -> crate::Result<()> {
                     BoundLayer::Array { geom: gb, weight: wb, bias: bb, .. },
                 ) => {
                     debug_assert!(
-                        wa.as_slice()
-                            .iter()
-                            .zip(wb.as_slice())
-                            .all(|(x, y)| x.to_bits() == y.to_bits())
-                            && ba
-                                .as_slice()
-                                .iter()
-                                .zip(bb.as_slice())
-                                .all(|(x, y)| x.to_bits() == y.to_bits()),
+                        wa.bits_eq(wb) && ba.bits_eq(bb),
                         "coalesced plans must share backbone weights ({})",
                         ga.name
                     );

@@ -826,20 +826,7 @@ fn shares_backbone(plans: &[BoundNetwork]) -> bool {
                 (
                     BoundLayer::Array { weight: wa, bias: ba, .. },
                     BoundLayer::Array { weight: wb, bias: bb, .. },
-                ) => {
-                    wa.len() == wb.len()
-                        && ba.len() == bb.len()
-                        && wa
-                            .as_slice()
-                            .iter()
-                            .zip(wb.as_slice())
-                            .all(|(x, y)| x.to_bits() == y.to_bits())
-                        && ba
-                            .as_slice()
-                            .iter()
-                            .zip(bb.as_slice())
-                            .all(|(x, y)| x.to_bits() == y.to_bits())
-                }
+                ) => wa.bits_eq(wb) && ba.bits_eq(bb),
                 (BoundLayer::Pool, BoundLayer::Pool) => true,
                 (BoundLayer::Flatten, BoundLayer::Flatten) => true,
                 _ => false,

@@ -12,9 +12,9 @@
 //! The single-image [`im2col`]/[`col2im`] lowering is kept as a public
 //! reference (tests and the systolic functional model use it).
 
+use crate::matmul::{isa, sparse_dispatch, ALayout, AOperand};
 use crate::{
-    matmul_into, matmul_nt_into_acc, matmul_sparse_dispatch_into,
-    matmul_sparse_dispatch_into_with_rows, matmul_tn_into, Result, SparseDispatch,
+    matmul_into, matmul_nt_into_acc, matmul_tn_into, PrepackedA, Result, SparseDispatch,
     SparseStats, Tensor, TensorError,
 };
 
@@ -464,20 +464,97 @@ pub fn conv2d_sparse_with_scratch(
     active_channels: Option<&[bool]>,
     dispatch: SparseDispatch,
 ) -> Result<(Tensor, SparseStats)> {
-    let (n, c, h, w, kout, kr) = check_conv_args(input, weight, bias)?;
+    let (_, c, _, _, kout, kr) = check_conv_args(input, weight, bias)?;
     if kr != spec.kernel {
         return Err(TensorError::InvalidGeometry(format!(
             "weight kernel {kr} does not match spec kernel {}",
             spec.kernel
         )));
     }
+    let taps = c * spec.kernel * spec.kernel;
+    if weight.len() != kout * taps {
+        return Err(TensorError::LengthMismatch {
+            expected: kout * taps,
+            actual: weight.len(),
+        });
+    }
+    conv2d_sparse_impl(
+        input,
+        AOperand::Raw(weight.as_slice(), ALayout::Normal),
+        (kout, taps),
+        bias,
+        spec,
+        scratch,
+        active_channels,
+        dispatch,
+    )
+}
+
+/// [`conv2d_sparse_with_scratch`] over a resident weight: `weight` is the
+/// `[K, C·R·S]` conv weight packed once ([`PrepackedA::from_weight`]),
+/// so no call re-gathers its strips. Output and [`SparseStats`] are
+/// bit-identical to the raw-weight call.
+///
+/// # Errors
+///
+/// As [`conv2d_sparse_with_scratch`]; the packed depth must equal
+/// `C·R·S` for the input's `C` and the spec's kernel.
+#[allow(clippy::too_many_arguments)] // mirrors conv2d_sparse_with_scratch
+pub fn conv2d_sparse_prepacked_with_scratch(
+    input: &Tensor,
+    weight: &PrepackedA,
+    bias: &Tensor,
+    spec: &ConvSpec,
+    scratch: &mut ConvScratch,
+    active_channels: Option<&[bool]>,
+    dispatch: SparseDispatch,
+) -> Result<(Tensor, SparseStats)> {
+    if input.rank() != 4 {
+        return Err(TensorError::RankMismatch {
+            expected: 4,
+            actual: input.rank(),
+            op: "conv2d",
+        });
+    }
+    let taps = input.dims()[1] * spec.kernel * spec.kernel;
+    if weight.k() != taps || bias.dims() != [weight.m()] {
+        return Err(TensorError::ShapeMismatch {
+            lhs: input.dims().to_vec(),
+            rhs: vec![weight.m(), weight.k()],
+            op: "conv2d",
+        });
+    }
+    conv2d_sparse_impl(
+        input,
+        AOperand::Prepacked(weight),
+        (weight.m(), taps),
+        bias,
+        spec,
+        scratch,
+        active_channels,
+        dispatch,
+    )
+}
+
+/// The batched sparse conv over a checked `A` operand of shape
+/// `(K, C·R·S)`.
+#[allow(clippy::too_many_arguments)] // flat kernel-internal plumbing
+fn conv2d_sparse_impl(
+    input: &Tensor,
+    weight: AOperand<'_>,
+    (kout, taps): (usize, usize),
+    bias: &Tensor,
+    spec: &ConvSpec,
+    scratch: &mut ConvScratch,
+    active_channels: Option<&[bool]>,
+    dispatch: SparseDispatch,
+) -> Result<(Tensor, SparseStats)> {
+    let (n, c, h, w) = (input.dims()[0], input.dims()[1], input.dims()[2], input.dims()[3]);
     let ho = spec.out_extent(h)?;
     let wo = spec.out_extent(w)?;
-    let taps = c * spec.kernel * spec.kernel;
     let sites = ho * wo;
-    let w_mat = weight.reshape(&[kout, taps])?;
     let mut out = Tensor::zeros(&[n, kout, ho, wo]);
-    let bias_v = bias.as_slice().to_vec();
+    let bias_v = bias.as_slice();
     // Expand the channel bitmap into im2col row indices once, outside the
     // chunk loop: channel `ci` owns rows `ci·R·S .. (ci+1)·R·S`. The list
     // is moved out of the scratch so it can be borrowed across the chunk
@@ -524,21 +601,16 @@ pub fn conv2d_sparse_with_scratch(
             scratch.cols.as_mut_slice(),
         );
         ensure_shape(&mut scratch.gemm, &[kout, nc * sites]);
-        let stats = match known_rows {
-            Some(rows) => matmul_sparse_dispatch_into_with_rows(
-                &w_mat,
-                &scratch.cols,
-                &mut scratch.gemm,
-                rows,
-                dispatch,
-            ),
-            None => matmul_sparse_dispatch_into(
-                &w_mat,
-                &scratch.cols,
-                &mut scratch.gemm,
-                dispatch,
-            ),
-        };
+        let stats = sparse_dispatch(
+            weight,
+            (kout, taps),
+            &scratch.cols,
+            &mut scratch.gemm,
+            known_rows,
+            dispatch,
+            crate::threads::worker_count(),
+            isa(),
+        );
         let stats = match stats {
             Ok(s) => s,
             Err(e) => {
@@ -853,6 +925,7 @@ mod tests {
         let dense = conv2d(&input, &weight, &bias, &spec).unwrap();
 
         let bitmap: Vec<bool> = (0..c).map(|ci| ci != 1 && ci != 4).collect();
+        let resident = PrepackedA::from_weight(&weight).unwrap();
         let mut scratch = ConvScratch::new();
         for (chans, disp) in [
             (Some(bitmap.as_slice()), SparseDispatch::Auto),
@@ -871,6 +944,19 @@ mod tests {
             )
             .unwrap();
             assert_eq!(out.as_slice(), dense.as_slice(), "chans={chans:?} disp={disp:?}");
+            // the resident weight reproduces the raw call bit for bit
+            let (res_out, res_stats) = conv2d_sparse_prepacked_with_scratch(
+                &input,
+                &resident,
+                &bias,
+                &spec,
+                &mut scratch,
+                chans,
+                disp,
+            )
+            .unwrap();
+            assert_eq!(res_out.as_slice(), out.as_slice(), "resident chans={chans:?}");
+            assert_eq!(res_stats, stats);
             assert_eq!(stats.k_total, c * 9, "one chunk covers the whole batch");
             if disp == SparseDispatch::SparseOnly {
                 assert!(stats.used_sparse);
@@ -894,6 +980,18 @@ mod tests {
             SparseDispatch::Auto,
         );
         assert!(matches!(err, Err(TensorError::InvalidGeometry(_))));
+        // a resident weight packed for other channels is a shape error
+        let other = PrepackedA::from_weight(&Tensor::zeros(&[4, c - 1, 3, 3])).unwrap();
+        let err = conv2d_sparse_prepacked_with_scratch(
+            &input,
+            &other,
+            &bias,
+            &spec,
+            &mut scratch,
+            None,
+            SparseDispatch::Auto,
+        );
+        assert!(matches!(err, Err(TensorError::ShapeMismatch { .. })));
     }
 
     #[test]

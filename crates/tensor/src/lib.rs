@@ -39,8 +39,8 @@ pub mod threads;
 
 pub use conv::{
     col2im, conv2d, conv2d_backward, conv2d_backward_with_scratch,
-    conv2d_sparse_with_scratch, conv2d_with_scratch, im2col, Conv2dGrads, ConvScratch,
-    ConvSpec,
+    conv2d_sparse_prepacked_with_scratch, conv2d_sparse_with_scratch, conv2d_with_scratch,
+    im2col, Conv2dGrads, ConvScratch, ConvSpec,
 };
 pub use error::TensorError;
 pub use init::{kaiming_normal, kaiming_uniform, xavier_uniform};
@@ -52,8 +52,9 @@ pub use matmul::{
 };
 pub use pool::{max_pool2d, max_pool2d_backward, MaxPoolOut, PoolSpec};
 pub use prepack::{
-    matmul_fused_batch_into, matmul_fused_row_into, matmul_prepacked_into,
-    matmul_prepacked_into_with_threads, FusedMask, PrepackedB,
+    matmul_fused_batch_into, matmul_fused_row_into, matmul_prepacked_a_into,
+    matmul_prepacked_into, matmul_prepacked_into_with_threads, FusedMask, PrepackedA,
+    PrepackedB,
 };
 pub use shape::Shape;
 pub use tensor::Tensor;

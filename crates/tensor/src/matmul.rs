@@ -8,7 +8,8 @@
 //!   [`NR`] columns, `p`-major, so the microkernel streams it with unit
 //!   stride (and the transposed variants fold their transpose into the
 //!   packing instead of materializing it). `A` is packed one
-//!   [`MR`]-row block at a time into a `p`-major strip.
+//!   [`MR`]-row block at a time into a `p`-major strip, or read from
+//!   strips packed once at load time ([`crate::PrepackedA`]).
 //! * **Microkernel** — an unrolled `MR×NR` register tile: the full
 //!   `k`-sum for each output tile is accumulated in registers and
 //!   written to memory exactly once. No zero-branch, no per-iteration
@@ -36,7 +37,7 @@
 //! the committed benchmark baseline in `BENCH_kernels.json` and the
 //! reference the property tests compare against.
 
-use crate::{Result, Tensor, TensorError};
+use crate::{PrepackedA, Result, Tensor, TensorError};
 
 /// Microkernel tile height (rows of `A` / `C` held in registers). Eight
 /// rows give eight independent FMA chains per vector column — enough to
@@ -253,8 +254,8 @@ fn pack_a_gather(
 enum KRows<'a> {
     /// All rows of the window `p0..p0+kb`.
     Dense { p0: usize, kb: usize },
-    /// Only the listed rows (ascending) of the current window.
-    Gather(&'a [usize]),
+    /// Only the listed rows (ascending) of the window `p0..p0+kb`.
+    Gather { p0: usize, kb: usize, act: &'a [usize] },
 }
 
 impl KRows<'_> {
@@ -262,9 +263,19 @@ impl KRows<'_> {
     fn depth(&self) -> usize {
         match *self {
             KRows::Dense { kb, .. } => kb,
-            KRows::Gather(act) => act.len(),
+            KRows::Gather { act, .. } => act.len(),
         }
     }
+}
+
+/// The `A` operand as the drivers see it: a raw matrix, packed into an
+/// `MR`-row strip per block per depth window on every call, or strips
+/// packed once at load time ([`PrepackedA`]), which the drivers read in
+/// place. Both feed the microkernels the same bytes in the same order.
+#[derive(Clone, Copy)]
+pub(crate) enum AOperand<'a> {
+    Raw(&'a [f32], ALayout),
+    Prepacked(&'a PrepackedA),
 }
 
 // ---------------------------------------------------------------------------
@@ -527,8 +538,8 @@ pub(crate) fn tile(
 /// for the column-split path).
 #[allow(clippy::too_many_arguments)] // flat kernel-internal plumbing
 fn run_rows(
-    a: &[f32],
-    a_layout: ALayout,
+    a: AOperand<'_>,
+    kernel_isa: Isa,
     packed_b: &[f32],
     c: &mut [f32],
     m: usize,
@@ -541,27 +552,38 @@ fn run_rows(
     r1: usize,
     accumulate: bool,
 ) {
-    let kernel_isa = isa();
     let kb = rows.depth();
-    let mut pa = vec![0.0f32; MR * kb.max(1)];
+    // Resident strips of a dense window are read in place; every other
+    // case builds the strip in this scratch.
+    let copies = !matches!((a, rows), (AOperand::Prepacked(_), KRows::Dense { .. }));
+    let mut pa = vec![0.0f32; if copies { MR * kb.max(1) } else { 0 }];
     let mut i0 = r0;
     while i0 < r1 {
         let mr = MR.min(r1 - i0);
-        match rows {
-            KRows::Dense { p0, kb } => {
-                pack_a(a, a_layout, m, k, p0, kb, i0, mr, &mut pa[..kb * mr]);
+        let strip: &[f32] = match (a, rows) {
+            (AOperand::Raw(av, layout), KRows::Dense { p0, kb }) => {
+                pack_a(av, layout, m, k, p0, kb, i0, mr, &mut pa[..kb * mr]);
+                &pa[..kb * mr]
             }
-            KRows::Gather(act) => {
-                pack_a_gather(a, a_layout, m, k, act, i0, mr, &mut pa[..kb * mr]);
+            (AOperand::Raw(av, layout), KRows::Gather { act, .. }) => {
+                pack_a_gather(av, layout, m, k, act, i0, mr, &mut pa[..kb * mr]);
+                &pa[..kb * mr]
             }
-        }
+            (AOperand::Prepacked(pre), KRows::Dense { p0, kb }) => {
+                pre.strip(p0, kb, i0, mr)
+            }
+            (AOperand::Prepacked(pre), KRows::Gather { p0, kb: wkb, act }) => {
+                pre.gather(p0, wkb, act, i0, mr, &mut pa[..kb * mr]);
+                &pa[..kb * mr]
+            }
+        };
         let mut jp = 0;
         let mut j0 = 0;
         while j0 < nb {
             let nv = NR.min(nb - j0);
             let pb = &packed_b[jp * kb * NR..(jp + 1) * kb * NR];
             let c_tile = &mut c[(i0 - r0) * ldc + c0 + j0..];
-            tile(kernel_isa, mr, kb, &pa[..kb * mr], pb, c_tile, ldc, nv, accumulate);
+            tile(kernel_isa, mr, kb, strip, pb, c_tile, ldc, nv, accumulate);
             jp += 1;
             j0 += NR;
         }
@@ -578,7 +600,28 @@ fn window_rows<'a>(active: Option<&'a [usize]>, p0: usize, kb: usize) -> Option<
         Some(act) => {
             let lo = act.partition_point(|&p| p < p0);
             let hi = act.partition_point(|&p| p < p0 + kb);
-            (lo < hi).then(|| KRows::Gather(&act[lo..hi]))
+            (lo < hi).then(|| KRows::Gather { p0, kb, act: &act[lo..hi] })
+        }
+    }
+}
+
+/// Packs the `B` chunk of one depth window at column block `c0..c0+nb`:
+/// the whole window, or only its listed rows.
+#[allow(clippy::too_many_arguments)] // flat kernel-internal plumbing
+fn pack_window(
+    b: &[f32],
+    layout: BLayout,
+    k: usize,
+    n: usize,
+    rows: KRows<'_>,
+    c0: usize,
+    nb: usize,
+    packed: &mut [f32],
+) {
+    match rows {
+        KRows::Dense { p0, kb } => pack_b_chunk(b, layout, k, n, p0, kb, c0, nb, packed),
+        KRows::Gather { act, .. } => {
+            pack_b_chunk_gather(b, layout, k, n, act, c0, nb, packed);
         }
     }
 }
@@ -591,8 +634,8 @@ fn window_rows<'a>(active: Option<&'a [usize]>, p0: usize, kb: usize) -> Option<
 /// grouped and rounded exactly as in the dense serial driver.
 #[allow(clippy::too_many_arguments)] // flat kernel-internal plumbing
 fn gemm_stripe(
-    a: &[f32],
-    a_layout: ALayout,
+    a: AOperand<'_>,
+    kernel_isa: Isa,
     b: &[f32],
     b_layout: BLayout,
     c: &mut [f32],
@@ -621,34 +664,21 @@ fn gemm_stripe(
             if let Some(rows) = window_rows(active, p0, kb) {
                 let kbe = rows.depth();
                 let np = nb.div_ceil(NR);
-                match rows {
-                    KRows::Dense { .. } => pack_b_chunk(
-                        b,
-                        b_layout,
-                        k,
-                        n,
-                        p0,
-                        kb,
-                        c0,
-                        nb,
-                        &mut packed_b[..np * kbe * NR],
-                    ),
-                    KRows::Gather(act) => pack_b_chunk_gather(
-                        b,
-                        b_layout,
-                        k,
-                        n,
-                        act,
-                        c0,
-                        nb,
-                        &mut packed_b[..np * kbe * NR],
-                    ),
-                }
+                pack_window(
+                    b,
+                    b_layout,
+                    k,
+                    n,
+                    rows,
+                    c0,
+                    nb,
+                    &mut packed_b[..np * kbe * NR],
+                );
                 let acc = accumulate || !first;
                 first = false;
                 run_rows(
                     a,
-                    a_layout,
+                    kernel_isa,
                     &packed_b,
                     c,
                     m,
@@ -683,8 +713,8 @@ fn gemm_stripe(
 /// element sees the same add order as the serial driver.
 #[allow(clippy::too_many_arguments)] // flat kernel-internal plumbing
 fn gemm_cols(
-    a: &[f32],
-    a_layout: ALayout,
+    a: AOperand<'_>,
+    kernel_isa: Isa,
     b: &[f32],
     b_layout: BLayout,
     c: &mut [f32],
@@ -723,7 +753,7 @@ fn gemm_cols(
                 wn,
                 scope.spawn(move || {
                     gemm_stripe(
-                        a, a_layout, b, b_layout, &mut buf, m, k, n, j_lo, j_hi,
+                        a, kernel_isa, b, b_layout, &mut buf, m, k, n, j_lo, j_hi,
                         accumulate, active,
                     );
                     buf
@@ -751,8 +781,8 @@ fn gemm_cols(
 /// worker and the result is bit-identical for every worker count.
 #[allow(clippy::too_many_arguments)] // flat kernel-internal plumbing
 fn gemm_driver(
-    a: &[f32],
-    a_layout: ALayout,
+    a: AOperand<'_>,
+    kernel_isa: Isa,
     b: &[f32],
     b_layout: BLayout,
     c: &mut [f32],
@@ -778,93 +808,80 @@ fn gemm_driver(
     let threads = threads.max(1);
     let blocks = m.div_ceil(MR);
     if threads <= 1 || macs < THREAD_MIN_MACS {
-        gemm_stripe(a, a_layout, b, b_layout, c, m, k, n, 0, n, accumulate, active);
+        gemm_stripe(a, kernel_isa, b, b_layout, c, m, k, n, 0, n, accumulate, active);
         return;
     }
     // Short-`m`/wide-`n` outputs (the conv-lowered GEMMs with few
     // filters but tens of thousands of sites) cannot feed the workers
     // with row blocks; give each worker a column stripe instead.
     if n >= m && n.div_ceil(NR) >= threads {
-        gemm_cols(a, a_layout, b, b_layout, c, m, k, n, accumulate, threads, active);
+        gemm_cols(a, kernel_isa, b, b_layout, c, m, k, n, accumulate, threads, active);
         return;
     }
     let workers = threads.min(blocks);
     if workers <= 1 {
-        gemm_stripe(a, a_layout, b, b_layout, c, m, k, n, 0, n, accumulate, active);
+        gemm_stripe(a, kernel_isa, b, b_layout, c, m, k, n, 0, n, accumulate, active);
         return;
     }
-    let panels = NC.min(n).div_ceil(NR).max(1);
-    let mut packed_b = vec![0.0f32; panels * KC.min(k) * NR];
+    // Split whole MR-blocks across workers so tiles never straddle two
+    // workers' row ranges.
+    let bbase = blocks / workers;
+    let bextra = blocks % workers;
+    let mut packed_b = Vec::new();
     let mut c0 = 0;
     while c0 < n {
         let nb = NC.min(n - c0);
-        let mut first = true;
-        let mut p0 = 0;
-        while p0 < k {
-            let kb = KC.min(k - p0);
-            let Some(rows) = window_rows(active, p0, kb) else {
-                p0 += kb;
-                continue;
-            };
-            let kbe = rows.depth();
-            let np = nb.div_ceil(NR);
-            match rows {
-                KRows::Dense { .. } => {
-                    pack_b_chunk(
-                        b,
-                        b_layout,
-                        k,
-                        n,
-                        p0,
-                        kb,
-                        c0,
-                        nb,
-                        &mut packed_b[..np * kbe * NR],
-                    );
-                }
-                KRows::Gather(act) => pack_b_chunk_gather(
-                    b,
-                    b_layout,
-                    k,
-                    n,
-                    act,
-                    c0,
-                    nb,
-                    &mut packed_b[..np * kbe * NR],
-                ),
-            }
-            // The first packed depth chunk overwrites `c` (unless the
-            // caller asked to accumulate); subsequent chunks always
-            // accumulate onto it. Column blocks are disjoint, so each
-            // element of `c` sees its depth chunks exactly once, in
-            // order.
-            let acc = accumulate || !first;
-            first = false;
-            // Split whole MR-blocks across workers so tiles never
-            // straddle two workers' row ranges.
-            let bbase = blocks / workers;
-            let bextra = blocks % workers;
-            std::thread::scope(|scope| {
-                let mut rest = &mut *c;
-                let mut row = 0usize;
-                let pb = &packed_b;
-                for w in 0..workers {
-                    let nblocks = bbase + usize::from(w < bextra);
-                    if nblocks == 0 {
-                        continue;
-                    }
-                    let r0 = row;
-                    let r1 = m.min(row + nblocks * MR);
-                    row = r1;
-                    let (mine, tail) = rest.split_at_mut((r1 - r0) * n);
-                    rest = tail;
-                    scope.spawn(move || {
-                        run_rows(a, a_layout, pb, mine, m, k, n, rows, c0, nb, r0, r1, acc);
-                    });
-                }
-            });
-            p0 += kb;
+        let np = nb.div_ceil(NR);
+        // Every depth window of the column block is packed up front and the
+        // workers are spawned once per block, not once per window: at the
+        // late-conv shapes (`k` = 4608, `n` ≤ 128) a spawn costs more than a
+        // window's row sweep (raw `A`, 2 threads: conv9 at n = 16 went
+        // 4.9 → 3.2 ms, conv14 at n = 1 180 → 142 ms). This split only runs
+        // when `n < m` or `n < NR·threads`, which bounds the packed block at
+        // `k·max(m + NR, NR·threads)` floats.
+        let windows: Vec<KRows<'_>> = (0..k)
+            .step_by(KC)
+            .filter_map(|p0| window_rows(active, p0, KC.min(k - p0)))
+            .collect();
+        let sizes: Vec<usize> = windows.iter().map(|rows| np * rows.depth() * NR).collect();
+        packed_b.resize(packed_b.len().max(sizes.iter().sum()), 0.0);
+        let mut off = 0;
+        for (rows, &size) in windows.iter().zip(&sizes) {
+            pack_window(b, b_layout, k, n, *rows, c0, nb, &mut packed_b[off..off + size]);
+            off += size;
         }
+        std::thread::scope(|scope| {
+            let mut rest = &mut *c;
+            let mut row = 0usize;
+            let (pb, windows, sizes) = (&packed_b, &windows, &sizes);
+            for w in 0..workers {
+                let nblocks = bbase + usize::from(w < bextra);
+                if nblocks == 0 {
+                    continue;
+                }
+                let r0 = row;
+                let r1 = m.min(row + nblocks * MR);
+                row = r1;
+                let (mine, tail) = rest.split_at_mut((r1 - r0) * n);
+                rest = tail;
+                scope.spawn(move || {
+                    let mut off = 0;
+                    for (i, (rows, &size)) in windows.iter().zip(sizes).enumerate() {
+                        // The first packed depth chunk overwrites `c`
+                        // (unless the caller asked to accumulate); later
+                        // chunks accumulate onto it. Column blocks are
+                        // disjoint, so each element of `c` sees its depth
+                        // chunks exactly once, in order.
+                        let acc = accumulate || i > 0;
+                        let chunk = &pb[off..off + size];
+                        run_rows(
+                            a, kernel_isa, chunk, mine, m, k, n, *rows, c0, nb, r0, r1, acc,
+                        );
+                        off += size;
+                    }
+                });
+            }
+        });
         c0 += nb;
     }
 }
@@ -909,8 +926,8 @@ pub fn matmul_into_with_threads(
         return Err(shape_err(a, b, "matmul"));
     }
     gemm_driver(
-        a.as_slice(),
-        ALayout::Normal,
+        AOperand::Raw(a.as_slice(), ALayout::Normal),
+        isa(),
         b.as_slice(),
         BLayout::Normal,
         out.as_mut_slice(),
@@ -938,8 +955,8 @@ pub fn matmul_into_acc(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<()> {
         return Err(shape_err(a, b, "matmul"));
     }
     gemm_driver(
-        a.as_slice(),
-        ALayout::Normal,
+        AOperand::Raw(a.as_slice(), ALayout::Normal),
+        isa(),
         b.as_slice(),
         BLayout::Normal,
         out.as_mut_slice(),
@@ -1011,8 +1028,8 @@ pub fn matmul_tn_into(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<()> {
         return Err(shape_err(a, b, "matmul_tn"));
     }
     gemm_driver(
-        a.as_slice(),
-        ALayout::Trans,
+        AOperand::Raw(a.as_slice(), ALayout::Trans),
+        isa(),
         b.as_slice(),
         BLayout::Normal,
         out.as_mut_slice(),
@@ -1042,8 +1059,8 @@ pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     }
     let mut out = Tensor::zeros(&[m, n]);
     gemm_driver(
-        a.as_slice(),
-        ALayout::Normal,
+        AOperand::Raw(a.as_slice(), ALayout::Normal),
+        isa(),
         b.as_slice(),
         BLayout::Trans,
         out.as_mut_slice(),
@@ -1070,8 +1087,8 @@ pub fn matmul_nt_into_acc(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<()
         return Err(shape_err(a, b, "matmul_nt"));
     }
     gemm_driver(
-        a.as_slice(),
-        ALayout::Normal,
+        AOperand::Raw(a.as_slice(), ALayout::Normal),
+        isa(),
         b.as_slice(),
         BLayout::Trans,
         out.as_mut_slice(),
@@ -1163,19 +1180,6 @@ fn probe_active_rows(b: &[f32], k: usize, n: usize) -> Vec<usize> {
     act
 }
 
-fn check_sparse_operands(
-    a: &Tensor,
-    b: &Tensor,
-    out: &Tensor,
-) -> Result<(usize, usize, usize)> {
-    let (m, k) = check_matrix(a, "matmul")?;
-    let (k2, n) = check_matrix(b, "matmul")?;
-    if k != k2 || out.dims() != [m, n] {
-        return Err(shape_err(a, b, "matmul"));
-    }
-    Ok((m, k, n))
-}
-
 fn sparse_dispatch_driver(
     a: &Tensor,
     b: &Tensor,
@@ -1184,7 +1188,41 @@ fn sparse_dispatch_driver(
     dispatch: SparseDispatch,
     threads: usize,
 ) -> Result<SparseStats> {
-    let (m, k, n) = check_sparse_operands(a, b, out)?;
+    let (m, k) = check_matrix(a, "matmul")?;
+    sparse_dispatch(
+        AOperand::Raw(a.as_slice(), ALayout::Normal),
+        (m, k),
+        b,
+        out,
+        known_rows,
+        dispatch,
+        threads,
+        isa(),
+    )
+}
+
+/// The sparse dispatcher over either `A` operand of shape `(m, k)`:
+/// checks `b`/`out` and the activity list, then probes or trusts the
+/// list and runs the compacted or dense driver on `kernel_isa`.
+#[allow(clippy::too_many_arguments)] // flat kernel-internal plumbing
+pub(crate) fn sparse_dispatch(
+    a: AOperand<'_>,
+    (m, k): (usize, usize),
+    b: &Tensor,
+    out: &mut Tensor,
+    known_rows: Option<&[usize]>,
+    dispatch: SparseDispatch,
+    threads: usize,
+    kernel_isa: Isa,
+) -> Result<SparseStats> {
+    let (k2, n) = check_matrix(b, "matmul")?;
+    if k != k2 || out.dims() != [m, n] {
+        return Err(TensorError::ShapeMismatch {
+            lhs: vec![m, k],
+            rhs: b.dims().to_vec(),
+            op: "matmul",
+        });
+    }
     if let Some(rows) = known_rows {
         let sorted = rows.windows(2).all(|w| w[0] < w[1]);
         if !sorted || rows.last().is_some_and(|&p| p >= k) {
@@ -1195,8 +1233,8 @@ fn sparse_dispatch_driver(
     }
     let run = |active: Option<&[usize]>, c: &mut Tensor| {
         gemm_driver(
-            a.as_slice(),
-            ALayout::Normal,
+            a,
+            kernel_isa,
             b.as_slice(),
             BLayout::Normal,
             c.as_mut_slice(),
@@ -1584,8 +1622,8 @@ mod tests {
         let mut acc4 = Tensor::full(&[m, n], 1.5);
         let a2 = Tensor::from_fn(&[m, k], |i| (i % 5) as f32 - 2.0);
         gemm_driver(
-            a2.as_slice(),
-            ALayout::Normal,
+            AOperand::Raw(a2.as_slice(), ALayout::Normal),
+            isa(),
             b.as_slice(),
             BLayout::Normal,
             acc1.as_mut_slice(),
@@ -1597,8 +1635,8 @@ mod tests {
             None,
         );
         gemm_driver(
-            a2.as_slice(),
-            ALayout::Normal,
+            AOperand::Raw(a2.as_slice(), ALayout::Normal),
+            isa(),
             b.as_slice(),
             BLayout::Normal,
             acc4.as_mut_slice(),

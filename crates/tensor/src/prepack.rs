@@ -20,6 +20,17 @@
 //!   later-windows-accumulate memory order, same microkernels — the
 //!   output is **bit-identical** to [`crate::matmul_into`], it just
 //!   skips the packing.
+//! * [`PrepackedA`] does the same for the conv weights, which enter the
+//!   im2col GEMM as the `A` operand: the `MR`-row strips the drivers
+//!   would gather out of the raw `[K, C·R·S]` matrix on every call are
+//!   built once, and [`matmul_prepacked_a_into`] /
+//!   [`crate::conv2d_sparse_prepacked_with_scratch`] read them in place
+//!   (channel compaction copies whole strip rows instead of gathering
+//!   strided elements). The drivers keep their worker split — only the
+//!   row split spawns its workers once per column block instead of once
+//!   per depth window, since a resident window's sweep costs less than
+//!   a spawn — and the microkernels read the same bytes in the same
+//!   order, so the output is bit-identical to the raw-`A` call.
 //! * [`matmul_fused_row_into`] is the FC fast path: the layer is flipped
 //!   to `x_row[1,k] · Wᵀ[k,n]` (a `[1,n]` row and an `[n,1]` column have
 //!   the same flat layout, so no transpose is ever materialized — see
@@ -40,7 +51,8 @@
 //! fused path stays bit-identical to the dispatched unfused path.
 
 use crate::matmul::{
-    isa, pack_a, pack_b_chunk, tile, ALayout, BLayout, Isa, KC, NC, THREAD_MIN_MACS,
+    isa, pack_a, pack_b_chunk, sparse_dispatch, tile, ALayout, AOperand, BLayout, Isa, KC,
+    NC, THREAD_MIN_MACS,
 };
 use crate::{
     Result, SparseDispatch, SparseStats, Tensor, TensorError, MR, NR, SPARSE_ACTIVE_MAX,
@@ -166,6 +178,159 @@ impl PrepackedB {
         let npanels = self.n.div_ceil(NR).max(1);
         &self.panels[p0 * npanels * NR + jp * kb * NR..][..kb * NR]
     }
+}
+
+/// An `A` operand `[m, k]` packed once into the strips the GEMM drivers
+/// otherwise build per call, stored **`KC`-window-major** like
+/// [`PrepackedB`]: for each depth window `p0..p0+kb`, the `MR`-row blocks'
+/// strips sit contiguously — window `p0` starts at `p0·m`, the block at
+/// row `i0` within it at `i0·kb`, and each strip holds `A[i0+ii, p0+p]`
+/// at `p·mr + ii` (`mr ≤ MR` rows, the last block partial). Each strip is
+/// byte-for-byte what [`crate::matmul`]'s `pack_a` writes for that window
+/// and block, and the strips tile exactly `m·k` floats.
+///
+/// This is the conv weight's resident form: the im2col GEMM multiplies
+/// `W[K, C·R·S]` (the `A` side) by the lowered activations, and at the
+/// small spatial extents of the late layers the per-call strip gather —
+/// `MR` rows read at stride `C·R·S` — dominates the layer. Build it once
+/// per weight at model-load time and share it read-only.
+#[derive(Debug, Clone)]
+pub struct PrepackedA {
+    m: usize,
+    k: usize,
+    strips: Vec<f32>,
+}
+
+impl PrepackedA {
+    /// Packs a weight whose leading axis is the output (`m`) axis: a
+    /// `[m, k]` matrix, or a conv weight `[K, C, R, S]` taken as the
+    /// `[K, C·R·S]` matrix the im2col lowering multiplies.
+    ///
+    /// # Errors
+    ///
+    /// Returns a rank error for a tensor of rank below 2.
+    pub fn from_weight(w: &Tensor) -> Result<Self> {
+        if w.rank() < 2 {
+            return Err(TensorError::RankMismatch {
+                expected: 2,
+                actual: w.rank(),
+                op: "prepack_a",
+            });
+        }
+        let m = w.dims()[0];
+        let k: usize = w.dims()[1..].iter().product();
+        let mut strips = vec![0.0f32; m * k];
+        let mut p0 = 0;
+        while p0 < k {
+            let kb = KC.min(k - p0);
+            let mut i0 = 0;
+            while i0 < m {
+                let mr = MR.min(m - i0);
+                pack_a(
+                    w.as_slice(),
+                    ALayout::Normal,
+                    m,
+                    k,
+                    p0,
+                    kb,
+                    i0,
+                    mr,
+                    &mut strips[p0 * m + i0 * kb..][..kb * mr],
+                );
+                i0 += mr;
+            }
+            p0 += kb;
+        }
+        Ok(PrepackedA { m, k, strips })
+    }
+
+    /// Rows (`m`, the output channels) of the packed operand.
+    pub fn m(&self) -> usize {
+        self.m
+    }
+
+    /// Depth (`k`, the `C·R·S` taps) of the packed operand.
+    pub fn k(&self) -> usize {
+        self.k
+    }
+
+    /// Heap bytes held by the packed strips.
+    pub fn bytes(&self) -> usize {
+        self.strips.len() * std::mem::size_of::<f32>()
+    }
+
+    /// The strip of rows `i0..i0+mr` over the depth window `p0..p0+kb`.
+    /// `p0`/`kb` must name a whole `KC` window and `i0` start an `MR`
+    /// block, the only granularity the drivers iterate at.
+    #[inline]
+    pub(crate) fn strip(&self, p0: usize, kb: usize, i0: usize, mr: usize) -> &[f32] {
+        &self.strips[p0 * self.m + i0 * kb..][..kb * mr]
+    }
+
+    /// The strip compacted to the depth rows in `act` (ascending, inside
+    /// the window `p0..p0+kb`): row `p` of `pa` is the strip's row
+    /// `act[p]`, `mr` contiguous floats — what `pack_a_gather` builds
+    /// from the raw matrix.
+    #[allow(clippy::too_many_arguments)] // mirrors the driver's window/block coordinates
+    pub(crate) fn gather(
+        &self,
+        p0: usize,
+        kb: usize,
+        act: &[usize],
+        i0: usize,
+        mr: usize,
+        pa: &mut [f32],
+    ) {
+        let strip = self.strip(p0, kb, i0, mr);
+        if mr == MR {
+            // Full blocks move each row as one fixed-size array instead of a
+            // length-`mr` `copy_from_slice` (a memcpy call per row). Measured
+            // on the resident_sparse shapes (2-vCPU avx512, median of 101
+            // calls, 4 alternating runs): 25–35 % faster, e.g. conv9_b1 at 2
+            // threads 1.25 → 0.87 ms and conv4_b1 at 1 thread 1.05 → 0.69 ms.
+            for (dst, &pp) in pa.chunks_exact_mut(MR).zip(act) {
+                let src: &[f32; MR] =
+                    strip[(pp - p0) * MR..][..MR].try_into().expect("an MR-float row");
+                let dst: &mut [f32; MR] = dst.try_into().expect("an MR-float chunk");
+                *dst = *src;
+            }
+        } else {
+            for (dst, &pp) in pa.chunks_exact_mut(mr).zip(act) {
+                dst.copy_from_slice(&strip[(pp - p0) * mr..][..mr]);
+            }
+        }
+    }
+}
+
+/// `C = A·B` with `A` resident: the sparse dispatcher of
+/// [`crate::matmul_sparse_dispatch_into_with_rows`] over strips packed
+/// once. `active` lists the `k`-rows of `B` that may be nonzero (strictly
+/// ascending, all `< k`; unlisted rows must be zero), or `None` to probe
+/// `B`. Output and [`SparseStats`] are bit-identical to the raw-`A` call
+/// on the matrix `a` was packed from, at every worker count.
+///
+/// # Errors
+///
+/// Returns a shape/rank error when `b`/`out` do not conform to `a`, or
+/// [`TensorError::InvalidGeometry`] for a malformed `active` list.
+pub fn matmul_prepacked_a_into(
+    a: &PrepackedA,
+    b: &Tensor,
+    out: &mut Tensor,
+    active: Option<&[usize]>,
+    dispatch: SparseDispatch,
+    threads: usize,
+) -> Result<SparseStats> {
+    sparse_dispatch(
+        AOperand::Prepacked(a),
+        (a.m, a.k),
+        b,
+        out,
+        active,
+        dispatch,
+        threads,
+        isa(),
+    )
 }
 
 /// Serial prepacked GEMM over output rows `r0..r1`: the same `KC` depth
@@ -878,6 +1043,95 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn prepacked_a_matches_raw_a_bitwise_on_every_arm() {
+        // partial MR blocks (61, 13), more than one KC window (k ≥ 385),
+        // n < NR, and macs above THREAD_MIN_MACS so threads 2 and 5 take
+        // the row split (n < m) and the column split (n ≥ m)
+        for &(m, k, n) in &[(61, 1152, 4), (13, 900, 64), (8, 385, 3), (5, 7, 1)] {
+            let a = mat(&[m, k], 3, 19);
+            let mut b = mat(&[k, n], 5, 17);
+            // zero every third row plus the whole second KC window, and
+            // list the rest as the caller-given activity
+            let active: Vec<usize> =
+                (0..k).filter(|p| p % 3 != 1 && !(KC..2 * KC).contains(p)).collect();
+            for p in (0..k).filter(|p| active.binary_search(p).is_err()) {
+                b.as_mut_slice()[p * n..(p + 1) * n].fill(0.0);
+            }
+            let pa = PrepackedA::from_weight(&a).unwrap();
+            assert_eq!((pa.m(), pa.k(), pa.bytes()), (m, k, m * k * 4));
+            let mut reference = Tensor::zeros(&[m, n]);
+            matmul_into_with_threads(&a, &b, &mut reference, 1).unwrap();
+            let cases: [(SparseDispatch, Option<&[usize]>); 3] = [
+                (SparseDispatch::DenseOnly, None),
+                (SparseDispatch::SparseOnly, None),
+                (SparseDispatch::SparseOnly, Some(&active)),
+            ];
+            for (dispatch, rows) in cases {
+                for kernel_isa in available_isas() {
+                    for threads in [1usize, 2, 5] {
+                        let what = format!(
+                            "m={m} k={k} n={n} {dispatch:?} given={} isa={kernel_isa:?} \
+                             threads={threads}",
+                            rows.is_some()
+                        );
+                        let run = |operand| {
+                            let mut out = Tensor::full(&[m, n], f32::NAN);
+                            let stats = sparse_dispatch(
+                                operand,
+                                (m, k),
+                                &b,
+                                &mut out,
+                                rows,
+                                dispatch,
+                                threads,
+                                kernel_isa,
+                            )
+                            .unwrap();
+                            (out, stats)
+                        };
+                        let (raw, raw_stats) =
+                            run(AOperand::Raw(a.as_slice(), ALayout::Normal));
+                        let (res, res_stats) = run(AOperand::Prepacked(&pa));
+                        let bits = |t: &Tensor| -> Vec<u32> {
+                            t.as_slice().iter().map(|v| v.to_bits()).collect()
+                        };
+                        assert_eq!(bits(&res), bits(&raw), "{what}");
+                        assert_eq!(bits(&res), bits(&reference), "{what}");
+                        assert_eq!(res_stats, raw_stats, "{what}");
+                    }
+                }
+            }
+            // the public entry runs the same dispatcher
+            let mut out = Tensor::zeros(&[m, n]);
+            let stats = matmul_prepacked_a_into(
+                &pa,
+                &b,
+                &mut out,
+                Some(&active),
+                SparseDispatch::Auto,
+                2,
+            )
+            .unwrap();
+            assert_eq!(stats.k_active, active.len());
+            assert_eq!(out.as_slice(), reference.as_slice());
+        }
+    }
+
+    #[test]
+    fn prepacked_a_rejects_mismatched_operands() {
+        assert!(PrepackedA::from_weight(&Tensor::zeros(&[6])).is_err());
+        let pa = PrepackedA::from_weight(&mat(&[4, 6], 1, 7)).unwrap();
+        let mut out = Tensor::zeros(&[4, 3]);
+        let run = |b: &Tensor, out: &mut Tensor, rows: Option<&[usize]>| {
+            matmul_prepacked_a_into(&pa, b, out, rows, SparseDispatch::Auto, 1)
+        };
+        assert!(run(&Tensor::zeros(&[5, 3]), &mut out, None).is_err(), "depth");
+        assert!(run(&Tensor::zeros(&[6, 2]), &mut out, None).is_err(), "output shape");
+        assert!(run(&Tensor::zeros(&[6, 3]), &mut out, Some(&[2, 1])).is_err(), "order");
+        assert!(run(&Tensor::zeros(&[6, 3]), &mut out, Some(&[6])).is_err(), "range");
     }
 
     #[test]

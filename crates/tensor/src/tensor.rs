@@ -122,6 +122,24 @@ impl Tensor {
         self.data
     }
 
+    /// Whether `other` is this tensor bit for bit: the same object, or the
+    /// same shape and the same `to_bits` of every element. Stricter than
+    /// `==` (`-0.0` differs from `0.0`, a NaN equals itself), which is
+    /// what deciding that two weights are one layer needs: kernels built
+    /// from either must produce the same bits.
+    pub fn bits_eq(&self, other: &Tensor) -> bool {
+        std::ptr::eq(self, other)
+            || (self.dims() == other.dims()
+                && self.data.chunks(1024).zip(other.data.chunks(1024)).all(|(x, y)| {
+                    // OR-of-XOR over a whole chunk vectorizes; stopping at the
+                    // first unequal chunk keeps distinct same-shaped tensors cheap
+                    x.iter()
+                        .zip(y)
+                        .fold(0u32, |acc, (p, q)| acc | (p.to_bits() ^ q.to_bits()))
+                        == 0
+                }))
+    }
+
     /// Element at a multi-dimensional index.
     ///
     /// # Errors
@@ -259,6 +277,22 @@ mod tests {
         t.set(&[0, 1], 9.0).unwrap();
         assert_eq!(t.at(&[0, 1]).unwrap(), 9.0);
         assert!(t.at(&[2, 0]).is_err());
+    }
+
+    #[test]
+    fn bits_eq_compares_shape_and_bits() {
+        let t = Tensor::from_vec(vec![1.0, 0.0, f32::NAN, 4.0], &[2, 2]).unwrap();
+        assert!(t.bits_eq(&t));
+        assert!(t.bits_eq(&t.clone()));
+        assert!(!t.bits_eq(&t.reshape(&[4]).unwrap()));
+        let mut neg_zero = t.clone();
+        neg_zero.as_mut_slice()[1] = -0.0;
+        assert!(!t.bits_eq(&neg_zero));
+        // a difference past the first comparison chunk is still seen
+        let a = Tensor::zeros(&[3000]);
+        let mut b = a.clone();
+        b.as_mut_slice()[2999] = 1.0;
+        assert!(!a.bits_eq(&b));
     }
 
     #[test]
