@@ -7,9 +7,8 @@ use mime_core::{channel_activity_rescan, MimeError};
 use mime_systolic::{AccessCounters, ArrayConfig, FunctionalArray, LayerGeometry, Mapper};
 use mime_tensor::{
     conv2d_sparse_prepacked_with_scratch, conv2d_sparse_with_scratch,
-    matmul_fused_batch_into, matmul_fused_row_into, max_pool2d, ConvScratch, ConvSpec,
-    FusedMask, PoolSpec, PrepackedA, PrepackedB, SparseDispatch, SparseStats, Tensor,
-    TensorError,
+    matmul_fused_batch_into, max_pool2d, ConvScratch, ConvSpec, FusedMask, PoolSpec,
+    PrepackedA, PrepackedB, SparseDispatch, SparseStats, Tensor, TensorError,
 };
 use std::sync::Arc;
 use std::time::Instant;
@@ -141,8 +140,11 @@ impl HardwareExecutor {
     }
 
     /// Executes one image `[C, H, W]` through the plan; returns logits.
-    /// Counters accumulate on the internal array (see
-    /// [`run_pipelined`](Self::run_pipelined) for batch accounting).
+    /// This is a batch of one through
+    /// [`run_coalesced_guarded`](Self::run_coalesced_guarded), the
+    /// executor's only step loop. Counters accumulate on the internal
+    /// array (see [`run_pipelined`](Self::run_pipelined) for batch
+    /// accounting).
     ///
     /// The plan-vs-image shape contract is validated up front (before
     /// any hardware step runs), and the produced logits are checked for
@@ -179,211 +181,8 @@ impl HardwareExecutor {
         zero_skip: bool,
         guard: &mut dyn FnMut(usize) -> crate::Result<()>,
     ) -> crate::Result<Vec<f32>> {
-        let expected = vec![plan.in_channels(), plan.input_hw(), plan.input_hw()];
-        if *image.dims() != expected[..] {
-            return Err(MimeError::PlanMismatch {
-                what: "input image",
-                expected,
-                actual: image.dims().to_vec(),
-            });
-        }
-        let profiling = mime_obs::profiling();
-        let _image_span =
-            profiling.then(|| mime_obs::trace::span_cat("run_image", "runtime.image"));
-        let mapper = Mapper::new(self.cfg);
-        let mut x = image.clone();
-        // Software path: per-channel activity bitmap emitted by each
-        // threshold/ReLU step; a `false` entry promises that channel is
-        // exactly zero, so the next GEMM compacts without re-scanning.
-        // Pool preserves all-zero channels; Flatten expands channels to
-        // per-feature entries for the FC steps.
-        let mut pending: Option<Vec<bool>> = None;
-        for (index, step) in plan.steps().iter().enumerate() {
-            guard(index)?;
-            match step {
-                BoundLayer::Array { geom, weight, bias, thresholds, packed, packed_a } => {
-                    let start = profiling.then(Instant::now);
-                    // FC steps expect a flat [C,1,1] activation
-                    let staged =
-                        if geom.r == 1 { x.reshape(&[geom.c, 1, 1])? } else { x.clone() };
-                    let out = match self.path {
-                        ComputePath::Simulate => {
-                            let mapping = mapper.best_mapping(geom, 0.5, 1.0);
-                            let mut out = self.array.run_layer(
-                                geom,
-                                &mapping,
-                                weight,
-                                bias,
-                                &staged,
-                                thresholds.as_ref(),
-                                zero_skip,
-                            )?;
-                            if thresholds.is_none() && geom.masked {
-                                // baseline activation: host-side ReLU
-                                out = out.relu();
-                            }
-                            out
-                        }
-                        ComputePath::Software => {
-                            let (out, activity) = self.run_array_step_software(
-                                geom,
-                                weight,
-                                bias,
-                                thresholds.as_ref(),
-                                packed.as_deref(),
-                                packed_a.as_deref(),
-                                &staged,
-                                zero_skip,
-                                pending.as_deref(),
-                            )?;
-                            pending = Some(activity);
-                            out
-                        }
-                    };
-                    if let Some(start) = start {
-                        if mime_obs::metrics_enabled() {
-                            mime_obs::metrics::global()
-                                .histogram_with(
-                                    "mime_runtime_layer_latency_seconds",
-                                    &[("layer", &geom.name)],
-                                    &mime_obs::metrics::SECONDS_BUCKETS,
-                                )
-                                .observe(start.elapsed().as_secs_f64());
-                        }
-                    }
-                    x = out;
-                }
-                BoundLayer::Pool => {
-                    let (c, h, w) = (x.dims()[0], x.dims()[1], x.dims()[2]);
-                    let x4 = x.reshape(&[1, c, h, w])?;
-                    let pooled = max_pool2d(&x4, &PoolSpec::vgg2x2())?;
-                    let dims = pooled.output.dims().to_vec();
-                    x = pooled.output.reshape(&dims[1..])?;
-                    // max-pooling an all-zero channel yields all zeros,
-                    // so the channel bitmap stays valid
-                }
-                BoundLayer::Flatten => {
-                    if let Some(act) = pending.take() {
-                        // expand channel promises to the per-feature
-                        // granularity the FC steps consume
-                        let sites: usize = x.dims()[1..].iter().product();
-                        pending = Some(
-                            act.iter()
-                                .flat_map(|&a| std::iter::repeat_n(a, sites))
-                                .collect(),
-                        );
-                    }
-                    let len = x.len();
-                    x = x.reshape(&[len])?;
-                }
-            }
-        }
-        guard(plan.steps().len())?;
-        if let Some(index) = first_non_finite(x.as_slice()) {
-            return Err(MimeError::NonFinite {
-                stage: "logits",
-                layer: plan.steps().len(),
-                index,
-            });
-        }
-        Ok(x.as_slice().to_vec())
-    }
-
-    /// One array step on the host sparse fast path: lower to the
-    /// row-compacting GEMM (`[1, C, HW, HW]` conv; FC is the `R = 1`
-    /// degenerate case), apply the threshold bank (or baseline ReLU)
-    /// exactly as the simulated drain does, and report the out-channel
-    /// activity bitmap for the next step's compactor.
-    ///
-    /// When the step carries a prepacked panel set (`packed`, built once
-    /// per process by [`crate::prepack_plans`]) the whole step runs as
-    /// one fused kernel call: the GEMM reads the cached §6 panels, and
-    /// the eq. (2) compare/ReLU plus the activity bitmap are applied in
-    /// the microkernel epilogue — retiring the separate re-scan passes.
-    /// Both routes are bit-identical; the fused bitmap is
-    /// `debug_assert`ed against the mime-core re-scan reference. A conv
-    /// step with resident `A` strips (`packed_a`) runs the same lowering
-    /// over them instead of re-gathering the raw weight.
-    ///
-    /// Counters are reconstructed analytically so `zero_skip` accounting
-    /// matches the functional array MAC-for-MAC (the output values never
-    /// depend on `zero_skip` on either path).
-    #[allow(clippy::too_many_arguments)]
-    fn run_array_step_software(
-        &mut self,
-        geom: &LayerGeometry,
-        weight: &Tensor,
-        bias: &Tensor,
-        thresholds: Option<&Tensor>,
-        packed: Option<&PrepackedB>,
-        packed_a: Option<&PrepackedA>,
-        staged: &Tensor,
-        zero_skip: bool,
-        active_in: Option<&[bool]>,
-    ) -> crate::Result<(Tensor, Vec<bool>)> {
-        let sites = geom.sites();
-        if let Some(t) = thresholds {
-            if t.len() != geom.k * sites {
-                return Err(TensorError::LengthMismatch {
-                    expected: geom.k * sites,
-                    actual: t.len(),
-                }
-                .into());
-            }
-        }
-        let (out, stats, activity) = if let (Some(pb), true) = (packed, geom.r == 1) {
-            // fused prepacked FC fast path: one kernel call produces the
-            // masked activations and the activity bitmap together
-            let mut out = Tensor::zeros(&[geom.k, geom.out_hw, geom.out_hw]);
-            let mask = match thresholds {
-                Some(t) => FusedMask::Thresholds(t.as_slice()),
-                None if geom.masked => FusedMask::Relu,
-                None => FusedMask::None,
-            };
-            let mut activity = Vec::new();
-            let stats = matmul_fused_row_into(
-                staged,
-                pb,
-                bias,
-                mask,
-                active_in,
-                self.dispatch,
-                &mut out,
-                &mut activity,
-                mime_tensor::threads::worker_count(),
-            )?;
-            if thresholds.is_some() {
-                self.sw_counters.cmps += (geom.k * sites) as u64;
-            }
-            debug_assert_eq!(
-                activity,
-                channel_activity_rescan(out.as_slice(), geom.k, sites),
-                "fused epilogue bitmap disagrees with the re-scan reference"
-            );
-            (out, stats, activity)
-        } else {
-            let spec = ConvSpec::new(geom.r, 1, (geom.r - 1) / 2)?;
-            let x4 = staged.reshape(&[1, geom.c, geom.in_hw, geom.in_hw])?;
-            let (out4, stats) =
-                self.conv_step(&x4, weight, packed_a, bias, &spec, active_in)?;
-            let mut out = out4.reshape(&[geom.k, geom.out_hw, geom.out_hw])?;
-            if let Some(t) = thresholds {
-                // same comparison the array's drain stage applies
-                // (eq. (2)): keep the accumulator iff acc - t >= 0,
-                // else exact zero
-                mime_core::apply_thresholds_rescan(out.as_mut_slice(), t.as_slice());
-                self.sw_counters.cmps += (geom.k * sites) as u64;
-            } else if geom.masked {
-                // baseline activation: host-side ReLU
-                out = out.relu();
-            }
-            let activity = channel_activity_rescan(out.as_slice(), geom.k, sites);
-            (out, stats, activity)
-        };
-        self.sw_counters.macs +=
-            analytic_taps(staged.as_slice(), geom, zero_skip) * geom.k as u64;
-        publish_sparse_step(&stats, geom);
-        Ok((out, activity))
+        let mut logits = self.run_coalesced_guarded(&[plan], &[image], zero_skip, guard)?;
+        Ok(logits.pop().expect("a batch of one yields one logits row"))
     }
 
     /// The §9 im2col lowering of one step over `x4: [B, C, H, W]`: over the
@@ -433,10 +232,14 @@ impl HardwareExecutor {
     }
 
     /// [`run_coalesced`](Self::run_coalesced) with a `guard` hook invoked
-    /// before every backbone step (and once more before the final logits
-    /// check), exactly like [`run_image_guarded`](Self::run_image_guarded)
-    /// — the serving loop uses it for between-layer deadline checks over
-    /// the whole batch.
+    /// once before every backbone step for the whole batch (with the
+    /// step index), and once more before the final logits check. A guard
+    /// error aborts the run immediately — the serving loop uses it for
+    /// between-layer deadline checks.
+    ///
+    /// This is the executor's one step loop: [`run_image`](Self::run_image)
+    /// is its batch of one, and every other entry point reaches the plan
+    /// steps through it.
     ///
     /// ## Contract: one backbone, many views
     ///
@@ -452,7 +255,8 @@ impl HardwareExecutor {
     /// ## Bit-identity
     ///
     /// Each sample's logits are bit-identical to running that sample
-    /// alone through [`run_image_guarded`](Self::run_image_guarded):
+    /// alone as a batch of one, and on the software path to the host
+    /// [`mime_core::MimeNetwork::forward`]:
     ///
     /// * conv steps stack the batch as `[B, C, H, W]` and lower through
     ///   the same im2col GEMM; each sample's output columns depend only
@@ -464,23 +268,25 @@ impl HardwareExecutor {
     ///   bit-identical to dense for any valid promise list;
     /// * threshold/ReLU epilogues and activity rescans run per sample
     ///   with that sample's own bank, on that sample's output slice;
-    /// * FC steps with the Arc-shared panel set use the batched fused
-    ///   kernel, which computes each sample's row exactly as the
-    ///   single-row kernel does (gated by its own bitwise test) while
-    ///   streaming each weight panel once per batch;
+    /// * FC steps with the Arc-shared panel set run the fused batch
+    ///   kernel at any `B`; its per-sample arithmetic does not depend on
+    ///   the batch (gated by its own bitwise test), while each weight
+    ///   panel streams once per batch;
     /// * pooling is per-sample independent, and the analytic MAC/compare
-    ///   counters are tallied per sample with the serial formula.
+    ///   counters are tallied per sample with the same formula.
     ///
-    /// A batch of one (nothing to amortize) and the simulated-array path
-    /// (which models one image at a time) delegate to the serial
-    /// reference path.
+    /// On the simulated-array path each array step runs
+    /// [`FunctionalArray::run_layer`] once per sample, on that sample's
+    /// `[C, H, W]` slice and bank (the array models one image at a time),
+    /// so its counters tally exactly as for the images run one by one.
     ///
     /// # Errors
     ///
     /// [`MimeError::PlanMismatch`] when the batch is malformed (length
     /// mismatch, divergent plan structure, wrong image shape);
-    /// otherwise as [`run_image_guarded`](Self::run_image_guarded), with
-    /// the earliest failing sample reported.
+    /// [`MimeError::NonFinite`] when a sample's logits contain a NaN or
+    /// ±Inf (the earliest failing sample is reported); a tensor error
+    /// when a step fails; or whatever error the guard returns.
     pub fn run_coalesced_guarded(
         &mut self,
         plans: &[&BoundNetwork],
@@ -498,7 +304,7 @@ impl HardwareExecutor {
     }
 
     /// [`run_coalesced_guarded`](Self::run_coalesced_guarded) with an
-    /// explicit worker count for the batched FC kernel (primarily for
+    /// explicit worker count for the fused FC kernel (primarily for
     /// tests asserting thread-count invariance).
     ///
     /// # Errors
@@ -523,16 +329,10 @@ impl HardwareExecutor {
         if b == 0 {
             return Ok(Vec::new());
         }
-        if b == 1 || self.path == ComputePath::Simulate {
-            let mut logits = Vec::with_capacity(b);
-            for (plan, image) in plans.iter().zip(images) {
-                logits.push(self.run_image_guarded(plan, image, zero_skip, guard)?);
-            }
-            return Ok(logits);
-        }
         coalescible(plans)?;
         let lead = plans[0];
-        let expected = vec![lead.in_channels(), lead.input_hw(), lead.input_hw()];
+        let (in_c, hw) = (lead.in_channels(), lead.input_hw());
+        let expected = vec![in_c, hw, hw];
         for image in images {
             if *image.dims() != expected[..] {
                 return Err(MimeError::PlanMismatch {
@@ -548,15 +348,16 @@ impl HardwareExecutor {
         if let Some(span) = batch_span.as_mut() {
             span.arg("batch", b);
         }
-        let (in_c, hw) = (lead.in_channels(), lead.input_hw());
-        let per_image = in_c * hw * hw;
-        let mut stacked = vec![0.0f32; b * per_image];
-        for (s, image) in images.iter().enumerate() {
-            stacked[s * per_image..][..per_image].copy_from_slice(image.as_slice());
+        let mut stacked = Vec::with_capacity(b * in_c * hw * hw);
+        for image in images {
+            stacked.extend_from_slice(image.as_slice());
         }
         let mut x = Tensor::from_vec(stacked, &[b, in_c, hw, hw])?;
-        // Per-sample activity bitmaps — same promise the serial path
-        // threads between steps, one lane per sample.
+        // Software path: per-sample channel activity bitmaps emitted by
+        // each threshold/ReLU step; a `false` entry promises that channel
+        // is exactly zero in that sample, so the next GEMM compacts
+        // without re-scanning. Pool preserves all-zero channels; Flatten
+        // expands channels to per-feature entries for the FC steps.
         let mut pending: Vec<Option<Vec<bool>>> = vec![None; b];
         let steps = lead.steps().len();
         for index in 0..steps {
@@ -565,122 +366,137 @@ impl HardwareExecutor {
                 BoundLayer::Array { geom, weight, bias, packed_a, .. } => {
                     let start = profiling.then(Instant::now);
                     let sites = geom.sites();
+                    let (per_in, per_out) = (geom.input_count(), geom.output_count());
                     // each sample swaps in its own plan's threshold bank
-                    let mut banks: Vec<Option<&Tensor>> = Vec::with_capacity(b);
-                    for plan in plans {
-                        let BoundLayer::Array { thresholds, .. } = &plan.steps()[index]
-                        else {
-                            unreachable!("coalescible() checked step kinds");
-                        };
-                        if let Some(t) = thresholds {
-                            if t.len() != geom.k * sites {
-                                return Err(TensorError::LengthMismatch {
-                                    expected: geom.k * sites,
-                                    actual: t.len(),
-                                }
-                                .into());
-                            }
-                        }
-                        banks.push(thresholds.as_ref());
-                    }
-                    // analytic MACs per sample, on the pre-GEMM input
-                    // (identical tally to the serial path)
-                    let per_in = geom.c * geom.in_hw * geom.in_hw;
-                    for s in 0..b {
-                        let staged = &x.as_slice()[s * per_in..][..per_in];
-                        self.sw_counters.macs +=
-                            analytic_taps(staged, geom, zero_skip) * geom.k as u64;
-                    }
-                    let out = if let Some(pb) = shared_packed(plans, index) {
-                        // fused prepacked FC fast path: all samples share
-                        // one Arc'd panel set, so each weight panel
-                        // streams exactly once for the whole batch
-                        let xs = x.reshape(&[b, geom.c])?;
-                        let masks: Vec<FusedMask> = banks
-                            .iter()
-                            .map(|t| match t {
-                                Some(t) => FusedMask::Thresholds(t.as_slice()),
-                                None if geom.masked => FusedMask::Relu,
-                                None => FusedMask::None,
-                            })
-                            .collect();
-                        let actives: Vec<Option<&[bool]>> =
-                            pending.iter().map(|p| p.as_deref()).collect();
-                        let n = geom.k * sites;
-                        let mut out = Tensor::zeros(&[b, n]);
-                        let mut activity = Vec::new();
-                        let stats = matmul_fused_batch_into(
-                            &xs,
-                            pb,
-                            bias,
-                            &masks,
-                            &actives,
-                            self.dispatch,
-                            &mut out,
-                            &mut activity,
-                            threads,
-                        )?;
-                        for (s, st) in stats.iter().enumerate() {
-                            if banks[s].is_some() {
-                                self.sw_counters.cmps += n as u64;
-                            }
-                            pending[s] = Some(activity[s * n..][..n].to_vec());
-                            publish_sparse_step(st, geom);
-                        }
-                        out
+                    let banks = step_banks(plans, index, per_out)?;
+                    let fused = match self.path {
+                        ComputePath::Software if geom.r == 1 => shared_packed(plans, index),
+                        _ => None,
+                    };
+                    // the fused FC kernel reads [B, C] rows, everything
+                    // else [B, C, H, W]; either view moves the buffer
+                    let x_in = if fused.is_some() {
+                        restack(x, &[b, geom.c])?
                     } else {
-                        // batched conv lowering (or unshared/absent FC
-                        // panels): one im2col + GEMM over [B, C, H, W],
-                        // compacting on the union of the sample bitmaps
-                        let spec = ConvSpec::new(geom.r, 1, (geom.r - 1) / 2)?;
-                        let reshaped;
-                        let x4: &Tensor = if geom.r == 1 {
-                            reshaped = x.reshape(&[b, geom.c, 1, 1])?;
-                            &reshaped
-                        } else {
-                            &x
-                        };
-                        // a channel may only be skipped for the batch if
-                        // it is promised zero in every sample
-                        let union: Option<Vec<bool>> =
-                            pending.iter().all(Option::is_some).then(|| {
-                                let mut u = vec![false; geom.c];
-                                for p in pending.iter().flatten() {
-                                    for (uc, &a) in u.iter_mut().zip(p) {
-                                        *uc |= a;
+                        restack(x, &[b, geom.c, geom.in_hw, geom.in_hw])?
+                    };
+                    if self.path == ComputePath::Software {
+                        // analytic MACs per sample, on the pre-GEMM input
+                        // (they match the array's tap count)
+                        for staged in x_in.as_slice().chunks_exact(per_in) {
+                            self.sw_counters.macs +=
+                                analytic_taps(staged, geom, zero_skip) * geom.k as u64;
+                        }
+                    }
+                    let out = match (self.path, fused) {
+                        (ComputePath::Simulate, _) => {
+                            // the array models one image at a time: each
+                            // sample's [C, H, W] slice runs on its own bank
+                            let mapping =
+                                Mapper::new(self.cfg).best_mapping(geom, 0.5, 1.0);
+                            let mut out = Vec::with_capacity(b * per_out);
+                            for (staged, bank) in
+                                x_in.as_slice().chunks_exact(per_in).zip(&banks)
+                            {
+                                let staged = Tensor::from_vec(
+                                    staged.to_vec(),
+                                    &[geom.c, geom.in_hw, geom.in_hw],
+                                )?;
+                                let mut y = self.array.run_layer(
+                                    geom, &mapping, weight, bias, &staged, *bank, zero_skip,
+                                )?;
+                                if bank.is_none() && geom.masked {
+                                    // baseline activation: host-side ReLU
+                                    y = y.relu();
+                                }
+                                out.extend_from_slice(y.as_slice());
+                            }
+                            Tensor::from_vec(out, &[b, geom.k, geom.out_hw, geom.out_hw])?
+                        }
+                        (ComputePath::Software, Some(pb)) => {
+                            // fused prepacked FC fast path: all samples share
+                            // one Arc'd panel set, so each weight panel
+                            // streams once for the batch, and the eq. (2)
+                            // compare/ReLU plus the activity bitmap come out
+                            // of the kernel epilogue
+                            let masks: Vec<FusedMask> = banks
+                                .iter()
+                                .map(|t| match t {
+                                    Some(t) => FusedMask::Thresholds(t.as_slice()),
+                                    None if geom.masked => FusedMask::Relu,
+                                    None => FusedMask::None,
+                                })
+                                .collect();
+                            let actives: Vec<Option<&[bool]>> =
+                                pending.iter().map(|p| p.as_deref()).collect();
+                            let mut out = Tensor::zeros(&[b, per_out]);
+                            let mut activity = Vec::new();
+                            let stats = matmul_fused_batch_into(
+                                &x_in,
+                                pb,
+                                bias,
+                                &masks,
+                                &actives,
+                                self.dispatch,
+                                &mut out,
+                                &mut activity,
+                                threads,
+                            )?;
+                            for (s, st) in stats.iter().enumerate() {
+                                if banks[s].is_some() {
+                                    self.sw_counters.cmps += per_out as u64;
+                                }
+                                let act = &activity[s * per_out..][..per_out];
+                                debug_assert_eq!(
+                                    act,
+                                    channel_activity_rescan(
+                                        &out.as_slice()[s * per_out..][..per_out],
+                                        geom.k,
+                                        sites
+                                    ),
+                                    "fused epilogue bitmap disagrees with the re-scan reference"
+                                );
+                                pending[s] = Some(act.to_vec());
+                                publish_sparse_step(st, geom);
+                            }
+                            out
+                        }
+                        (ComputePath::Software, None) => {
+                            // im2col lowering (also FC steps without shared
+                            // panels): one GEMM over [B, C, H, W]; a channel
+                            // may only be skipped for the batch if it is
+                            // promised zero in every sample
+                            let spec = ConvSpec::new(geom.r, 1, (geom.r - 1) / 2)?;
+                            let union = union_activity(&pending, geom.c);
+                            // the lead plan's strips were packed from the
+                            // weight every plan shares (see the contract)
+                            let (mut out4, stats) = self.conv_step(
+                                &x_in,
+                                weight,
+                                packed_a.as_deref(),
+                                bias,
+                                &spec,
+                                union.as_deref(),
+                            )?;
+                            publish_sparse_step(&stats, geom);
+                            let ov = out4.as_mut_slice();
+                            for (s, slice) in ov.chunks_exact_mut(per_out).enumerate() {
+                                if let Some(t) = banks[s] {
+                                    // eq. (2): keep iff acc - t >= 0, else
+                                    // exact zero — per-sample bank hot-swap
+                                    mime_core::apply_thresholds_rescan(slice, t.as_slice());
+                                    self.sw_counters.cmps += per_out as u64;
+                                } else if geom.masked {
+                                    // baseline activation: ReLU
+                                    for v in slice.iter_mut() {
+                                        *v = v.max(0.0);
                                     }
                                 }
-                                u
-                            });
-                        // the lead plan's strips were packed from the
-                        // weight every plan shares (see the contract above)
-                        let (mut out4, stats) = self.conv_step(
-                            x4,
-                            weight,
-                            packed_a.as_deref(),
-                            bias,
-                            &spec,
-                            union.as_deref(),
-                        )?;
-                        publish_sparse_step(&stats, geom);
-                        let per_out = geom.k * sites;
-                        let ov = out4.as_mut_slice();
-                        for s in 0..b {
-                            let slice = &mut ov[s * per_out..][..per_out];
-                            if let Some(t) = banks[s] {
-                                // eq. (2): keep iff acc - t >= 0, else
-                                // exact zero — per-sample bank hot-swap
-                                mime_core::apply_thresholds_rescan(slice, t.as_slice());
-                                self.sw_counters.cmps += per_out as u64;
-                            } else if geom.masked {
-                                for v in slice.iter_mut() {
-                                    *v = v.max(0.0);
-                                }
+                                pending[s] =
+                                    Some(channel_activity_rescan(slice, geom.k, sites));
                             }
-                            pending[s] =
-                                Some(channel_activity_rescan(slice, geom.k, sites));
+                            out4
                         }
-                        out4
                     };
                     if let Some(start) = start {
                         if mime_obs::metrics_enabled() {
@@ -693,19 +509,19 @@ impl HardwareExecutor {
                                 .observe(start.elapsed().as_secs_f64());
                         }
                     }
-                    x = if geom.r == 1 { out.reshape(&[b, geom.k * sites])? } else { out };
+                    x = out;
                 }
                 BoundLayer::Pool => {
                     // [B, C, H, W] pools natively; per-sample channel
                     // bitmaps stay valid (all-zero channels pool to zero)
-                    let pooled = max_pool2d(&x, &PoolSpec::vgg2x2())?;
-                    x = pooled.output;
+                    x = max_pool2d(&x, &PoolSpec::vgg2x2())?.output;
                 }
                 BoundLayer::Flatten => {
-                    let dims = x.dims().to_vec();
-                    let sites: usize = dims[2..].iter().product();
+                    let sites: usize = x.dims()[2..].iter().product();
                     for p in pending.iter_mut() {
                         if let Some(act) = p.take() {
+                            // expand channel promises to the per-feature
+                            // granularity the FC steps consume
                             *p = Some(
                                 act.iter()
                                     .flat_map(|&a| std::iter::repeat_n(a, sites))
@@ -713,17 +529,16 @@ impl HardwareExecutor {
                             );
                         }
                     }
-                    x = x.reshape(&[b, dims[1] * sites])?;
+                    let per = x.len() / b;
+                    x = restack(x, &[b, per])?;
                 }
             }
         }
         guard(steps)?;
         let per = x.len() / b;
         debug_assert_eq!(per, lead.classes());
-        let xv = x.as_slice();
         let mut logits = Vec::with_capacity(b);
-        for s in 0..b {
-            let slice = &xv[s * per..][..per];
+        for slice in x.as_slice().chunks_exact(per) {
             if let Some(index) = first_non_finite(slice) {
                 return Err(MimeError::NonFinite { stage: "logits", layer: steps, index });
             }
@@ -1021,6 +836,50 @@ fn analytic_taps(staged: &[f32], geom: &LayerGeometry, zero_skip: bool) -> u64 {
         let total: u64 = spans.iter().sum();
         geom.c as u64 * total * total
     }
+}
+
+/// Each sample's threshold bank for array step `index` (`None` for a
+/// thresholds-stripped or baseline view), checked against the step's
+/// `per_out` neurons.
+fn step_banks<'a>(
+    plans: &[&'a BoundNetwork],
+    index: usize,
+    per_out: usize,
+) -> crate::Result<Vec<Option<&'a Tensor>>> {
+    plans
+        .iter()
+        .map(|plan| {
+            let BoundLayer::Array { thresholds, .. } = &plan.steps()[index] else {
+                unreachable!("coalescible() checked step kinds");
+            };
+            match thresholds {
+                Some(t) if t.len() != per_out => {
+                    Err(TensorError::LengthMismatch { expected: per_out, actual: t.len() }
+                        .into())
+                }
+                _ => Ok(thresholds.as_ref()),
+            }
+        })
+        .collect()
+}
+
+/// The channels the batch may skip: the union of the per-sample activity
+/// bitmaps, or `None` (probe) when any sample has none.
+fn union_activity(pending: &[Option<Vec<bool>>], c: usize) -> Option<Vec<bool>> {
+    pending.iter().all(Option::is_some).then(|| {
+        let mut u = vec![false; c];
+        for p in pending.iter().flatten() {
+            for (uc, &a) in u.iter_mut().zip(p) {
+                *uc |= a;
+            }
+        }
+        u
+    })
+}
+
+/// `x` re-viewed as `dims`: the buffer moves, nothing is copied.
+fn restack(x: Tensor, dims: &[usize]) -> crate::Result<Tensor> {
+    Ok(Tensor::from_vec(x.into_vec(), dims)?)
 }
 
 /// Sparse-dispatch observability for one GEMM call. Counters only: sums
@@ -1539,14 +1398,14 @@ mod tests {
         ];
         let images: Vec<Tensor> = (0..views.len()).map(salted_probe).collect();
         let image_refs: Vec<&Tensor> = images.iter().collect();
-        for dispatch in
-            [SparseDispatch::Auto, SparseDispatch::SparseOnly, SparseDispatch::DenseOnly]
-        {
-            let mut exec = HardwareExecutor::with_options(
-                ArrayConfig::eyeriss_65nm(),
-                ComputePath::Software,
-                dispatch,
-            );
+        for (path, dispatch) in [
+            (ComputePath::Software, SparseDispatch::Auto),
+            (ComputePath::Software, SparseDispatch::SparseOnly),
+            (ComputePath::Software, SparseDispatch::DenseOnly),
+            (ComputePath::Simulate, SparseDispatch::Auto),
+        ] {
+            let mut exec =
+                HardwareExecutor::with_options(ArrayConfig::eyeriss_65nm(), path, dispatch);
             // serial reference: one run_image per sample
             let serial: Vec<Vec<f32>> = views
                 .iter()
@@ -1554,7 +1413,10 @@ mod tests {
                 .map(|(plan, image)| exec.run_image(plan, image, true).unwrap())
                 .collect();
             let serial_counters = exec.batch_counters();
-            for threads in [1usize, 2, 5] {
+            // the thread count only reaches the software path's FC kernel
+            let thread_counts: &[usize] =
+                if path == ComputePath::Software { &[1, 2, 5] } else { &[1] };
+            for &threads in thread_counts {
                 exec.reset_batch_counters();
                 let coalesced = exec
                     .run_coalesced_guarded_with_threads(
@@ -1572,7 +1434,7 @@ mod tests {
                         a.iter().zip(b).map(|(x, y)| (x - y).abs()).fold(0.0f32, f32::max);
                     assert_eq!(
                         max_abs_diff, 0.0,
-                        "sample {s} diverged ({dispatch:?}, {threads} threads)"
+                        "sample {s} diverged ({path:?}, {dispatch:?}, {threads} threads)"
                     );
                     // bit-identical, not merely equal-within-epsilon
                     assert!(a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits()));
@@ -1580,6 +1442,8 @@ mod tests {
                 // analytic MAC/compare tallies match the serial walk
                 assert_eq!(exec.batch_counters().macs, serial_counters.macs);
                 assert_eq!(exec.batch_counters().cmps, serial_counters.cmps);
+                // and so does every other counter the path keeps
+                assert_eq!(exec.batch_counters(), serial_counters, "{path:?}");
             }
         }
     }

@@ -18,9 +18,9 @@
 //!   cooldown window, leaving sibling tasks untouched.
 //! * [`Server`] — panic-isolated supervised workers over
 //!   [`mime_runtime::HardwareExecutor`] replicas, with per-request
-//!   deadlines checked at dequeue and between layers
-//!   (`run_image_guarded`), graceful drain shutdown, and chaos hooks
-//!   ([`FaultPlan`]).
+//!   deadlines checked at dequeue and between layers (the guard hook of
+//!   the executor's one step loop, which runs each request as a batch of
+//!   one), graceful drain shutdown, and chaos hooks ([`FaultPlan`]).
 //! * [`proto`] — the length-framed wire protocol for multi-process
 //!   serving: typed request/reply/error frames, heartbeats, and a
 //!   fragmentation-tolerant [`proto::FrameReader`].

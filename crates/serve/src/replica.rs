@@ -104,8 +104,6 @@ pub struct ReplicaWorkerConfig {
     pub slow_layer: Duration,
     /// Zero-gating on the functional array.
     pub zero_skip: bool,
-    /// Compute path for the executor replica.
-    pub path: ComputePath,
     /// Sparse GEMM dispatch policy.
     pub dispatch: SparseDispatch,
     /// Ship observability frames back to the supervisor: a
@@ -129,7 +127,6 @@ impl Default for ReplicaWorkerConfig {
             default_deadline: Duration::from_millis(5000),
             slow_layer: Duration::from_millis(150),
             zero_skip: true,
-            path: ComputePath::Software,
             dispatch: SparseDispatch::Auto,
             obs: false,
             brownout_rungs: 4,
@@ -163,7 +160,7 @@ pub fn run_replica_worker(
     let ladders: Vec<BrownoutLadder> = derive_ladders(
         plans,
         hw,
-        cfg.path,
+        ComputePath::Software,
         cfg.dispatch,
         &LadderConfig {
             rungs: cfg.brownout_rungs.max(1),
@@ -172,7 +169,7 @@ pub fn run_replica_worker(
         },
     )
     .map_err(|e| ProtoError::Malformed(format!("brownout ladder derivation: {e}")))?;
-    let mut exec = HardwareExecutor::with_options(hw, cfg.path, cfg.dispatch);
+    let mut exec = HardwareExecutor::with_options(hw, ComputePath::Software, cfg.dispatch);
     // Verified once, off the request path: batch coalescing requires
     // every task plan to be a view over ONE backbone (the MIME
     // invariant). A mixed-weight image — e.g. conventional per-task
@@ -431,6 +428,50 @@ fn ship_obs_frames(
     Ok(())
 }
 
+/// The between-layer guard both serving paths hand the executor, for one
+/// request or for one coalesced batch (under its lead item's `trace`).
+///
+/// The guard is the liveness story: heartbeats are emitted *here*,
+/// between layers, so a hung handler ([`ReplicaFault::Hang`], or a real
+/// wedge) stops beating and trips the supervisor's liveness deadline
+/// instead of ticking along from a side thread. Past `deadline` it fails
+/// the run with `DeadlineExceeded` for `task`.
+fn layer_guard<'a, W: Write>(
+    cfg: &'a ReplicaWorkerConfig,
+    fault: ReplicaFault,
+    trace: u64,
+    task: String,
+    deadline: Instant,
+    heartbeat_seq: &'a mut u64,
+    output: &'a mut W,
+) -> impl FnMut(usize) -> Result<(), MimeError> + 'a {
+    let mut last_beat = Instant::now();
+    move |step| {
+        match fault {
+            ReplicaFault::Hang => loop {
+                std::thread::sleep(Duration::from_secs(3600));
+            },
+            ReplicaFault::Slow => std::thread::sleep(cfg.slow_layer),
+            _ => {}
+        }
+        flight::record(FlightKind::Layer, trace, step as u64);
+        if last_beat.elapsed() >= cfg.heartbeat / 2 {
+            *heartbeat_seq += 1;
+            write_frame(output, &Frame::Heartbeat { seq: *heartbeat_seq, trace })
+                .map_err(|e| MimeError::io("replica control pipe", &e))?;
+            last_beat = Instant::now();
+        }
+        let now = Instant::now();
+        if now > deadline {
+            return Err(MimeError::DeadlineExceeded {
+                task: task.clone(),
+                over_ms: (now - deadline).as_millis() as u64,
+            });
+        }
+        Ok(())
+    }
+}
+
 /// Drives one request to its terminal frame, emitting heartbeats from
 /// the between-layer guard along the way.
 #[allow(clippy::too_many_arguments)]
@@ -490,44 +531,18 @@ fn serve_one(
         Duration::from_millis(u64::from(deadline_ms))
     };
     let started = Instant::now();
-    let mut last_beat = started;
-
-    // The guard is the liveness story: heartbeats are emitted *here*,
-    // between layers, so a hung handler (ReplicaFault::Hang below, or a
-    // real wedge) stops beating and trips the supervisor's liveness
-    // deadline instead of ticking along from a side thread.
-    macro_rules! guard {
-        () => {
-            &mut |step: usize| {
-                match fault {
-                    ReplicaFault::Hang => loop {
-                        std::thread::sleep(Duration::from_secs(3600));
-                    },
-                    ReplicaFault::Slow => std::thread::sleep(cfg.slow_layer),
-                    _ => {}
-                }
-                flight::record(FlightKind::Layer, trace, step as u64);
-                if last_beat.elapsed() >= cfg.heartbeat / 2 {
-                    *heartbeat_seq += 1;
-                    write_frame(output, &Frame::Heartbeat { seq: *heartbeat_seq, trace })
-                        .map_err(|e| MimeError::io("replica control pipe", &e))?;
-                    last_beat = Instant::now();
-                }
-                let elapsed = started.elapsed();
-                if elapsed > budget {
-                    return Err(MimeError::DeadlineExceeded {
-                        task: format!("task{task}"),
-                        over_ms: (elapsed - budget).as_millis() as u64,
-                    });
-                }
-                Ok(())
-            }
-        };
-    }
-
+    let mut guard = layer_guard(
+        cfg,
+        fault,
+        trace,
+        format!("task{task}"),
+        started + budget,
+        heartbeat_seq,
+        output,
+    );
     let primary = (|| {
         plan.validate_thresholds()?;
-        exec.run_image_guarded(plan, &image, cfg.zero_skip, guard!())
+        exec.run_image_guarded(plan, &image, cfg.zero_skip, &mut guard)
     })();
     let compute_us = started.elapsed().as_micros().min(u128::from(u32::MAX)) as u32;
     Ok(match primary {
@@ -563,7 +578,7 @@ fn serve_one(
                 &parents[task as usize],
                 &image,
                 cfg.zero_skip,
-                guard!(),
+                &mut guard,
             ) {
                 Ok(logits) => {
                     let compute_us =
@@ -614,9 +629,11 @@ fn serve_one(
 /// The batch runs under the loosest in-batch deadline budget (the front
 /// door already closed the batch window against the *tightest* one);
 /// items whose own budget lapsed by the end fail individually with
-/// `DeadlineExceeded`. A whole-batch failure (deadline, malformed
-/// input, non-finite logits, or a mixed-weight image with coalescing
-/// disabled) falls back to the serial per-item path, preserving
+/// `DeadlineExceeded`. A pass stopped by that loosest budget is past
+/// every item's budget, so every item fails `DeadlineExceeded` without
+/// another pass. Any other whole-batch failure (malformed input,
+/// non-finite logits), or a mixed-weight image with coalescing
+/// disabled, falls back to the serial per-item path, preserving
 /// single-request semantics — parent fallback included.
 #[allow(clippy::too_many_arguments)]
 fn serve_batch(
@@ -702,54 +719,31 @@ fn serve_batch(
     }
     if !run.is_empty() {
         let started = Instant::now();
-        let mut last_beat = started;
-        let max_budget = run.iter().map(|(.., b)| *b).max().unwrap();
-        let lead_trace = reqs[run[0].0].trace;
+        let max_budget = run.iter().map(|(.., b)| *b).max().expect("run is non-empty");
         let views: Vec<&BoundNetwork> = run.iter().map(|&(_, p, ..)| p).collect();
         let images: Vec<&Tensor> = run.iter().map(|(_, _, _, img, _)| img).collect();
-        let mut coalesced: Option<Vec<Vec<f32>>> = None;
-        if coalesce {
-            match exec.run_coalesced_guarded(&views, &images, cfg.zero_skip, &mut |step| {
-                match fault {
-                    ReplicaFault::Hang => loop {
-                        std::thread::sleep(Duration::from_secs(3600));
-                    },
-                    ReplicaFault::Slow => std::thread::sleep(cfg.slow_layer),
-                    _ => {}
-                }
-                flight::record(FlightKind::Layer, lead_trace, step as u64);
-                if last_beat.elapsed() >= cfg.heartbeat / 2 {
-                    *heartbeat_seq += 1;
-                    write_frame(
-                        output,
-                        &Frame::Heartbeat { seq: *heartbeat_seq, trace: lead_trace },
-                    )
-                    .map_err(|e| MimeError::io("replica control pipe", &e))?;
-                    last_beat = Instant::now();
-                }
-                let elapsed = started.elapsed();
-                if elapsed > max_budget {
-                    return Err(MimeError::DeadlineExceeded {
-                        task: "batch".to_string(),
-                        over_ms: (elapsed - max_budget).as_millis() as u64,
-                    });
-                }
-                Ok(())
-            }) {
-                Ok(logits) => coalesced = Some(logits),
-                Err(e) => {
-                    mime_obs::warn!(
-                        "serve.replica",
-                        "coalesced batch failed; serving items serially",
-                        replica = cfg.replica,
-                        batch = views.len(),
-                        error = e
-                    );
-                }
-            }
-        }
+        let coalesced = coalesce.then(|| {
+            let mut guard = layer_guard(
+                cfg,
+                fault,
+                reqs[run[0].0].trace,
+                "batch".to_string(),
+                started + max_budget,
+                heartbeat_seq,
+                output,
+            );
+            exec.run_coalesced_guarded(&views, &images, cfg.zero_skip, &mut guard)
+        });
+        let lapsed = |r: &Req, over: Duration| Frame::ErrorReply {
+            id: r.id,
+            trace: r.trace,
+            code: ErrorCode::DeadlineExceeded,
+            rung: r.rung,
+            retry_after_ms: 0,
+            message: format!("{}ms over budget (batched)", over.as_millis()),
+        };
         match coalesced {
-            Some(all_logits) => {
+            Some(Ok(all_logits)) => {
                 let elapsed = started.elapsed();
                 // per-item compute attribution: an equal share of the
                 // one backbone pass (what the front door's batch-close
@@ -759,17 +753,7 @@ fn serve_batch(
                 for ((i, _, degraded, _, budget), logits) in run.iter().zip(all_logits) {
                     let r = &reqs[*i];
                     replies[*i] = Some(if elapsed > *budget {
-                        Frame::ErrorReply {
-                            id: r.id,
-                            trace: r.trace,
-                            code: ErrorCode::DeadlineExceeded,
-                            rung: r.rung,
-                            retry_after_ms: 0,
-                            message: format!(
-                                "{}ms over budget (batched)",
-                                (elapsed - *budget).as_millis()
-                            ),
-                        }
+                        lapsed(r, elapsed - *budget)
                     } else {
                         Frame::Reply {
                             id: r.id,
@@ -783,7 +767,24 @@ fn serve_batch(
                     });
                 }
             }
-            None => {
+            Some(Err(MimeError::DeadlineExceeded { .. })) => {
+                // past the loosest budget is past every item's own
+                // budget: answer each now instead of re-running it
+                let elapsed = started.elapsed();
+                for (i, .., budget) in &run {
+                    replies[*i] = Some(lapsed(&reqs[*i], elapsed.saturating_sub(*budget)));
+                }
+            }
+            outcome => {
+                if let Some(Err(e)) = outcome {
+                    mime_obs::warn!(
+                        "serve.replica",
+                        "coalesced batch failed; serving items serially",
+                        replica = cfg.replica,
+                        batch = views.len(),
+                        error = e
+                    );
+                }
                 for (i, _, _, image, _) in &run {
                     let r = &reqs[*i];
                     replies[*i] = Some(serve_one(
@@ -1279,6 +1280,8 @@ mod tests {
             fault: ReplicaFault::Slow,
             fault_every: 1,
             slow_layer: Duration::from_millis(40),
+            // below slow_layer, so every guarded layer beats once
+            heartbeat: Duration::from_millis(20),
             ..ReplicaWorkerConfig::default()
         };
         let frames = roundtrip_worker(
@@ -1304,6 +1307,46 @@ mod tests {
                 Frame::ErrorReply { id: 3, code: ErrorCode::DeadlineExceeded, .. }
             ),
             "slow injection with a 50ms budget must blow the deadline: {terminal:?}"
+        );
+
+        // A batch that blows its (loosest) budget is answered after ONE
+        // backbone pass: the guard stops it by the second layer, so it
+        // beats at most twice. Re-serving each item serially would run
+        // two more passes (six beats in all) and start fresh budgets.
+        let item = |id: u64| Frame::Request {
+            id,
+            trace: 300 + id,
+            task: 0,
+            deadline_ms: 50,
+            rung: 0,
+            input: RequestInput::Probe(id as u32),
+        };
+        let frames = roundtrip_worker(
+            &plans,
+            hw,
+            cfg,
+            &[Frame::BatchRequest { items: vec![item(1), item(2)] }],
+        );
+        let Some(Frame::BatchReply { items }) =
+            frames.iter().find(|f| matches!(f, Frame::BatchReply { .. }))
+        else {
+            panic!("one BatchReply: {frames:?}");
+        };
+        assert_eq!(items.len(), 2);
+        for (got, want_id) in items.iter().zip([1u64, 2]) {
+            assert!(
+                matches!(
+                    got,
+                    Frame::ErrorReply { id, code: ErrorCode::DeadlineExceeded, .. }
+                        if *id == want_id
+                ),
+                "every batch item must end DeadlineExceeded: {got:?}"
+            );
+        }
+        let beats = frames.iter().filter(|f| matches!(f, Frame::Heartbeat { .. })).count();
+        assert!(
+            (1..=2).contains(&beats),
+            "one backbone pass beats once or twice, got {beats}"
         );
     }
 }

@@ -43,10 +43,6 @@ pub struct ServeConfig {
     pub layer_cost: Duration,
     /// Zero-gating on the functional array (MIME's compute saving).
     pub zero_skip: bool,
-    /// Compute path worker replicas run on. Serving defaults to the
-    /// host [`ComputePath::Software`] sparse fast path (wall-clock
-    /// speed); outcomes are identical on either path.
-    pub path: ComputePath,
     /// Sparse GEMM dispatch policy on the software path
     /// ([`SparseDispatch::DenseOnly`] pins the packed dense kernels —
     /// the `--dense-only` escape hatch).
@@ -63,7 +59,6 @@ impl Default for ServeConfig {
             deadline: Duration::from_millis(5000),
             layer_cost: Duration::from_millis(1),
             zero_skip: true,
-            path: ComputePath::Software,
             dispatch: SparseDispatch::Auto,
         }
     }
@@ -289,8 +284,11 @@ impl<'a> Server<'a> {
         retries: &AtomicU64,
         restarts: &AtomicU64,
     ) {
-        let mut exec =
-            HardwareExecutor::with_options(self.hw, self.cfg.path, self.cfg.dispatch);
+        let mut exec = HardwareExecutor::with_options(
+            self.hw,
+            ComputePath::Software,
+            self.cfg.dispatch,
+        );
         while let Some(job) = queue.pop() {
             self.process_one(
                 &mut exec,
@@ -399,7 +397,7 @@ impl<'a> Server<'a> {
                 restarts.fetch_add(1, Ordering::Relaxed);
                 *exec = HardwareExecutor::with_options(
                     self.hw,
-                    self.cfg.path,
+                    ComputePath::Software,
                     self.cfg.dispatch,
                 );
                 mime_obs::warn!(

@@ -129,7 +129,6 @@ fn base_config() -> ServeConfig {
         deadline: Duration::from_millis(5000),
         layer_cost: Duration::from_millis(1),
         zero_skip: true,
-        path: ComputePath::Software,
         dispatch: SparseDispatch::Auto,
     }
 }

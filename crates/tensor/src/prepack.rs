@@ -631,10 +631,11 @@ fn fused_epilogue(
 }
 
 /// `out = mask(x_row · B + bias)` with `B` prepacked — the FC fast path
-/// with the threshold epilogue fused in. `x` is the flat `[k]` input
-/// row, `out` the flat `[n]` output; the per-column activity bitmap
-/// (`out[j] != 0.0`) is written into `activity`, so the downstream
-/// sparse dispatcher needs no re-scan pass.
+/// with the threshold epilogue fused in. `x` holds the `k` input values
+/// and `out` the `n` outputs (any shapes of those lengths); the
+/// per-column activity bitmap (`out[j] != 0.0`) is written into
+/// `activity`, so the downstream sparse dispatcher needs no re-scan
+/// pass.
 ///
 /// Sparsity semantics mirror [`crate::matmul_sparse_dispatch_into`]:
 /// `active` (when given) lists which input rows may be nonzero, rows not
@@ -642,6 +643,9 @@ fn fused_epilogue(
 /// non-dense dispatch the input is probed. The
 /// [`SPARSE_ACTIVE_MAX`] crossover and [`SparseDispatch`] modes apply
 /// unchanged, and the output is bit-identical whichever arm runs.
+///
+/// This is the `B = 1` case of [`matmul_fused_batch_into`]: both run the
+/// same checks, dispatch and column split.
 ///
 /// # Errors
 ///
@@ -659,94 +663,18 @@ pub fn matmul_fused_row_into(
     activity: &mut Vec<bool>,
     threads: usize,
 ) -> Result<SparseStats> {
-    let (k, n) = (pb.k, pb.n);
-    if x.len() != k {
-        return Err(TensorError::LengthMismatch { expected: k, actual: x.len() });
-    }
-    if out.len() != n {
-        return Err(TensorError::LengthMismatch { expected: n, actual: out.len() });
-    }
-    if bias.len() != n {
-        return Err(TensorError::LengthMismatch { expected: n, actual: bias.len() });
-    }
-    if let FusedMask::Thresholds(t) = mask {
-        if t.len() != n {
-            return Err(TensorError::LengthMismatch { expected: n, actual: t.len() });
-        }
-    }
-    if let Some(act) = active {
-        if act.len() != k {
-            return Err(TensorError::LengthMismatch { expected: k, actual: act.len() });
-        }
-    }
-    let xv = x.as_slice();
-    let probed;
-    let (rows, stats) = if dispatch == SparseDispatch::DenseOnly {
-        (None, SparseStats { k_total: k, k_active: k, used_sparse: false })
-    } else {
-        let bitmap: &[bool] = match active {
-            Some(act) => act,
-            None => {
-                // probe the input row: `-0.0` counts as zero, exactly as
-                // the unfused probe treats B's k-rows
-                probed = xv.iter().map(|&v| v != 0.0).collect::<Vec<bool>>();
-                &probed
-            }
-        };
-        let k_active = bitmap.iter().filter(|&&a| a).count();
-        let use_sparse = dispatch == SparseDispatch::SparseOnly
-            || (k_active as f64) <= SPARSE_ACTIVE_MAX * k as f64;
-        (
-            use_sparse.then_some(bitmap),
-            SparseStats { k_total: k, k_active, used_sparse: use_sparse },
-        )
-    };
-    activity.clear();
-    activity.resize(n, false);
-    let ov = out.as_mut_slice();
-    let bv = bias.as_slice();
-    if n == 0 {
-        return Ok(stats);
-    }
-    let macs = stats.k_active as u128 * n as u128;
-    let col_panels = n.div_ceil(NR);
-    let workers = if macs < THREAD_MIN_MACS { 1 } else { threads.max(1).min(col_panels) };
-    if workers <= 1 {
-        fused_stripe(xv, pb, rows, 0, ov);
-        fused_epilogue(ov, activity, bv, &mask, 0);
-        return Ok(stats);
-    }
-    // Column-stripe split on panel boundaries: each worker owns a
-    // contiguous slice of the output row (and its activity bits), so the
-    // split is plain `split_at_mut` and every element is produced by
-    // exactly one worker with the serial arithmetic.
-    let base = col_panels / workers;
-    let extra = col_panels % workers;
-    std::thread::scope(|scope| {
-        let mut out_rest = &mut *ov;
-        let mut act_rest = &mut activity[..];
-        let mut panel = 0usize;
-        for w in 0..workers {
-            let npanels = base + usize::from(w < extra);
-            if npanels == 0 {
-                continue;
-            }
-            let jp0 = panel;
-            let j_lo = panel * NR;
-            panel += npanels;
-            let j_hi = n.min(panel * NR);
-            let (out_mine, out_tail) = out_rest.split_at_mut(j_hi - j_lo);
-            out_rest = out_tail;
-            let (act_mine, act_tail) = act_rest.split_at_mut(j_hi - j_lo);
-            act_rest = act_tail;
-            let mask = &mask;
-            scope.spawn(move || {
-                fused_stripe(xv, pb, rows, jp0, out_mine);
-                fused_epilogue(out_mine, act_mine, &bv[j_lo..j_hi], mask, j_lo);
-            });
-        }
-    });
-    Ok(stats)
+    let stats = fused_rows_into(
+        x.as_slice(),
+        pb,
+        bias,
+        &[mask],
+        &[active],
+        dispatch,
+        out.as_mut_slice(),
+        activity,
+        threads,
+    )?;
+    Ok(stats[0])
 }
 
 // ---------------------------------------------------------------------------
@@ -754,8 +682,8 @@ pub fn matmul_fused_row_into(
 // ---------------------------------------------------------------------------
 
 /// Per-sample row selection for the batched fused kernel: the resolved
-/// outcome of the same probe-or-given dispatch the single-row kernel
-/// makes, held per sample so borrowed and probed bitmaps coexist.
+/// outcome of the probe-or-given dispatch, held per sample so borrowed
+/// and probed bitmaps coexist.
 enum RowSel<'a> {
     Dense,
     Given(&'a [bool]),
@@ -780,7 +708,7 @@ impl RowSel<'_> {
 /// stripe the loop is panel-outer, sample-inner, so the `k·NR` panel
 /// stays cache-hot while every sample consumes it.
 ///
-/// Per sample the arithmetic is exactly the single-row kernel's: same
+/// Per sample the arithmetic does not depend on the batch: same
 /// per-panel window grouping, same `p`-ascending accumulation, same
 /// probe/crossover dispatch decision, same fused epilogue. Sample `s`'s
 /// output row and activity bits are therefore **bit-identical** to
@@ -806,7 +734,6 @@ pub fn matmul_fused_batch_into(
     activity: &mut Vec<bool>,
     threads: usize,
 ) -> Result<Vec<SparseStats>> {
-    let (k, n) = (pb.k, pb.n);
     if xs.rank() != 2 {
         return Err(TensorError::RankMismatch {
             expected: 2,
@@ -815,21 +742,52 @@ pub fn matmul_fused_batch_into(
         });
     }
     let b = xs.dims()[0];
-    if xs.dims()[1] != k {
-        return Err(TensorError::LengthMismatch { expected: k, actual: xs.dims()[1] });
-    }
-    if out.dims() != [b, n] {
+    if out.dims() != [b, pb.n] {
         return Err(TensorError::ShapeMismatch {
             lhs: out.dims().to_vec(),
-            rhs: vec![b, n],
+            rhs: vec![b, pb.n],
             op: "matmul_fused_batch",
         });
     }
-    if bias.len() != n {
-        return Err(TensorError::LengthMismatch { expected: n, actual: bias.len() });
-    }
     if masks.len() != b {
         return Err(TensorError::LengthMismatch { expected: b, actual: masks.len() });
+    }
+    fused_rows_into(
+        xs.as_slice(),
+        pb,
+        bias,
+        masks,
+        actives,
+        dispatch,
+        out.as_mut_slice(),
+        activity,
+        threads,
+    )
+}
+
+/// The fused-row kernel behind both public entry points: `B =
+/// masks.len()` rows of `xv` (`B·k` floats) into `ov` (`B·n` floats).
+#[allow(clippy::too_many_arguments)] // flat kernel-entry plumbing
+fn fused_rows_into(
+    xv: &[f32],
+    pb: &PrepackedB,
+    bias: &Tensor,
+    masks: &[FusedMask<'_>],
+    actives: &[Option<&[bool]>],
+    dispatch: SparseDispatch,
+    ov: &mut [f32],
+    activity: &mut Vec<bool>,
+    threads: usize,
+) -> Result<Vec<SparseStats>> {
+    let (k, n, b) = (pb.k, pb.n, masks.len());
+    if xv.len() != b * k {
+        return Err(TensorError::LengthMismatch { expected: b * k, actual: xv.len() });
+    }
+    if ov.len() != b * n {
+        return Err(TensorError::LengthMismatch { expected: b * n, actual: ov.len() });
+    }
+    if bias.len() != n {
+        return Err(TensorError::LengthMismatch { expected: n, actual: bias.len() });
     }
     if actives.len() != b {
         return Err(TensorError::LengthMismatch { expected: b, actual: actives.len() });
@@ -846,34 +804,26 @@ pub fn matmul_fused_batch_into(
             return Err(TensorError::LengthMismatch { expected: k, actual: act.len() });
         }
     }
-    let xv = xs.as_slice();
-    // Per-sample dispatch: identical decision to the single-row kernel
-    // run on that sample alone.
+    // Per-sample dispatch: the decision depends only on that sample's
+    // row and activity list, never on the rest of the batch.
     let mut sels = Vec::with_capacity(b);
     let mut stats = Vec::with_capacity(b);
-    for s in 0..b {
-        let row = &xv[s * k..(s + 1) * k];
+    for (s, active) in actives.iter().enumerate() {
         if dispatch == SparseDispatch::DenseOnly {
             sels.push(RowSel::Dense);
             stats.push(SparseStats { k_total: k, k_active: k, used_sparse: false });
             continue;
         }
         // probe the input row when no activity list was given: `-0.0`
-        // counts as zero, exactly as the single-row kernel probes
-        let probed: Option<Vec<bool>> = match actives[s] {
-            Some(_) => None,
-            None => Some(row.iter().map(|&v| v != 0.0).collect()),
+        // counts as zero, exactly as the unfused probe treats B's k-rows
+        let sel = match active {
+            Some(act) => RowSel::Given(act),
+            None => RowSel::Probed(xv[s * k..][..k].iter().map(|&v| v != 0.0).collect()),
         };
-        let bitmap: &[bool] = actives[s].unwrap_or_else(|| probed.as_deref().unwrap());
-        let k_active = bitmap.iter().filter(|&&a| a).count();
+        let k_active = sel.rows().map_or(k, |r| r.iter().filter(|&&a| a).count());
         let use_sparse = dispatch == SparseDispatch::SparseOnly
             || (k_active as f64) <= SPARSE_ACTIVE_MAX * k as f64;
-        sels.push(match (use_sparse, probed, actives[s]) {
-            (false, ..) => RowSel::Dense,
-            (true, Some(p), _) => RowSel::Probed(p),
-            (true, None, Some(act)) => RowSel::Given(act),
-            (true, None, None) => unreachable!("probed iff no given activity"),
-        });
+        sels.push(if use_sparse { sel } else { RowSel::Dense });
         stats.push(SparseStats { k_total: k, k_active, used_sparse: use_sparse });
     }
     activity.clear();
@@ -881,19 +831,16 @@ pub fn matmul_fused_batch_into(
     if b == 0 || n == 0 {
         return Ok(stats);
     }
-    let ov = out.as_mut_slice();
     let bv = bias.as_slice();
     let macs: u128 = stats.iter().map(|s| s.k_active as u128 * n as u128).sum();
     let col_panels = n.div_ceil(NR);
     let workers = if macs < THREAD_MIN_MACS { 1 } else { threads.max(1).min(col_panels) };
 
-    // Panel-outer, sample-inner compute over one worker's column stripe.
-    // `outs[s]` is sample `s`'s chunk of columns `j_lo..j_lo+width`.
-    let run_stripe = |outs: &mut [&mut [f32]],
-                      acts: &mut [&mut [bool]],
-                      jp0: usize,
-                      j_lo: usize,
-                      width: usize| {
+    // Panel-outer, sample-inner compute over one worker's column stripe,
+    // which starts at panel `jp0`. `outs[s]` is sample `s`'s chunk of the
+    // stripe's columns.
+    let run_stripe = |outs: &mut [&mut [f32]], acts: &mut [&mut [bool]], jp0: usize| {
+        let (j_lo, width) = (jp0 * NR, outs[0].len());
         let mut j = 0;
         let mut jp = jp0;
         while j < width {
@@ -915,62 +862,40 @@ pub fn matmul_fused_batch_into(
         }
     };
 
-    if workers <= 1 {
-        let mut outs: Vec<&mut [f32]> = ov.chunks_mut(n).collect();
-        let mut acts: Vec<&mut [bool]> = activity.chunks_mut(n).collect();
-        run_stripe(&mut outs, &mut acts, 0, 0, n);
+    // Column-stripe split on panel boundaries: each worker owns its
+    // column range of every sample's output row and activity bits, so
+    // the split is plain `split_at_mut` and every element is produced by
+    // exactly one worker with the serial arithmetic.
+    let (base, extra) = (col_panels / workers, col_panels % workers);
+    // (first panel, per-sample output slices, per-sample activity slices)
+    type StripeSlot<'a> = (usize, Vec<&'a mut [f32]>, Vec<&'a mut [bool]>);
+    let mut slots: Vec<StripeSlot<'_>> = Vec::with_capacity(workers);
+    let mut widths = Vec::with_capacity(workers);
+    let mut panel = 0usize;
+    for w in 0..workers {
+        let jp0 = panel;
+        panel += base + usize::from(w < extra);
+        widths.push(n.min(panel * NR) - jp0 * NR);
+        slots.push((jp0, Vec::with_capacity(b), Vec::with_capacity(b)));
+    }
+    for (mut row, mut arow) in ov.chunks_mut(n).zip(activity.chunks_mut(n)) {
+        for ((_, outs, acts), &width) in slots.iter_mut().zip(&widths) {
+            let (chunk, rest) = std::mem::take(&mut row).split_at_mut(width);
+            row = rest;
+            outs.push(chunk);
+            let (achunk, arest) = std::mem::take(&mut arow).split_at_mut(width);
+            arow = arest;
+            acts.push(achunk);
+        }
+    }
+    if let [(jp0, outs, acts)] = &mut slots[..] {
+        run_stripe(outs, acts, *jp0);
         return Ok(stats);
     }
-    // Column-stripe split on panel boundaries, the same partition as the
-    // single-row kernel; each worker owns its column range of every
-    // sample's output row and activity bits.
-    let base = col_panels / workers;
-    let extra = col_panels % workers;
-    // (first panel index, first column, per-sample output slices,
-    // per-sample activity slices) for one worker's column stripe.
-    type StripeSlot<'a> = (usize, usize, Vec<&'a mut [f32]>, Vec<&'a mut [bool]>);
-    let mut per_worker: Vec<StripeSlot<'_>> = Vec::new();
-    {
-        let mut bounds = Vec::new(); // (jp0, j_lo, j_hi) per worker
-        let mut panel = 0usize;
-        for w in 0..workers {
-            let npanels = base + usize::from(w < extra);
-            if npanels == 0 {
-                continue;
-            }
-            let j_lo = panel * NR;
-            panel += npanels;
-            bounds.push((j_lo / NR, j_lo, n.min(panel * NR)));
-        }
-        for &(jp0, j_lo, _) in &bounds {
-            per_worker.push((jp0, j_lo, Vec::with_capacity(b), Vec::with_capacity(b)));
-        }
-        let mut ov_rest = &mut *ov;
-        let mut act_rest = &mut activity[..];
-        for _s in 0..b {
-            let (row, tail) = ov_rest.split_at_mut(n);
-            ov_rest = tail;
-            let (arow, atail) = act_rest.split_at_mut(n);
-            act_rest = atail;
-            let mut row_rest = row;
-            let mut arow_rest = arow;
-            for (w, &(_, j_lo, j_hi)) in bounds.iter().enumerate() {
-                let (chunk, t) = row_rest.split_at_mut(j_hi - j_lo);
-                row_rest = t;
-                per_worker[w].2.push(chunk);
-                let (achunk, at) = arow_rest.split_at_mut(j_hi - j_lo);
-                arow_rest = at;
-                per_worker[w].3.push(achunk);
-            }
-        }
-    }
     std::thread::scope(|scope| {
-        for (jp0, j_lo, mut outs, mut acts) in per_worker {
+        for (jp0, mut outs, mut acts) in slots {
             let run_stripe = &run_stripe;
-            scope.spawn(move || {
-                let width = outs[0].len();
-                run_stripe(&mut outs, &mut acts, jp0, j_lo, width);
-            });
+            scope.spawn(move || run_stripe(&mut outs, &mut acts, jp0));
         }
     });
     Ok(stats)

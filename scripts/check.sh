@@ -27,6 +27,14 @@ echo "==> cargo build --release"
 cargo build --release
 
 if [[ "$run_tests" == 1 ]]; then
+    # perfbench is a workspace of its own, so nothing above compiles it:
+    # its self-tests make a break in the API it calls, or in the traced
+    # replay's bit-identity, fail this gate rather than a benchmark run.
+    # CARGO_TARGET_DIR=target points them at the `mime` just built, not
+    # a stale .bench_build copy.
+    echo "==> perfbench self-tests"
+    CARGO_TARGET_DIR=target cargo test --release -q --manifest-path perfbench/Cargo.toml
+
     echo "==> cargo test --workspace"
     cargo test --workspace -q
 
