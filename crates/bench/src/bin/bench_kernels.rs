@@ -2,17 +2,10 @@
 //! lowering, and the parallel batch executor at paper VGG16 geometries.
 //!
 //! Writes `BENCH_kernels.json` (median-of-k wall times + GFLOP/s) so
-//! perf regressions show up in review. Orchestrated by
-//! `scripts/bench.sh`, which runs two phases:
-//!
-//! 1. `--scalar-only --out <file>` under `RUSTFLAGS=""` and a separate
-//!    `--target-dir`: measures the *pre-PR* scalar kernel at the
-//!    codegen it actually shipped with (the repo had no
-//!    `.cargo/config.toml`, so baseline x86-64). Env `RUSTFLAGS`
-//!    overrides the config file, which is what makes this honest.
-//! 2. the full run under the repo's native flags, passing phase 1's
-//!    file via `--baseline`. The report records the scalar kernel at
-//!    *both* codegens next to the blocked/threaded kernels.
+//! perf regressions show up in review; `scripts/bench.sh` runs it under
+//! the repo's build flags. The scalar reference kernel
+//! (`matmul_scalar_ref`) is timed as `scalar_native_ms` next to the
+//! blocked/threaded kernels.
 //!
 //! Modes: default full; `--quick` fewer reps; `--smoke` tiny shapes for
 //! CI gating (writes under `target/` so the tracked report is never
@@ -30,14 +23,12 @@ use mime_nn::{build_network, vgg16_arch};
 use mime_runtime::{BoundNetwork, HardwareExecutor};
 use mime_systolic::{vgg16_geometry_with, ArrayConfig, LayerGeometry};
 use mime_tensor::{
-    conv2d, matmul_fused_row_into, matmul_into_with_threads, matmul_prepacked_a_into,
-    matmul_prepacked_into_with_threads, matmul_scalar_ref, matmul_sparse_dispatch_into,
-    matmul_sparse_dispatch_into_with_rows, matmul_sparse_dispatch_into_with_threads,
-    threads, ConvSpec, FusedMask, PrepackedA, PrepackedB, SparseDispatch, Tensor,
+    conv2d, matmul_fused_row_into, matmul_prepacked_a_into, matmul_scalar_ref,
+    matmul_sparse_dispatch_into, threads, ConvSpec, FusedMask, PrepackedA, PrepackedB,
+    SparseDispatch, Tensor,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
 use std::time::Instant;
 
 #[derive(Clone, Copy, PartialEq)]
@@ -67,28 +58,21 @@ impl Mode {
 
 struct Args {
     mode: Mode,
-    scalar_only: bool,
-    baseline: Option<String>,
     out: Option<String>,
 }
 
 fn parse_args() -> Args {
-    let mut args = Args { mode: Mode::Full, scalar_only: false, baseline: None, out: None };
+    let mut args = Args { mode: Mode::Full, out: None };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
             "--full" => args.mode = Mode::Full,
             "--quick" => args.mode = Mode::Quick,
             "--smoke" => args.mode = Mode::Smoke,
-            "--scalar-only" => args.scalar_only = true,
-            "--baseline" => args.baseline = it.next(),
             "--out" => args.out = it.next(),
             other => {
                 eprintln!("unknown argument: {other}");
-                eprintln!(
-                    "usage: bench_kernels [--full|--quick|--smoke] \
-                     [--scalar-only] [--baseline FILE] [--out FILE]"
-                );
+                eprintln!("usage: bench_kernels [--full|--quick|--smoke] [--out FILE]");
                 std::process::exit(2);
             }
         }
@@ -108,6 +92,12 @@ fn median_ms(reps: usize, mut f: impl FnMut()) -> f64 {
         .collect();
     times.sort_by(|a, b| a.partial_cmp(b).unwrap());
     times[times.len() / 2]
+}
+
+/// The dense packed GEMM (both operands packed inside the call) at an
+/// explicit worker count.
+fn dense_into(a: &Tensor, b: &Tensor, c: &mut Tensor, threads: usize) {
+    matmul_sparse_dispatch_into(a, b, c, None, SparseDispatch::DenseOnly, threads).unwrap();
 }
 
 fn fill(dims: &[usize], salt: usize) -> Tensor {
@@ -161,7 +151,7 @@ struct GemmRow {
     scalar_native_ms: f64,
     dense_1t_ms: f64,
     dense_mt_ms: f64,
-    b_pack_ms: f64,
+    pack_ms: f64,
     prepacked_1t_ms: f64,
     prepacked_max_abs_diff: f64,
     max_abs_diff: f64,
@@ -180,8 +170,7 @@ fn bench_gemm(mode: Mode, threads_mt: usize) -> Vec<GemmRow> {
                 std::hint::black_box(matmul_scalar_ref(&a, &b).unwrap());
             });
             let mut c = Tensor::zeros(&[m, n]);
-            let dense_1t_ms =
-                median_ms(reps, || matmul_into_with_threads(&a, &b, &mut c, 1).unwrap());
+            let dense_1t_ms = median_ms(reps, || dense_into(&a, &b, &mut c, 1));
             let diff_1t = max_abs_diff(&c, &reference);
             let rel_1t = max_rel_diff(&c, &reference);
             // threads_mt == 1 (single-core host): the "mt" configuration
@@ -190,21 +179,20 @@ fn bench_gemm(mode: Mode, threads_mt: usize) -> Vec<GemmRow> {
             let dense_mt_ms = if threads_mt == 1 {
                 dense_1t_ms
             } else {
-                median_ms(reps, || {
-                    matmul_into_with_threads(&a, &b, &mut c, threads_mt).unwrap()
-                })
+                median_ms(reps, || dense_into(&a, &b, &mut c, threads_mt))
             };
             let diff = max_abs_diff(&c, &reference).max(diff_1t);
             let rel = max_rel_diff(&c, &reference).max(rel_1t);
-            // prepacked suite: §6 panels built once per layer (timed
-            // separately as b_pack_ms), compute then reuses them — the
-            // weight-residency model the runtime ships. n == 1 rows are
-            // FC geometries; a [k,1] B operand fills 1/NR of every
-            // microkernel tile, so the resident path is the runtime's
-            // flipped fused-row kernel (x_row · Wᵀ over panels packed
-            // from the weight), bit-identical by FMA commutativity.
-            let (b_pack_ms, prepacked_1t_ms, prepacked_diff) = if n == 1 {
-                let b_pack_ms = median_ms(reps, || {
+            // prepacked suite: the weight operand the runtime keeps
+            // resident is packed once per layer (timed separately as
+            // pack_ms), and compute then reuses it. Conv rows pack the
+            // A strips (`PrepackedA`). n == 1 rows are FC geometries: a
+            // [k,1] B operand fills 1/NR of every microkernel tile, so
+            // the resident path is the runtime's flipped fused-row
+            // kernel (x_row · Wᵀ over panels packed from the weight),
+            // bit-identical by FMA commutativity.
+            let (pack_ms, prepacked_1t_ms, prepacked_diff) = if n == 1 {
+                let pack_ms = median_ms(reps, || {
                     std::hint::black_box(
                         PrepackedB::from_weight_transposed(&a, k, m).unwrap(),
                     );
@@ -229,25 +217,26 @@ fn bench_gemm(mode: Mode, threads_mt: usize) -> Vec<GemmRow> {
                 });
                 // gate vs the blocked dense kernel's output (rerun at 1t
                 // so c holds the single-thread result, not the mt one)
-                matmul_into_with_threads(&a, &b, &mut c, 1).unwrap();
-                (b_pack_ms, prepacked_1t_ms, max_abs_diff(&cp, &c))
+                dense_into(&a, &b, &mut c, 1);
+                (pack_ms, prepacked_1t_ms, max_abs_diff(&cp, &c))
             } else {
-                let b_pack_ms = median_ms(reps, || {
-                    std::hint::black_box(PrepackedB::from_matrix(&b).unwrap());
+                let pack_ms = median_ms(reps, || {
+                    std::hint::black_box(PrepackedA::from_weight(&a).unwrap());
                 });
-                let pb = PrepackedB::from_matrix(&b).unwrap();
+                let pa = PrepackedA::from_weight(&a).unwrap();
                 let mut cp = Tensor::zeros(&[m, n]);
                 let prepacked_1t_ms = median_ms(reps, || {
-                    matmul_prepacked_into_with_threads(&a, &pb, &mut cp, 1).unwrap();
+                    matmul_prepacked_a_into(&pa, &b, &mut cp, None, SparseDispatch::DenseOnly, 1)
+                        .unwrap();
                 });
-                matmul_into_with_threads(&a, &b, &mut c, 1).unwrap();
-                (b_pack_ms, prepacked_1t_ms, max_abs_diff(&cp, &c))
+                dense_into(&a, &b, &mut c, 1);
+                (pack_ms, prepacked_1t_ms, max_abs_diff(&cp, &c))
             };
             let macs = (m * k * n) as u64;
             println!(
                 "gemm {name:>9} m={m:<5} k={k:<5} n={n:<5} scalar {scalar_native_ms:8.2} ms  \
                  1t {dense_1t_ms:8.2} ms  {threads_mt}t {dense_mt_ms:8.2} ms  \
-                 pack {b_pack_ms:7.2} ms  prepacked 1t {prepacked_1t_ms:8.2} ms  \
+                 pack {pack_ms:7.2} ms  prepacked 1t {prepacked_1t_ms:8.2} ms  \
                  rel {rel:.2e}"
             );
             let reg = mime_obs::metrics::global();
@@ -255,7 +244,7 @@ fn bench_gemm(mode: Mode, threads_mt: usize) -> Vec<GemmRow> {
                 ("scalar_native", scalar_native_ms),
                 ("dense_1t", dense_1t_ms),
                 ("dense_mt", dense_mt_ms),
-                ("b_pack", b_pack_ms),
+                ("pack", pack_ms),
                 ("prepacked_1t", prepacked_1t_ms),
             ] {
                 reg.gauge_with("mime_bench_gemm_ms", &[("case", &name), ("kernel", kernel)])
@@ -270,41 +259,12 @@ fn bench_gemm(mode: Mode, threads_mt: usize) -> Vec<GemmRow> {
                 scalar_native_ms,
                 dense_1t_ms,
                 dense_mt_ms,
-                b_pack_ms,
+                pack_ms,
                 prepacked_1t_ms,
                 prepacked_max_abs_diff: prepacked_diff,
                 max_abs_diff: diff,
                 max_rel_diff: rel,
             }
-        })
-        .collect()
-}
-
-/// `--scalar-only`: just the scalar kernel per geometry, written as
-/// `gemm.<name> <median_ms>` lines for the phase-2 `--baseline` merge.
-fn run_scalar_only(mode: Mode, out: &str) {
-    let reps = mode.reps();
-    let mut lines = String::new();
-    for (name, m, k, n) in gemm_cases(mode) {
-        let a = fill(&[m, k], 1);
-        let b = fill(&[k, n], 2);
-        let ms = median_ms(reps, || {
-            std::hint::black_box(matmul_scalar_ref(&a, &b).unwrap());
-        });
-        println!("scalar {name:>9} m={m:<5} k={k:<5} n={n:<5} {ms:8.2} ms");
-        lines.push_str(&format!("gemm.{name} {ms:.4}\n"));
-    }
-    std::fs::write(out, lines).unwrap_or_else(|e| panic!("cannot write {out}: {e}"));
-    println!("wrote {out}");
-}
-
-fn read_baseline(path: &str) -> HashMap<String, f64> {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-    text.lines()
-        .filter_map(|l| {
-            let mut parts = l.split_whitespace();
-            Some((parts.next()?.to_string(), parts.next()?.parse().ok()?))
         })
         .collect()
 }
@@ -431,16 +391,16 @@ fn bench_sparse(mode: Mode) -> Vec<SparseRow> {
                 }
             }
             let mut c = Tensor::zeros(&[m, n]);
-            let dense_1t_ms =
-                median_ms(reps, || matmul_into_with_threads(&a, &b, &mut c, 1).unwrap());
+            let dense_1t_ms = median_ms(reps, || dense_into(&a, &b, &mut c, 1));
             let mut c2 = Tensor::zeros(&[m, n]);
             let mut stats = None;
             let sparse_1t_ms = median_ms(reps, || {
                 stats = Some(
-                    matmul_sparse_dispatch_into_with_threads(
+                    matmul_sparse_dispatch_into(
                         &a,
                         &b,
                         &mut c2,
+                        None,
                         SparseDispatch::Auto,
                         1,
                     )
@@ -536,7 +496,7 @@ fn bench_fused(mode: Mode) -> Vec<FusedRow> {
             let mut y_ref = Tensor::zeros(&[m, 1]);
             let mut activity_ref = Vec::new();
             let unfused_1t_ms = median_ms(reps, || {
-                matmul_into_with_threads(&w, &x, &mut y_ref, 1).unwrap();
+                dense_into(&w, &x, &mut y_ref, 1);
                 for (v, b) in y_ref.as_mut_slice().iter_mut().zip(bias.as_slice()) {
                     *v += b;
                 }
@@ -653,17 +613,22 @@ fn bench_resident(mode: Mode) -> Vec<ResidentRow> {
             }
             let mut raw = Tensor::zeros(&[m, n]);
             let mut res = Tensor::zeros(&[m, n]);
-            let raw_dense_ms = median_ms(reps, || {
-                matmul_sparse_dispatch_into(&a, &b, &mut raw, SparseDispatch::DenseOnly).unwrap();
-            });
+            let raw_dense_ms = median_ms(reps, || dense_into(&a, &b, &mut raw, threads));
             let resident_dense_ms = median_ms(reps, || {
                 matmul_prepacked_a_into(&pa, &b, &mut res, None, SparseDispatch::DenseOnly, threads)
                     .unwrap();
             });
             let mut diff = max_abs_diff(&res, &raw);
             let raw_sparse_ms = median_ms(reps, || {
-                matmul_sparse_dispatch_into_with_rows(&a, &b, &mut raw, &rows, SparseDispatch::Auto)
-                    .unwrap();
+                matmul_sparse_dispatch_into(
+                    &a,
+                    &b,
+                    &mut raw,
+                    Some(&rows),
+                    SparseDispatch::Auto,
+                    threads,
+                )
+                .unwrap();
             });
             let resident_sparse_ms = median_ms(reps, || {
                 matmul_prepacked_a_into(
@@ -791,7 +756,6 @@ fn write_report(
     out: &str,
     mode: Mode,
     threads_mt: usize,
-    baseline: &HashMap<String, f64>,
     gemm: &[GemmRow],
     conv: &[ConvRow],
     sparse: &[SparseRow],
@@ -801,53 +765,54 @@ fn write_report(
 ) {
     let mut s = String::new();
     s.push_str("{\n");
-    // v4 = v3 plus the "resident" section; every v3 key is unchanged
-    s.push_str("  \"schema\": \"mime-bench-kernels/v4\",\n");
+    // v5 = v4 minus the pre-PR scalar baseline (scalar_prepr_ms,
+    // speedup_mt_vs_prepr_scalar), with b_pack_ms renamed pack_ms and
+    // the conv rows' prepacked columns timing the resident A strips
+    s.push_str("  \"schema\": \"mime-bench-kernels/v5\",\n");
     s.push_str(&format!("  \"mode\": \"{}\",\n", mode.name()));
     s.push_str(&format!("  \"threads_mt\": {threads_mt},\n"));
     s.push_str(
-        "  \"notes\": \"scalar_prepr_ms: pre-PR scalar kernel at its shipped codegen \
-         (no .cargo/config.toml, RUSTFLAGS= ); scalar_native_ms: same kernel under this \
-         repo's native flags; times are median-of-k wall clock; threads_mt is clamped \
-         to the host's available parallelism (when it clamps to 1 the mt configuration \
-         is the serial kernel and dense_mt_ms records the dense_1t_ms measurement); \
-         dense_1t_ms/dense_mt_ms pack B inside the timed region on every call, which \
-         is no longer how the runtime runs — b_pack_ms records that packing cost once \
-         and prepacked_1t_ms is the compute over resident cached panels; n==1 rows \
-         measure the prepacked path as the runtime's flipped FC fused-row kernel \
-         (x_row x W^T over panels packed from the weight), gated bit-identical; \
+        "  \"notes\": \"scalar_native_ms: the scalar reference kernel (matmul_scalar_ref) \
+         under this repo's native flags; the pre-PR scalar baseline at its shipped codegen \
+         (scalar_prepr_ms, a second RUSTFLAGS= build) is retired, its last measured values \
+         (v4 quick run) being conv5 193.41 ms, conv10 385.09 ms, conv14 428.89 ms; times \
+         are median-of-k wall clock; threads_mt is clamped to the host's available \
+         parallelism (when it clamps to 1 the mt configuration is the serial kernel and \
+         dense_mt_ms records the dense_1t_ms measurement); dense_1t_ms/dense_mt_ms pack \
+         both operands inside every call (the --no-prepack path); pack_ms is the one-time \
+         cost of packing the weight operand the runtime keeps resident and \
+         prepacked_1t_ms the single-thread compute over it, gated bit-identical: conv \
+         rows pack the A strips (PrepackedA::from_weight) and run matmul_prepacked_a_into \
+         dense, n==1 rows pack FC panels (PrepackedB::from_weight_transposed) and run the \
+         runtime's flipped fused-row kernel (x_row x W^T); up to v4 the conv rows' \
+         b_pack_ms/prepacked_1t_ms packed the im2col B side, which the runtime never \
+         keeps resident, so those conv-row columns do not compare across v4 and v5; \
          sparse: dispatcher vs dense packed kernel, single-threaded, gated \
          bit-identical; fused: GEMM+bias+threshold+activity epilogue vs the retired \
-         re-scan passes, gated bit-identical with equal bitmaps; per-shape dispatch \
-         decision: cached panels are packed KC-window-major (depth window \
-         outermost, that window's column panels contiguous) so the prepacked walk \
-         matches the pack-on-the-fly kernel's access order — this removed the v3 \
-         regression where \
-         speedup_prepacked_vs_dense_1t sat at 0.73-0.80 on conv5/8/10/13; with the \
-         layout fix prepacked wins on every measured shape, so the runtime keeps \
-         one dispatch rule: always prefer resident prepacked panels; resident: CIFAR \
-         VGG16 conv GEMMs with the raw weight (A strips re-gathered every call) vs \
-         A strips packed once (PrepackedA), both at the runtime worker count, dense \
-         and with a given 75%-active row list, gated bit-identical; host drift: each \
-         report is one run on a shared 2-vCPU host whose speed moves by up to 1.5x \
-         between runs, so compare rows across reports only through back-to-back runs \
-         — five alternating pairs of the v3 code and the v4 code on one host gave \
-         medians (v3 vs v4) of conv8 sparse_1t 5.27 vs 4.35 ms at 90% and 23.2 vs \
-         17.5 ms at 25%, conv5 dense_1t 29.8 vs 26.4 ms, conv14 dense_mt 153.6 vs \
-         126.8 ms; the v3 to v4 slowdowns seen between the two committed reports \
-         are host drift\",\n",
+         re-scan passes, gated bit-identical with equal bitmaps; resident: CIFAR VGG16 \
+         conv GEMMs with the raw weight (A strips re-gathered every call) vs A strips \
+         packed once (PrepackedA), both at the runtime worker count, dense and with a \
+         given 75%-active row list, gated bit-identical; host drift: each report is one \
+         run on a shared 2-vCPU host whose speed moves by up to 1.5x between runs, so \
+         compare rows across reports only through back-to-back runs; v4 to v5: the \
+         rows that moved by more than 10% with unchanged code — all eight sparse rows \
+         (1.3-1.6x slower), fused conv14 unfused_1t (1.30x), gemm conv5 and conv10 \
+         dense_1t, dense_mt and conv10 scalar_native (0.60-1.20x), gemm conv14 \
+         prepacked_1t (1.17x) and nine resident rows (0.70-1.12x) — moved by host drift \
+         alone: three alternating pairs of the v4 and v5 binaries on one host gave \
+         medians (v4 vs v5) of conv8 sparse_1t 12.53 vs 12.59 ms at 50% and 4.39 vs \
+         4.70 ms at 90%, conv8 dense_1t 22.41 vs 24.33 ms at 50%, conv14 prepacked_1t \
+         41.5 vs 45.4 ms, conv9_b8 resident_dense 5.76 vs 4.69 ms, with both binaries \
+         spreading as widely between their own runs (conv14 scalar_native 296-518 ms)\",\n",
     );
     s.push_str("  \"gemm\": [\n");
     for (i, r) in gemm.iter().enumerate() {
-        let prepr = baseline.get(&format!("gemm.{}", r.name)).copied();
         s.push_str(&format!(
             "    {{\"name\": \"{}\", \"m\": {}, \"k\": {}, \"n\": {}, \"macs\": {},\n",
             r.name, r.m, r.k, r.n, r.macs
         ));
         s.push_str(&format!(
-            "     \"scalar_prepr_ms\": {}, \"scalar_native_ms\": {}, \
-             \"dense_1t_ms\": {}, \"dense_mt_ms\": {},\n",
-            prepr.map_or("null".into(), json_f),
+            "     \"scalar_native_ms\": {}, \"dense_1t_ms\": {}, \"dense_mt_ms\": {},\n",
             json_f(r.scalar_native_ms),
             json_f(r.dense_1t_ms),
             json_f(r.dense_mt_ms)
@@ -858,8 +823,8 @@ fn write_report(
             json_f(gflops(r.macs, r.dense_mt_ms))
         ));
         s.push_str(&format!(
-            "     \"b_pack_ms\": {}, \"prepacked_1t_ms\": {}, \"prepacked_1t_gflops\": {},\n",
-            json_f(r.b_pack_ms),
+            "     \"pack_ms\": {}, \"prepacked_1t_ms\": {}, \"prepacked_1t_gflops\": {},\n",
+            json_f(r.pack_ms),
             json_f(r.prepacked_1t_ms),
             json_f(gflops(r.macs, r.prepacked_1t_ms))
         ));
@@ -869,9 +834,8 @@ fn write_report(
             r.prepacked_max_abs_diff
         ));
         s.push_str(&format!(
-            "     \"speedup_mt_vs_prepr_scalar\": {}, \"speedup_mt_vs_native_scalar\": {}, \
+            "     \"speedup_mt_vs_native_scalar\": {}, \
              \"max_abs_diff\": {:.3e}, \"max_rel_diff\": {:.3e}}}{}\n",
-            prepr.map_or("null".into(), |p| json_f(p / r.dense_mt_ms)),
             json_f(r.scalar_native_ms / r.dense_mt_ms),
             r.max_abs_diff,
             r.max_rel_diff,
@@ -979,11 +943,6 @@ fn write_report(
 
 fn main() {
     let args = parse_args();
-    if args.scalar_only {
-        let out = args.out.as_deref().unwrap_or("target/prepr_scalar.txt");
-        run_scalar_only(args.mode, out);
-        return;
-    }
     // a smoke run must never clobber the tracked report
     let default_out = if args.mode == Mode::Smoke {
         "target/BENCH_kernels_smoke.json"
@@ -991,7 +950,6 @@ fn main() {
         "BENCH_kernels.json"
     };
     let out = args.out.as_deref().unwrap_or(default_out);
-    let baseline = args.baseline.as_deref().map(read_baseline).unwrap_or_default();
     // at least 4 workers when the hardware can run them, but never more
     // workers than cores — oversubscribed threads only time-slice and
     // thrash cache, which would measure the scheduler, not the kernels
@@ -1003,8 +961,7 @@ fn main() {
     let resident = bench_resident(args.mode);
     let exec = bench_executor(args.mode, threads_mt);
     write_report(
-        out, args.mode, threads_mt, &baseline, &gemm, &conv, &sparse, &fused, &resident,
-        &exec,
+        out, args.mode, threads_mt, &gemm, &conv, &sparse, &fused, &resident, &exec,
     );
     if !exec.reports_identical {
         eprintln!("FAIL: parallel executor report differs from serial");

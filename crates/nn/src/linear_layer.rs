@@ -2,9 +2,8 @@
 
 use crate::{GemmDims, Layer, LayerKind, Parameter};
 use mime_tensor::{
-    kaiming_uniform, matmul_nt, matmul_sparse_dispatch_into,
-    matmul_sparse_dispatch_into_with_rows, matmul_tn, SparseDispatch, SparseStats, Tensor,
-    TensorError,
+    kaiming_uniform, matmul_nt, matmul_sparse_dispatch_into, matmul_tn, threads,
+    SparseDispatch, SparseStats, Tensor, TensorError,
 };
 use rand::Rng;
 
@@ -149,22 +148,17 @@ impl Layer for Linear {
         // input features become skippable zero k-rows of the GEMM.
         let xt = input.reshape(&[f, 1])?;
         let mut yt = Tensor::zeros(&[self.out_features(), 1]);
-        let stats = match active_in {
-            Some(act) => {
-                let rows: Vec<usize> =
-                    act.iter().enumerate().filter_map(|(i, &a)| a.then_some(i)).collect();
-                matmul_sparse_dispatch_into_with_rows(
-                    &self.weight.value,
-                    &xt,
-                    &mut yt,
-                    &rows,
-                    dispatch,
-                )?
-            }
-            None => {
-                matmul_sparse_dispatch_into(&self.weight.value, &xt, &mut yt, dispatch)?
-            }
-        };
+        let rows: Option<Vec<usize>> = active_in.map(|act| {
+            act.iter().enumerate().filter_map(|(i, &a)| a.then_some(i)).collect()
+        });
+        let stats = matmul_sparse_dispatch_into(
+            &self.weight.value,
+            &xt,
+            &mut yt,
+            rows.as_deref(),
+            dispatch,
+            threads::worker_count(),
+        )?;
         let y = yt.reshape(&[1, self.out_features()])?.add(&self.bias.value)?;
         Ok((y, Some(stats)))
     }

@@ -10,14 +10,14 @@
 //! Everything is off by default and costs one relaxed atomic load per
 //! hook when disabled — no allocation, no clock read.
 //!
-//! * [`trace`] — `span`-guards with thread-local nesting and per-thread
+//! * [`mod@trace`] — `span`-guards with thread-local nesting and per-thread
 //!   buffers, exported as Chrome-trace JSON ([`trace::chrome_trace_json`])
 //!   loadable in `chrome://tracing` or <https://ui.perfetto.dev>.
 //! * [`metrics`] — named counters, gauges and fixed-bucket histograms
 //!   under the `mime_<crate>_<noun>_<unit>` naming convention, exported
 //!   as Prometheus text ([`metrics::Registry::render_prometheus`]) or
 //!   JSON ([`metrics::Registry::render_json`]).
-//! * [`log`] — leveled structured logging to stderr, level from
+//! * [`mod@log`] — leveled structured logging to stderr, level from
 //!   `MIME_LOG` or [`log::set_level`].
 //! * [`flight`] — a lock-free flight-recorder ring of request
 //!   lifecycle events, dumped to a timestamped JSON file on replica

@@ -172,9 +172,9 @@ struct Job {
     attempts: u32,
 }
 
-/// The serving loop. Plans are fixed at construction; [`serve`]
-/// (Self::serve) runs one admission-and-drain cycle over a request
-/// list.
+/// The serving loop. Plans are fixed at construction;
+/// [`serve`](Self::serve) runs one admission-and-drain cycle over a
+/// request list.
 pub struct Server<'a> {
     plans: &'a [BoundNetwork],
     parents: Vec<BoundNetwork>,

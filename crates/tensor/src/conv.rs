@@ -4,18 +4,20 @@
 //! `[N, K, Ho, Wo]`. The convolution is lowered to one GEMM per **batch
 //! chunk** rather than one per image: a chunk of images is flattened into
 //! a single column matrix `[C·R·S, N_chunk·Ho·Wo]` and multiplied in one
-//! `matmul_into` call, which keeps the threaded GEMM saturated on large
-//! `n` instead of issuing `N` small products. Chunks bound the column
-//! buffer (see [`ConvScratch`]); all buffers are caller-reusable so a
-//! training step performs no per-image allocation.
+//! sparse-dispatch GEMM call, which keeps the threaded GEMM saturated on
+//! large `n` instead of issuing `N` small products. Chunks bound the
+//! column buffer (see [`ConvScratch`]); all buffers are caller-reusable
+//! so a training step performs no per-image allocation. There is one
+//! forward chunk loop: the dense [`conv2d_with_scratch`] is the
+//! [`SparseDispatch::DenseOnly`] call of [`conv2d_sparse_with_scratch`].
 //!
 //! The single-image [`im2col`]/[`col2im`] lowering is kept as a public
 //! reference (tests and the systolic functional model use it).
 
 use crate::matmul::{isa, sparse_dispatch, ALayout, AOperand};
 use crate::{
-    matmul_into, matmul_nt_into_acc, matmul_tn_into, PrepackedA, Result, SparseDispatch,
-    SparseStats, Tensor, TensorError,
+    matmul_nt_into_acc, matmul_tn_into, PrepackedA, Result, SparseDispatch, SparseStats,
+    Tensor, TensorError,
 };
 
 /// Geometry of a 2-D convolution: kernel size, stride and zero padding
@@ -369,7 +371,10 @@ pub fn conv2d(
 
 /// [`conv2d`] with caller-reusable scratch: the whole batch is lowered in
 /// bounded chunks of `[C·R·S, N_chunk·Ho·Wo]` columns and each chunk is
-/// one threaded GEMM, instead of one small GEMM per image.
+/// one threaded GEMM, instead of one small GEMM per image. This is
+/// [`conv2d_sparse_with_scratch`] pinned to [`SparseDispatch::DenseOnly`]
+/// with no activity bitmap — the same GEMM calls, so training is
+/// unaffected by the sparse path.
 ///
 /// # Errors
 ///
@@ -381,59 +386,12 @@ pub fn conv2d_with_scratch(
     spec: &ConvSpec,
     scratch: &mut ConvScratch,
 ) -> Result<Tensor> {
-    let (n, c, h, w, kout, kr) = check_conv_args(input, weight, bias)?;
-    if kr != spec.kernel {
-        return Err(TensorError::InvalidGeometry(format!(
-            "weight kernel {kr} does not match spec kernel {}",
-            spec.kernel
-        )));
-    }
-    let ho = spec.out_extent(h)?;
-    let wo = spec.out_extent(w)?;
-    let taps = c * spec.kernel * spec.kernel;
-    let sites = ho * wo;
-    let w_mat = weight.reshape(&[kout, taps])?;
-    let mut out = Tensor::zeros(&[n, kout, ho, wo]);
-    let bias_v = bias.as_slice().to_vec();
-    let per_chunk = images_per_chunk(taps, sites, n);
-    let mut n0 = 0;
-    while n0 < n {
-        let nc = per_chunk.min(n - n0);
-        ensure_shape(&mut scratch.cols, &[taps, nc * sites]);
-        scratch.cols.as_mut_slice().fill(0.0);
-        im2col_batch_into(
-            input.as_slice(),
-            n0,
-            nc,
-            c,
-            h,
-            w,
-            spec,
-            ho,
-            wo,
-            scratch.cols.as_mut_slice(),
-        );
-        ensure_shape(&mut scratch.gemm, &[kout, nc * sites]);
-        matmul_into(&w_mat, &scratch.cols, &mut scratch.gemm)?;
-        // un-interleave [K, nc·sites] → [nc, K, sites], adding the bias
-        let src = scratch.gemm.as_slice();
-        let dst = out.as_mut_slice();
-        for ki in 0..kout {
-            let b = bias_v[ki];
-            for ni in 0..nc {
-                let s_row = &src[ki * nc * sites + ni * sites..][..sites];
-                let d_row = &mut dst[(n0 + ni) * kout * sites + ki * sites..][..sites];
-                for (d, &v) in d_row.iter_mut().zip(s_row) {
-                    *d = v + b;
-                }
-            }
-        }
-        n0 += nc;
-    }
-    Ok(out)
+    let dispatch = SparseDispatch::DenseOnly;
+    conv2d_sparse_with_scratch(input, weight, bias, spec, scratch, None, dispatch)
+        .map(|(out, _)| out)
 }
 
-/// [`conv2d_with_scratch`] routed through the sparse GEMM dispatcher.
+/// [`conv2d`] routed through the sparse GEMM dispatcher.
 ///
 /// When `active_channels` is `Some`, it is a per-input-channel activity
 /// bitmap (length `C`, typically emitted by the preceding threshold/ReLU

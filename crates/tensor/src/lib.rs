@@ -7,6 +7,18 @@
 //! scratch buffers, and max pooling with argmax tracking for
 //! backpropagation.
 //!
+//! Inference GEMMs have one entry point per weight form, each bit-identical
+//! to the dense packed product:
+//!
+//! * raw weight `A`: [`matmul_sparse_dispatch_into`] (activity list or
+//!   probe, [`SparseDispatch`] mode, worker count), with [`matmul_into`]
+//!   as its dense call at the default worker count;
+//! * resident conv weight [`PrepackedA`]: [`matmul_prepacked_a_into`],
+//!   with the same arguments;
+//! * resident FC panels [`PrepackedB`]: [`matmul_fused_batch_into`] and
+//!   its `B = 1` case [`matmul_fused_row_into`], with the bias, threshold
+//!   mask and activity bitmap fused into the epilogue.
+//!
 //! The crate is deliberately small and dependency-light: it implements
 //! exactly the kernels a VGG-style network needs, nothing more. Layouts are
 //! always contiguous row-major (`NCHW` for image tensors).
@@ -45,16 +57,14 @@ pub use conv::{
 pub use error::TensorError;
 pub use init::{kaiming_normal, kaiming_uniform, xavier_uniform};
 pub use matmul::{
-    matmul_into, matmul_into_acc, matmul_into_with_threads, matmul_nt, matmul_nt_into_acc,
-    matmul_scalar_ref, matmul_sparse_dispatch_into, matmul_sparse_dispatch_into_with_rows,
-    matmul_sparse_dispatch_into_with_threads, matmul_sparse_into, matmul_tn,
-    matmul_tn_into, SparseDispatch, SparseStats, MR, NR, SPARSE_ACTIVE_MAX,
+    matmul_into, matmul_nt, matmul_nt_into_acc, matmul_scalar_ref,
+    matmul_sparse_dispatch_into, matmul_tn, matmul_tn_into, SparseDispatch, SparseStats,
+    MR, NR, SPARSE_ACTIVE_MAX,
 };
 pub use pool::{max_pool2d, max_pool2d_backward, MaxPoolOut, PoolSpec};
 pub use prepack::{
-    matmul_fused_batch_into, matmul_fused_row_into, matmul_prepacked_a_into,
-    matmul_prepacked_into, matmul_prepacked_into_with_threads, FusedMask, PrepackedA,
-    PrepackedB,
+    matmul_fused_batch_into, matmul_fused_row_into, matmul_prepacked_a_into, FusedMask,
+    PrepackedA, PrepackedB,
 };
 pub use shape::Shape;
 pub use tensor::Tensor;

@@ -16,25 +16,32 @@
 //!   `C` traffic — the two costs that bounded the previous kernel.
 //! * **Threading** — rows of `C` are split into contiguous block ranges
 //!   across scoped worker threads ([`crate::threads::worker_count`],
-//!   overridable via `MIME_THREADS` or the `*_with_threads` variants).
-//!   Each `C` element is produced by exactly one worker with the same
-//!   `p`-order sum, so results are bit-identical at every thread count.
+//!   overridable via `MIME_THREADS` or the `threads` argument of
+//!   [`matmul_sparse_dispatch_into`]). Each `C` element is produced by
+//!   exactly one worker with the same `p`-order sum, so results are
+//!   bit-identical at every thread count.
+//!
+//! Inference has one GEMM entry point per weight form:
+//! [`matmul_sparse_dispatch_into`] for a raw `A` (here), and
+//! [`crate::matmul_prepacked_a_into`] / [`crate::matmul_fused_batch_into`]
+//! (with its `B = 1` case [`crate::matmul_fused_row_into`]) for the
+//! resident forms in `prepack.rs`. [`matmul_into`] is the dense
+//! `DenseOnly` call at the default worker count; the transposed products
+//! ([`matmul_tn`], [`matmul_nt`]) serve training.
 //!
 //! Zero-skipping (profitable for the sparse masked activations MIME
 //! produces at inference) lives in the sparse fast path
-//! ([`matmul_sparse_dispatch_into`] and the [`matmul_sparse_into`]
-//! wrapper): entirely-zero `k`-rows of `B` are *compacted away during
-//! packing* — the gathering packers build a dense packed operand from
-//! only the active rows, and the unmodified dense microkernels run over
-//! it. Skipped rows contribute exact `±0.0` terms, and in
-//! round-to-nearest adding `±0.0` to a `+0.0`-initialised or nonzero
-//! accumulator never changes its bits, so the compacted product is
-//! **bit-identical** to the dense packed product (see DESIGN.md §9). A
+//! ([`matmul_sparse_dispatch_into`]): entirely-zero `k`-rows of `B` are
+//! *compacted away during packing* — the gathering packers build a dense
+//! packed operand from only the active rows, and the unmodified dense
+//! microkernels run over it. Skipped rows contribute exact `±0.0` terms,
+//! and in round-to-nearest adding `±0.0` to a `+0.0`-initialised or
+//! nonzero accumulator never changes its bits, so the compacted product
+//! is **bit-identical** to the dense packed product (see DESIGN.md §9). A
 //! measured-sparsity probe picks dense below the
 //! [`SPARSE_ACTIVE_MAX`] crossover so the dispatcher never regresses;
 //! the dense kernels themselves never branch on element values. The
-//! pre-rework scalar kernel is kept as [`matmul_scalar_ref`] — it is
-//! the committed benchmark baseline in `BENCH_kernels.json` and the
+//! pre-rework scalar kernel is kept as [`matmul_scalar_ref`], the
 //! reference the property tests compare against.
 
 use crate::{PrepackedA, Result, Tensor, TensorError};
@@ -469,7 +476,7 @@ mod ukern_x86 {
 /// Computes one output tile, dispatching to the best microkernel for the
 /// running CPU. `mr ≤ MR` rows, `nv ≤ NR` columns.
 #[allow(clippy::too_many_arguments)] // flat kernel-internal plumbing
-pub(crate) fn tile(
+fn tile(
     isa: Isa,
     mr: usize,
     k: usize,
@@ -890,13 +897,15 @@ fn gemm_driver(
 // Public entry points
 // ---------------------------------------------------------------------------
 
-/// `C = A·B` written into a caller-provided output buffer.
+/// `C = A·B` written into a caller-provided output buffer: the dense
+/// [`matmul_sparse_dispatch_into`] call (`None`, `DenseOnly`) at the
+/// default worker count.
 ///
 /// Shapes: `A: [m, k]`, `B: [k, n]`, `out: [m, n]`. The output is fully
 /// **overwritten** — it is never read and never needs pre-zeroing, so
 /// `Tensor::zeros` + `matmul_into` performs no redundant clear (the
 /// microkernel holds each tile's `k`-sum in registers and stores it
-/// once). Use [`matmul_into_acc`] to accumulate instead.
+/// once).
 ///
 /// Threaded per [`crate::threads::worker_count`] (`MIME_THREADS`).
 ///
@@ -905,69 +914,9 @@ fn gemm_driver(
 /// Returns [`TensorError::ShapeMismatch`] / [`TensorError::RankMismatch`]
 /// on inconsistent operands.
 pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<()> {
-    matmul_into_with_threads(a, b, out, crate::threads::worker_count())
-}
-
-/// [`matmul_into`] with an explicit worker count (results are identical
-/// at every count; used by tests and benchmarks).
-///
-/// # Errors
-///
-/// Returns a shape/rank error when operands are not conforming matrices.
-pub fn matmul_into_with_threads(
-    a: &Tensor,
-    b: &Tensor,
-    out: &mut Tensor,
-    threads: usize,
-) -> Result<()> {
-    let (m, k) = check_matrix(a, "matmul")?;
-    let (k2, n) = check_matrix(b, "matmul")?;
-    if k != k2 || out.dims() != [m, n] {
-        return Err(shape_err(a, b, "matmul"));
-    }
-    gemm_driver(
-        AOperand::Raw(a.as_slice(), ALayout::Normal),
-        isa(),
-        b.as_slice(),
-        BLayout::Normal,
-        out.as_mut_slice(),
-        m,
-        k,
-        n,
-        false,
-        threads,
-        None,
-    );
-    Ok(())
-}
-
-/// `C += A·B` — the documented accumulate variant of [`matmul_into`],
-/// used where partial products must be summed into an existing buffer
-/// (e.g. weight gradients accumulated across batch chunks).
-///
-/// # Errors
-///
-/// Returns a shape/rank error when operands are not conforming matrices.
-pub fn matmul_into_acc(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<()> {
-    let (m, k) = check_matrix(a, "matmul")?;
-    let (k2, n) = check_matrix(b, "matmul")?;
-    if k != k2 || out.dims() != [m, n] {
-        return Err(shape_err(a, b, "matmul"));
-    }
-    gemm_driver(
-        AOperand::Raw(a.as_slice(), ALayout::Normal),
-        isa(),
-        b.as_slice(),
-        BLayout::Normal,
-        out.as_mut_slice(),
-        m,
-        k,
-        n,
-        true,
-        crate::threads::worker_count(),
-        None,
-    );
-    Ok(())
+    let threads = crate::threads::worker_count();
+    matmul_sparse_dispatch_into(a, b, out, None, SparseDispatch::DenseOnly, threads)
+        .map(|_| ())
 }
 
 impl Tensor {
@@ -1180,27 +1129,6 @@ fn probe_active_rows(b: &[f32], k: usize, n: usize) -> Vec<usize> {
     act
 }
 
-fn sparse_dispatch_driver(
-    a: &Tensor,
-    b: &Tensor,
-    out: &mut Tensor,
-    known_rows: Option<&[usize]>,
-    dispatch: SparseDispatch,
-    threads: usize,
-) -> Result<SparseStats> {
-    let (m, k) = check_matrix(a, "matmul")?;
-    sparse_dispatch(
-        AOperand::Raw(a.as_slice(), ALayout::Normal),
-        (m, k),
-        b,
-        out,
-        known_rows,
-        dispatch,
-        threads,
-        isa(),
-    )
-}
-
 /// The sparse dispatcher over either `A` operand of shape `(m, k)`:
 /// checks `b`/`out` and the activity list, then probes or trusts the
 /// list and runs the compacted or dense driver on `kernel_isa`.
@@ -1268,12 +1196,21 @@ pub(crate) fn sparse_dispatch(
     Ok(SparseStats { k_total: k, k_active: active.len(), used_sparse: use_sparse })
 }
 
-/// `C = A·B` through the sparse fast path: probes the `k`-rows of `B`
-/// for activity and, past the [`SPARSE_ACTIVE_MAX`] crossover, compacts
-/// the active rows into a dense packed operand and runs the ordinary
-/// packed/blocked/threaded microkernels over it (dense fallback
-/// otherwise). The output is **bit-identical** to [`matmul_into`]
-/// whichever path runs, and bit-identical at every thread count.
+/// `C = A·B` through the sparse fast path — the one raw-`A` GEMM entry
+/// point. Past the [`SPARSE_ACTIVE_MAX`] crossover it compacts the
+/// active `k`-rows of `B` into a dense packed operand and runs the
+/// ordinary packed/blocked/threaded microkernels over it (dense
+/// otherwise). The output is **bit-identical** to the dense packed
+/// product whichever path runs, and bit-identical at every thread count.
+///
+/// `active` lists the `k`-rows of `B` that may hold nonzeros (strictly
+/// ascending, all `< k`) — how a threshold/ReLU layer's activity bitmap
+/// reaches the compactor without a re-scan. The list's order and range
+/// are checked, but rows it leaves out are *trusted* to be entirely zero
+/// and skipped without looking. `None` probes `B` instead.
+/// [`SparseDispatch::DenseOnly`] skips both and runs the dense kernel.
+/// `threads` is the worker count ([`crate::threads::worker_count`] for
+/// the `MIME_THREADS` default).
 ///
 /// Returns the measured [`SparseStats`] so callers (the runtime
 /// executor, benchmarks) can publish sparsity and dispatch metrics
@@ -1281,80 +1218,35 @@ pub(crate) fn sparse_dispatch(
 ///
 /// # Errors
 ///
-/// Returns a shape/rank error when operands are not conforming matrices.
+/// Returns a shape/rank error when operands are not conforming
+/// matrices, or [`TensorError::InvalidGeometry`] when `active` is not
+/// strictly ascending or indexes past `k`.
 pub fn matmul_sparse_dispatch_into(
     a: &Tensor,
     b: &Tensor,
     out: &mut Tensor,
-    dispatch: SparseDispatch,
-) -> Result<SparseStats> {
-    sparse_dispatch_driver(a, b, out, None, dispatch, crate::threads::worker_count())
-}
-
-/// [`matmul_sparse_dispatch_into`] with an explicit worker count
-/// (results are identical at every count; used by tests and benchmarks).
-///
-/// # Errors
-///
-/// Returns a shape/rank error when operands are not conforming matrices.
-pub fn matmul_sparse_dispatch_into_with_threads(
-    a: &Tensor,
-    b: &Tensor,
-    out: &mut Tensor,
+    active: Option<&[usize]>,
     dispatch: SparseDispatch,
     threads: usize,
 ) -> Result<SparseStats> {
-    sparse_dispatch_driver(a, b, out, None, dispatch, threads)
-}
-
-/// [`matmul_sparse_dispatch_into`] with a **caller-supplied** activity
-/// list instead of a probe: `active` lists the `k`-rows of `B` that may
-/// contain nonzeros (strictly ascending, all `< k`). Rows not listed
-/// must be entirely zero — the kernel trusts the list and skips them
-/// without looking. This is how a threshold/ReLU layer's active-neuron
-/// bitmap feeds the compactor without re-scanning the activations.
-///
-/// # Errors
-///
-/// Returns a shape/rank error when operands are not conforming
-/// matrices, or [`TensorError::InvalidGeometry`] when `active` is not
-/// strictly ascending or indexes past `k`.
-pub fn matmul_sparse_dispatch_into_with_rows(
-    a: &Tensor,
-    b: &Tensor,
-    out: &mut Tensor,
-    active: &[usize],
-    dispatch: SparseDispatch,
-) -> Result<SparseStats> {
-    sparse_dispatch_driver(
-        a,
+    let (m, k) = check_matrix(a, "matmul")?;
+    sparse_dispatch(
+        AOperand::Raw(a.as_slice(), ALayout::Normal),
+        (m, k),
         b,
         out,
-        Some(active),
+        active,
         dispatch,
-        crate::threads::worker_count(),
+        threads,
+        isa(),
     )
 }
 
-/// `C = A·B` with zero-skipping: the legacy sparse entry point, now a
-/// thin wrapper over [`matmul_sparse_dispatch_into`] (row compaction
-/// through the packed microkernels with dense-crossover fallback,
-/// replacing the old element-branching scalar loop — that loop survives
-/// only inside [`matmul_scalar_ref`] as the committed benchmark
-/// baseline). The output is bit-identical to [`matmul_into`].
-///
-/// # Errors
-///
-/// Returns a shape/rank error when operands are not conforming matrices.
-pub fn matmul_sparse_into(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<()> {
-    matmul_sparse_dispatch_into(a, b, out, SparseDispatch::Auto).map(|_| ())
-}
-
-/// The pre-rework scalar kernel, preserved verbatim as the committed
-/// benchmark baseline (`BENCH_kernels.json` speedups are measured
-/// against it) and as the reference the property tests compare the
-/// blocked/threaded path to. Allocates the output, like the old
-/// `Tensor::matmul` did — including its then-redundant zero-fill.
+/// The pre-rework scalar kernel, preserved verbatim as the reference the
+/// property tests compare the blocked/threaded path to (and the
+/// `scalar_native_ms` column of `BENCH_kernels.json`). Allocates the
+/// output, like the old `Tensor::matmul` did — including its
+/// then-redundant zero-fill.
 ///
 /// # Errors
 ///
@@ -1414,6 +1306,12 @@ mod tests {
         c
     }
 
+    /// The dense packed product at an explicit worker count.
+    fn dense_into(a: &Tensor, b: &Tensor, out: &mut Tensor, threads: usize) {
+        matmul_sparse_dispatch_into(a, b, out, None, SparseDispatch::DenseOnly, threads)
+            .unwrap();
+    }
+
     #[test]
     fn small_known_product() {
         let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]).unwrap();
@@ -1459,23 +1357,11 @@ mod tests {
         let mut c1 = Tensor::zeros(&[m, n]);
         let mut c4 = Tensor::zeros(&[m, n]);
         let mut c64 = Tensor::zeros(&[m, n]);
-        matmul_into_with_threads(&a, &b, &mut c1, 1).unwrap();
-        matmul_into_with_threads(&a, &b, &mut c4, 4).unwrap();
-        matmul_into_with_threads(&a, &b, &mut c64, 64).unwrap();
+        dense_into(&a, &b, &mut c1, 1);
+        dense_into(&a, &b, &mut c4, 4);
+        dense_into(&a, &b, &mut c64, 64);
         assert_eq!(c1.as_slice(), c4.as_slice());
         assert_eq!(c1.as_slice(), c64.as_slice());
-    }
-
-    #[test]
-    fn accumulate_adds_onto_existing_output() {
-        let a = Tensor::from_fn(&[5, 7], |i| (i % 5) as f32 - 2.0);
-        let b = Tensor::from_fn(&[7, 9], |i| (i % 3) as f32 - 1.0);
-        let mut acc = Tensor::full(&[5, 9], 1.5);
-        matmul_into_acc(&a, &b, &mut acc).unwrap();
-        let reference = naive(&a, &b);
-        for (x, y) in acc.as_slice().iter().zip(reference.as_slice()) {
-            assert!((x - (y + 1.5)).abs() < 1e-4, "{x} vs {}", y + 1.5);
-        }
     }
 
     /// `B` with every third `k`-row zeroed (row-structured activation
@@ -1506,10 +1392,11 @@ mod tests {
         {
             for threads in [1, 4, 32] {
                 let mut sparse = Tensor::zeros(&[9, 14]);
-                let stats = matmul_sparse_dispatch_into_with_threads(
+                let stats = matmul_sparse_dispatch_into(
                     &a,
                     &b,
                     &mut sparse,
+                    None,
                     dispatch,
                     threads,
                 )
@@ -1529,10 +1416,6 @@ mod tests {
                 }
             }
         }
-        // The legacy wrapper rides the same dispatcher.
-        let mut wrapped = Tensor::zeros(&[9, 14]);
-        matmul_sparse_into(&a, &b, &mut wrapped).unwrap();
-        assert_eq!(wrapped.as_slice(), dense.as_slice());
     }
 
     #[test]
@@ -1540,17 +1423,14 @@ mod tests {
         let a = Tensor::from_fn(&[7, 30], |i| ((i * 11) % 9) as f32 * 0.5 - 2.0);
         let b = sparse_b(30, 19);
         let rows: Vec<usize> = (0..30).filter(|p| p % 3 != 0).collect();
+        let threads = crate::threads::worker_count();
+        let run = |out: &mut Tensor, active: Option<&[usize]>, dispatch| {
+            matmul_sparse_dispatch_into(&a, &b, out, active, dispatch, threads)
+        };
         let mut probed = Tensor::zeros(&[7, 19]);
         let mut listed = Tensor::zeros(&[7, 19]);
-        matmul_sparse_dispatch_into(&a, &b, &mut probed, SparseDispatch::Auto).unwrap();
-        let stats = matmul_sparse_dispatch_into_with_rows(
-            &a,
-            &b,
-            &mut listed,
-            &rows,
-            SparseDispatch::Auto,
-        )
-        .unwrap();
+        run(&mut probed, None, SparseDispatch::Auto).unwrap();
+        let stats = run(&mut listed, Some(&rows), SparseDispatch::Auto).unwrap();
         assert_eq!(listed.as_slice(), probed.as_slice());
         assert!(stats.used_sparse);
         // A conservative superset (listing a zero row as active) is
@@ -1559,33 +1439,12 @@ mod tests {
         let mut extra = rows.clone();
         extra.push(0);
         extra.sort_unstable();
-        matmul_sparse_dispatch_into_with_rows(
-            &a,
-            &b,
-            &mut superset,
-            &extra,
-            SparseDispatch::SparseOnly,
-        )
-        .unwrap();
+        run(&mut superset, Some(&extra), SparseDispatch::SparseOnly).unwrap();
         assert_eq!(superset.as_slice(), probed.as_slice());
         // Unsorted or out-of-range lists are rejected.
         let mut out = Tensor::zeros(&[7, 19]);
-        assert!(matmul_sparse_dispatch_into_with_rows(
-            &a,
-            &b,
-            &mut out,
-            &[3, 1],
-            SparseDispatch::Auto
-        )
-        .is_err());
-        assert!(matmul_sparse_dispatch_into_with_rows(
-            &a,
-            &b,
-            &mut out,
-            &[0, 30],
-            SparseDispatch::Auto
-        )
-        .is_err());
+        assert!(run(&mut out, Some(&[3, 1]), SparseDispatch::Auto).is_err());
+        assert!(run(&mut out, Some(&[0, 30]), SparseDispatch::Auto).is_err());
     }
 
     #[test]
@@ -1593,8 +1452,16 @@ mod tests {
         let a = Tensor::from_fn(&[6, 40], |i| i as f32 * 0.1 - 2.0);
         let b = Tensor::zeros(&[40, 12]);
         let mut out = Tensor::full(&[6, 12], f32::NAN);
-        let stats =
-            matmul_sparse_dispatch_into(&a, &b, &mut out, SparseDispatch::Auto).unwrap();
+        let threads = crate::threads::worker_count();
+        let stats = matmul_sparse_dispatch_into(
+            &a,
+            &b,
+            &mut out,
+            None,
+            SparseDispatch::Auto,
+            threads,
+        )
+        .unwrap();
         assert_eq!(stats.k_active, 0);
         assert!(stats.used_sparse);
         assert!(out.as_slice().iter().all(|&v| v == 0.0));
@@ -1611,9 +1478,9 @@ mod tests {
         let mut c1 = Tensor::zeros(&[m, n]);
         let mut c4 = Tensor::zeros(&[m, n]);
         let mut c33 = Tensor::zeros(&[m, n]);
-        matmul_into_with_threads(&a, &b, &mut c1, 1).unwrap();
-        matmul_into_with_threads(&a, &b, &mut c4, 4).unwrap();
-        matmul_into_with_threads(&a, &b, &mut c33, 33).unwrap();
+        dense_into(&a, &b, &mut c1, 1);
+        dense_into(&a, &b, &mut c4, 4);
+        dense_into(&a, &b, &mut c33, 33);
         assert_eq!(c1.as_slice(), c4.as_slice());
         assert_eq!(c1.as_slice(), c33.as_slice());
         // Accumulate mode seeds the stripe buffers from C; the add
@@ -1669,10 +1536,11 @@ mod tests {
         let dense = a.matmul(&b).unwrap();
         for threads in [1, 4] {
             let mut sparse = Tensor::zeros(&[m, n]);
-            let stats = matmul_sparse_dispatch_into_with_threads(
+            let stats = matmul_sparse_dispatch_into(
                 &a,
                 &b,
                 &mut sparse,
+                None,
                 SparseDispatch::SparseOnly,
                 threads,
             )
@@ -1728,8 +1596,15 @@ mod tests {
         assert!(Tensor::zeros(&[3]).matmul(&a).is_err());
         let mut out = Tensor::zeros(&[2, 5]);
         assert!(matmul_into(&a, &b, &mut out).is_err());
-        assert!(matmul_into_acc(&a, &b, &mut out).is_err());
-        assert!(matmul_sparse_into(&a, &b, &mut out).is_err());
+        assert!(matmul_sparse_dispatch_into(
+            &a,
+            &b,
+            &mut out,
+            None,
+            SparseDispatch::Auto,
+            1
+        )
+        .is_err());
         assert!(matmul_nt_into_acc(&a, &b, &mut out).is_err());
     }
 }

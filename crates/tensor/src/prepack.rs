@@ -1,58 +1,50 @@
 //! Prepacked weight residency and the fused threshold epilogue.
 //!
-//! MIME's premise is one resident weight set serving every task, yet the
-//! GEMM path in [`crate::matmul`] repacks its `B` panels on every call.
-//! For the conv-lowered GEMMs that cost is amortized over `NC`-wide
-//! column blocks, but the FC layers pay it in full: their weights are
-//! streamed — and repacked — per image. This module makes the packing a
-//! *load-time* step instead:
+//! MIME's premise is one resident weight set serving every task, yet a
+//! raw-weight GEMM call repacks its weight operand on every call. This
+//! module makes the packing a *load-time* step instead, with one GEMM
+//! entry point per resident form:
 //!
-//! * [`PrepackedB`] holds the §6 blocked layout for the whole matrix at
-//!   once — `⌈n/NR⌉` full-depth panels of `NR` columns, `p`-major, each
-//!   `k×NR` floats contiguous — built exactly once and shared read-only
-//!   (the runtime wraps it in an `Arc`). A `KC` depth window of a panel
-//!   is the contiguous slice at offset `p0·NR`, and its contents are
-//!   bit-for-bit what [`crate::matmul`]'s per-call packer would have
-//!   produced for that window, so the unmodified microkernels run over
-//!   it directly.
-//! * [`matmul_prepacked_into`] is the drop-in GEMM over a prepacked
-//!   operand: same `KC` depth windows, same first-window-overwrite /
-//!   later-windows-accumulate memory order, same microkernels — the
-//!   output is **bit-identical** to [`crate::matmul_into`], it just
-//!   skips the packing.
-//! * [`PrepackedA`] does the same for the conv weights, which enter the
-//!   im2col GEMM as the `A` operand: the `MR`-row strips the drivers
-//!   would gather out of the raw `[K, C·R·S]` matrix on every call are
-//!   built once, and [`matmul_prepacked_a_into`] /
+//! * [`PrepackedA`] holds the conv weights, which enter the im2col GEMM
+//!   as the `A` operand: the `MR`-row strips the drivers would gather out
+//!   of the raw `[K, C·R·S]` matrix on every call are built once, and
+//!   [`matmul_prepacked_a_into`] /
 //!   [`crate::conv2d_sparse_prepacked_with_scratch`] read them in place
 //!   (channel compaction copies whole strip rows instead of gathering
 //!   strided elements). The drivers keep their worker split — only the
 //!   row split spawns its workers once per column block instead of once
 //!   per depth window, since a resident window's sweep costs less than
 //!   a spawn — and the microkernels read the same bytes in the same
-//!   order, so the output is bit-identical to the raw-`A` call.
-//! * [`matmul_fused_row_into`] is the FC fast path: the layer is flipped
-//!   to `x_row[1,k] · Wᵀ[k,n]` (a `[1,n]` row and an `[n,1]` column have
-//!   the same flat layout, so no transpose is ever materialized — see
-//!   [`PrepackedB::from_weight_transposed`]) and the per-neuron
-//!   threshold compare + zero-mask + activity bitmap are fused into the
-//!   kernel's epilogue, eliminating the second full pass over the
-//!   activations. Multiplication commutes exactly in IEEE-754, and the
-//!   fused kernel reproduces the unfused path's depth-window grouping
+//!   order, so the output is bit-identical to the raw-`A` call
+//!   [`crate::matmul_sparse_dispatch_into`].
+//! * [`PrepackedB`] holds the FC weights in the blocked panel layout —
+//!   `⌈n/NR⌉` panels of `NR` columns, `p`-major, built exactly once and
+//!   shared read-only (the runtime wraps it in an `Arc`). Each `KC` depth
+//!   window of a panel is bit-for-bit what the per-call `B` packer would
+//!   have produced for that window.
+//! * [`matmul_fused_batch_into`] (and its `B = 1` case
+//!   [`matmul_fused_row_into`]) is the FC fast path over a [`PrepackedB`]:
+//!   the layer is flipped to `x_row[1,k] · Wᵀ[k,n]` (a `[1,n]` row and an
+//!   `[n,1]` column have the same flat layout, so no transpose is ever
+//!   materialized — see [`PrepackedB::from_weight_transposed`]) and the
+//!   per-neuron threshold compare + zero-mask + activity bitmap are fused
+//!   into the kernel's epilogue, eliminating the second full pass over
+//!   the activations. Multiplication commutes exactly in IEEE-754, and
+//!   the fused kernel reproduces the unfused path's depth-window grouping
 //!   and per-element `p`-order, so the flipped product is bit-identical
 //!   to the unflipped one.
 //!
 //! The fused kernel is the portable (autovectorized) implementation in
 //! both its dense and row-skipping forms, with the same
-//! compile-time-FMA gating as [`crate::matmul`]'s portable microkernel.
+//! compile-time-FMA gating as the GEMM's portable microkernel.
 //! Under the repo's committed build flags (`-C target-cpu=native`) the
 //! compile-time FMA feature matches the runtime CPU, so all kernel arms
 //! perform the same correctly-rounded fused multiply-adds and the
 //! fused path stays bit-identical to the dispatched unfused path.
 
 use crate::matmul::{
-    isa, pack_a, pack_b_chunk, sparse_dispatch, tile, ALayout, AOperand, BLayout, Isa, KC,
-    NC, THREAD_MIN_MACS,
+    isa, pack_a, pack_b_chunk, sparse_dispatch, ALayout, AOperand, BLayout, KC,
+    THREAD_MIN_MACS,
 };
 use crate::{
     Result, SparseDispatch, SparseStats, Tensor, TensorError, MR, NR, SPARSE_ACTIVE_MAX,
@@ -63,20 +55,15 @@ use crate::{
 /// same `KC` windows the GEMM drivers iterate), the `⌈n/NR⌉` panels'
 /// `kb×NR` window slices sit contiguously — window `p0` starts at
 /// `p0·⌈n/NR⌉·NR`, and panel `jp`'s slice within it at `jp·kb·NR`. Each
-/// window region is therefore byte-for-byte the packed block
-/// [`crate::matmul`]'s per-call packer builds for that window (column
-/// range `0..n`), so the unmodified microkernels stream it with unit
-/// stride.
+/// window region is therefore byte-for-byte the packed block the GEMM
+/// drivers' per-call `B` packer builds for that window (column range
+/// `0..n`), so [`matmul_fused_batch_into`] streams it with unit stride.
 ///
-/// Window-major beats the earlier panel-major (full-depth `k×NR` panels
-/// side by side) on wide-`k` operands: panel-major put one window's
-/// slices at stride `k·NR` floats apart — for the conv-lowered shapes
-/// (`k` ≥ 1152) that stride is a near power-of-two byte multiple, so
-/// the ~50 slices of one resident window collided on a handful of L2
-/// cache colors and the row sweeps conflict-missed on every pass,
-/// losing 20–30 % to pack-per-call dense. Window-major keeps the
-/// resident window one contiguous block, exactly as cache-friendly as
-/// the dense driver's scratch block.
+/// Window-major keeps each depth window one contiguous block, exactly as
+/// cache-friendly as the dense driver's scratch block. A panel-major
+/// layout (full-depth `k×NR` panels side by side) puts one window's
+/// slices `k·NR` floats apart — at `k` ≥ 1152 a near power-of-two byte
+/// stride, so the slices collide on a handful of L2 cache colors.
 ///
 /// Build it once per weight matrix at model-load time and share it
 /// read-only (e.g. behind an `Arc`) across worker threads; the packing
@@ -89,50 +76,6 @@ pub struct PrepackedB {
 }
 
 impl PrepackedB {
-    fn with_layout(b: &[f32], layout: BLayout, k: usize, n: usize) -> Self {
-        let npanels = n.div_ceil(NR).max(1);
-        let mut panels = vec![0.0f32; npanels * k * NR];
-        if k > 0 && n > 0 {
-            // One pack per KC window: `pack_b_chunk` over the full column
-            // range lays the window's panels contiguously, which is
-            // exactly this struct's window-major contract.
-            let mut p0 = 0;
-            while p0 < k {
-                let kb = KC.min(k - p0);
-                pack_b_chunk(
-                    b,
-                    layout,
-                    k,
-                    n,
-                    p0,
-                    kb,
-                    0,
-                    n,
-                    &mut panels[p0 * npanels * NR..][..npanels * kb * NR],
-                );
-                p0 += kb;
-            }
-        }
-        PrepackedB { k, n, panels }
-    }
-
-    /// Packs `B: [k, n]` (row-major).
-    ///
-    /// # Errors
-    ///
-    /// Returns a rank error unless `b` is a rank-2 matrix.
-    pub fn from_matrix(b: &Tensor) -> Result<Self> {
-        if b.rank() != 2 {
-            return Err(TensorError::RankMismatch {
-                expected: 2,
-                actual: b.rank(),
-                op: "prepack_b",
-            });
-        }
-        let (k, n) = (b.dims()[0], b.dims()[1]);
-        Ok(Self::with_layout(b.as_slice(), BLayout::Normal, k, n))
-    }
-
     /// Packs a weight matrix stored as `Bᵀ: [n, k]` row-major — the FC
     /// flip. An FC layer computes `W[n,k] · x[k,1]`; prepacking `W` as
     /// the *B* operand of `x_row[1,k] · Wᵀ[k,n]` folds the transpose
@@ -149,7 +92,30 @@ impl PrepackedB {
         if w.len() != n * k {
             return Err(TensorError::LengthMismatch { expected: n * k, actual: w.len() });
         }
-        Ok(Self::with_layout(w.as_slice(), BLayout::Trans, k, n))
+        let npanels = n.div_ceil(NR).max(1);
+        let mut panels = vec![0.0f32; npanels * k * NR];
+        if k > 0 && n > 0 {
+            // One pack per KC window: `pack_b_chunk` over the full column
+            // range lays the window's panels contiguously, which is
+            // exactly this struct's window-major contract.
+            let mut p0 = 0;
+            while p0 < k {
+                let kb = KC.min(k - p0);
+                pack_b_chunk(
+                    w.as_slice(),
+                    BLayout::Trans,
+                    k,
+                    n,
+                    p0,
+                    kb,
+                    0,
+                    n,
+                    &mut panels[p0 * npanels * NR..][..npanels * kb * NR],
+                );
+                p0 += kb;
+            }
+        }
+        Ok(PrepackedB { k, n, panels })
     }
 
     /// Depth (`k`-rows) of the packed operand.
@@ -186,8 +152,8 @@ impl PrepackedB {
 /// strips sit contiguously — window `p0` starts at `p0·m`, the block at
 /// row `i0` within it at `i0·kb`, and each strip holds `A[i0+ii, p0+p]`
 /// at `p·mr + ii` (`mr ≤ MR` rows, the last block partial). Each strip is
-/// byte-for-byte what [`crate::matmul`]'s `pack_a` writes for that window
-/// and block, and the strips tile exactly `m·k` floats.
+/// byte-for-byte what the GEMM drivers' per-call `A` packer writes for
+/// that window and block, and the strips tile exactly `m·k` floats.
 ///
 /// This is the conv weight's resident form: the im2col GEMM multiplies
 /// `W[K, C·R·S]` (the `A` side) by the lowered activations, and at the
@@ -303,8 +269,8 @@ impl PrepackedA {
 }
 
 /// `C = A·B` with `A` resident: the sparse dispatcher of
-/// [`crate::matmul_sparse_dispatch_into_with_rows`] over strips packed
-/// once. `active` lists the `k`-rows of `B` that may be nonzero (strictly
+/// [`crate::matmul_sparse_dispatch_into`] over strips packed once — the
+/// one GEMM entry point for a [`PrepackedA`]. `active` lists the `k`-rows of `B` that may be nonzero (strictly
 /// ascending, all `< k`; unlisted rows must be zero), or `None` to probe
 /// `B`. Output and [`SparseStats`] are bit-identical to the raw-`A` call
 /// on the matrix `a` was packed from, at every worker count.
@@ -331,165 +297,6 @@ pub fn matmul_prepacked_a_into(
         threads,
         isa(),
     )
-}
-
-/// Serial prepacked GEMM over output rows `r0..r1`: the same `KC` depth
-/// windows and microkernels as the on-the-fly driver, minus the `B`
-/// packing. `c` holds rows `r0..r1` only (stride `n`).
-///
-/// Loop order is `NC` column block → `KC` depth window → `MR` row block,
-/// mirroring [`crate::matmul`]'s streaming order: the resident `KC×NC`
-/// window of packed panels is re-read from cache for every row block and
-/// the full packed operand streams from memory exactly once per call. (A
-/// row-block-outer order re-streams all `k·n` panel floats per `MR`
-/// rows, which for the wide-`k` conv GEMMs — `m` in the hundreds, `k`
-/// ≥ 1152 — is memory-bound enough to lose to pack-per-call dense.)
-/// Per output element the arithmetic order is unchanged — depth windows
-/// ascending, first window overwrites, later windows accumulate — so the
-/// result stays bit-identical to [`crate::matmul_into`].
-fn prepacked_rows(
-    a: &[f32],
-    pb: &PrepackedB,
-    c: &mut [f32],
-    kernel_isa: Isa,
-    m: usize,
-    r0: usize,
-    r1: usize,
-) {
-    let (k, n) = (pb.k, pb.n);
-    if k == 0 {
-        c[..(r1 - r0) * n].fill(0.0);
-        return;
-    }
-    let mut pa = vec![0.0f32; MR * KC.min(k)];
-    let mut c0 = 0;
-    while c0 < n {
-        let nc = NC.min(n - c0);
-        let jp_base = c0 / NR; // NC is a multiple of NR, so blocks align
-        let mut first = true;
-        let mut p0 = 0;
-        while p0 < k {
-            let kb = KC.min(k - p0);
-            let mut i0 = r0;
-            while i0 < r1 {
-                let mr = MR.min(r1 - i0);
-                pack_a(a, ALayout::Normal, m, k, p0, kb, i0, mr, &mut pa[..kb * mr]);
-                let mut jp = jp_base;
-                let mut j0 = 0;
-                while j0 < nc {
-                    let nv = NR.min(nc - j0);
-                    let c_tile = &mut c[(i0 - r0) * n + c0 + j0..];
-                    tile(
-                        kernel_isa,
-                        mr,
-                        kb,
-                        &pa[..kb * mr],
-                        pb.window(jp, p0, kb),
-                        c_tile,
-                        n,
-                        nv,
-                        !first,
-                    );
-                    jp += 1;
-                    j0 += NR;
-                }
-                i0 += mr;
-            }
-            first = false;
-            p0 += kb;
-        }
-        c0 += nc;
-    }
-}
-
-fn check_prepacked(a: &Tensor, pb: &PrepackedB, out: &Tensor) -> Result<(usize, usize)> {
-    if a.rank() != 2 {
-        return Err(TensorError::RankMismatch {
-            expected: 2,
-            actual: a.rank(),
-            op: "matmul_prepacked",
-        });
-    }
-    let (m, k) = (a.dims()[0], a.dims()[1]);
-    if k != pb.k || out.dims() != [m, pb.n] {
-        return Err(TensorError::ShapeMismatch {
-            lhs: a.dims().to_vec(),
-            rhs: vec![pb.k, pb.n],
-            op: "matmul_prepacked",
-        });
-    }
-    Ok((m, pb.n))
-}
-
-/// `C = A·B` with `B` prepacked: bit-identical to [`crate::matmul_into`]
-/// (same depth windows, same accumulation order, same microkernels), but
-/// the per-call `B` packing cost is gone. Threaded per
-/// [`crate::threads::worker_count`].
-///
-/// # Errors
-///
-/// Returns a shape/rank error when `a`/`out` do not conform to the
-/// packed operand.
-pub fn matmul_prepacked_into(a: &Tensor, pb: &PrepackedB, out: &mut Tensor) -> Result<()> {
-    matmul_prepacked_into_with_threads(a, pb, out, crate::threads::worker_count())
-}
-
-/// [`matmul_prepacked_into`] with an explicit worker count (results are
-/// identical at every count). Threading splits whole `MR` row blocks
-/// across workers, each element written by exactly one worker.
-///
-/// # Errors
-///
-/// Returns a shape/rank error when `a`/`out` do not conform to the
-/// packed operand.
-pub fn matmul_prepacked_into_with_threads(
-    a: &Tensor,
-    pb: &PrepackedB,
-    out: &mut Tensor,
-    threads: usize,
-) -> Result<()> {
-    let (m, n) = check_prepacked(a, pb, out)?;
-    matmul_prepacked_slice(a.as_slice(), pb, out.as_mut_slice(), isa(), m, n, threads);
-    Ok(())
-}
-
-fn matmul_prepacked_slice(
-    av: &[f32],
-    pb: &PrepackedB,
-    cv: &mut [f32],
-    kernel_isa: Isa,
-    m: usize,
-    n: usize,
-    threads: usize,
-) {
-    if m == 0 || n == 0 {
-        return;
-    }
-    let macs = m as u128 * pb.k as u128 * n as u128;
-    let blocks = m.div_ceil(MR);
-    let workers = if macs < THREAD_MIN_MACS { 1 } else { threads.max(1).min(blocks) };
-    if workers <= 1 {
-        prepacked_rows(av, pb, cv, kernel_isa, m, 0, m);
-        return;
-    }
-    let bbase = blocks / workers;
-    let bextra = blocks % workers;
-    std::thread::scope(|scope| {
-        let mut rest = &mut *cv;
-        let mut row = 0usize;
-        for w in 0..workers {
-            let nblocks = bbase + usize::from(w < bextra);
-            if nblocks == 0 {
-                continue;
-            }
-            let r0 = row;
-            let r1 = m.min(row + nblocks * MR);
-            row = r1;
-            let (mine, tail) = rest.split_at_mut((r1 - r0) * n);
-            rest = tail;
-            scope.spawn(move || prepacked_rows(av, pb, mine, kernel_isa, m, r0, r1));
-        }
-    });
 }
 
 // ---------------------------------------------------------------------------
@@ -904,7 +711,14 @@ fn fused_rows_into(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matmul_into_with_threads;
+    use crate::matmul::Isa;
+    use crate::matmul_sparse_dispatch_into;
+
+    /// The dense raw-`A` product at one worker: the reference every
+    /// resident path must reproduce bit for bit.
+    fn dense_reference(a: &Tensor, b: &Tensor, out: &mut Tensor) {
+        matmul_sparse_dispatch_into(a, b, out, None, SparseDispatch::DenseOnly, 1).unwrap();
+    }
 
     /// Every microkernel arm the running CPU can execute. The property
     /// tests drive the prepacked driver through each of them explicitly
@@ -934,43 +748,6 @@ mod tests {
     }
 
     #[test]
-    fn prepacked_matches_on_the_fly_bitwise_on_every_arm() {
-        // shapes straddle partial panels, partial MR blocks and multiple
-        // KC windows (k > 2·KC)
-        for &(m, k, n) in
-            &[(1, 7, 5), (8, 384, 16), (13, 900, 47), (33, 385, 17), (5, 64, 1)]
-        {
-            let a = mat(&[m, k], 3, 19);
-            let b = mat(&[k, n], 5, 17);
-            let mut reference = Tensor::zeros(&[m, n]);
-            matmul_into_with_threads(&a, &b, &mut reference, 1).unwrap();
-            let pb = PrepackedB::from_matrix(&b).unwrap();
-            assert_eq!(pb.k(), k);
-            assert_eq!(pb.n(), n);
-            assert!(pb.bytes() >= k * n * 4);
-            for kernel_isa in available_isas() {
-                for threads in [1usize, 2, 5] {
-                    let mut out = Tensor::zeros(&[m, n]);
-                    matmul_prepacked_slice(
-                        a.as_slice(),
-                        &pb,
-                        out.as_mut_slice(),
-                        kernel_isa,
-                        m,
-                        n,
-                        threads,
-                    );
-                    assert_eq!(
-                        out.as_slice(),
-                        reference.as_slice(),
-                        "m={m} k={k} n={n} isa={kernel_isa:?} threads={threads}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn prepacked_a_matches_raw_a_bitwise_on_every_arm() {
         // partial MR blocks (61, 13), more than one KC window (k ≥ 385),
         // n < NR, and macs above THREAD_MIN_MACS so threads 2 and 5 take
@@ -988,7 +765,7 @@ mod tests {
             let pa = PrepackedA::from_weight(&a).unwrap();
             assert_eq!((pa.m(), pa.k(), pa.bytes()), (m, k, m * k * 4));
             let mut reference = Tensor::zeros(&[m, n]);
-            matmul_into_with_threads(&a, &b, &mut reference, 1).unwrap();
+            dense_reference(&a, &b, &mut reference);
             let cases: [(SparseDispatch, Option<&[usize]>); 3] = [
                 (SparseDispatch::DenseOnly, None),
                 (SparseDispatch::SparseOnly, None),
@@ -1060,21 +837,6 @@ mod tests {
     }
 
     #[test]
-    fn from_weight_transposed_equals_from_matrix_of_transpose() {
-        let (k, n) = (11, 9);
-        let w = mat(&[n, k], 7, 23); // Bᵀ
-        let mut b = Tensor::zeros(&[k, n]);
-        for p in 0..k {
-            for j in 0..n {
-                b.as_mut_slice()[p * n + j] = w.as_slice()[j * k + p];
-            }
-        }
-        let via_t = PrepackedB::from_weight_transposed(&w, k, n).unwrap();
-        let direct = PrepackedB::from_matrix(&b).unwrap();
-        assert_eq!(via_t.panels, direct.panels);
-    }
-
-    #[test]
     fn fused_row_matches_unflipped_fc_bitwise() {
         // W[n,k]·x[k,1] computed conventionally vs the flipped fused
         // kernel over prepacked Wᵀ — must agree bit-for-bit (commuted
@@ -1084,8 +846,10 @@ mod tests {
         let x = mat(&[k], 13, 15);
         let x_col = x.reshape(&[k, 1]).unwrap();
         let mut reference = Tensor::zeros(&[n, 1]);
-        matmul_into_with_threads(&w, &x_col, &mut reference, 1).unwrap();
+        dense_reference(&w, &x_col, &mut reference);
         let pb = PrepackedB::from_weight_transposed(&w, k, n).unwrap();
+        assert_eq!((pb.k(), pb.n()), (k, n));
+        assert!(pb.bytes() >= k * n * 4);
         let bias = Tensor::zeros(&[n]);
         for threads in [1usize, 3] {
             let mut out = Tensor::zeros(&[n]);
@@ -1172,7 +936,7 @@ mod tests {
         let bias = mat(&[n], 41, 5);
         let x_col = x.reshape(&[k, 1]).unwrap();
         let mut gemm = Tensor::zeros(&[n, 1]);
-        matmul_into_with_threads(&w, &x_col, &mut gemm, 1).unwrap();
+        dense_reference(&w, &x_col, &mut gemm);
         let pb = PrepackedB::from_weight_transposed(&w, k, n).unwrap();
         let t = Tensor::from_fn(&[n], |i| det(43, i, 9) * 0.1);
         for (mask, expect) in [
@@ -1236,12 +1000,13 @@ mod tests {
         }
         let x_col = x.reshape(&[k, 1]).unwrap();
         let mut reference = Tensor::zeros(&[n, 1]);
-        let ref_stats = crate::matmul_sparse_dispatch_into_with_rows(
+        let ref_stats = matmul_sparse_dispatch_into(
             &w,
             &x_col,
             &mut reference,
-            &rows,
+            Some(&rows),
             SparseDispatch::SparseOnly,
+            crate::threads::worker_count(),
         )
         .unwrap();
         assert!(ref_stats.used_sparse);
@@ -1336,7 +1101,7 @@ mod tests {
 
     #[test]
     fn fused_batch_rejects_mismatched_operands() {
-        let pb = PrepackedB::from_matrix(&mat(&[4, 6], 1, 7)).unwrap();
+        let pb = PrepackedB::from_weight_transposed(&mat(&[6, 4], 1, 7), 4, 6).unwrap();
         let bias = Tensor::zeros(&[6]);
         let xs = Tensor::zeros(&[2, 4]);
         let mut act = Vec::new();
@@ -1386,7 +1151,7 @@ mod tests {
 
     #[test]
     fn fused_row_rejects_mismatched_operands() {
-        let pb = PrepackedB::from_matrix(&mat(&[4, 6], 1, 7)).unwrap();
+        let pb = PrepackedB::from_weight_transposed(&mat(&[6, 4], 1, 7), 4, 6).unwrap();
         let bias = Tensor::zeros(&[6]);
         let mut out = Tensor::zeros(&[6]);
         let mut act = Vec::new();
@@ -1433,8 +1198,7 @@ mod tests {
 
     #[test]
     fn empty_depth_yields_bias_plus_mask() {
-        let pb = PrepackedB::from_matrix(&Tensor::zeros(&[0, 3]).reshape(&[0, 3]).unwrap())
-            .unwrap();
+        let pb = PrepackedB::from_weight_transposed(&Tensor::zeros(&[3, 0]), 0, 3).unwrap();
         let x = Tensor::zeros(&[0]);
         let bias = Tensor::from_vec(vec![1.0, -2.0, 0.0], &[3]).unwrap();
         let mut out = Tensor::zeros(&[3]);

@@ -3,10 +3,10 @@
 //! Every threaded kernel in this crate (and the parallel batch executor
 //! in `mime-runtime`) sizes its worker pool through [`worker_count`]:
 //! the `MIME_THREADS` environment variable when set to a positive
-//! integer, otherwise the machine's available parallelism. Kernels also
-//! accept an explicit `threads` argument (`*_with_threads` variants) so
-//! tests and benchmarks can pin a worker count without touching the
-//! process environment.
+//! integer, otherwise the machine's available parallelism. The inference
+//! GEMM entry points also take an explicit `threads` argument, so
+//! callers, tests and benchmarks can pin a worker count without
+//! touching the process environment.
 
 /// Upper bound on workers a kernel will spawn, regardless of
 /// `MIME_THREADS`. Guards against pathological env values; far above

@@ -1,14 +1,41 @@
-//! Property tests for the sparse fast path (ISSUE 5 satellite):
-//! across random shapes, row-sparsity levels in {0, 25, 50, 75, 95} %,
-//! thread counts, and dispatch modes, the compacted path must be
+//! Property tests for the sparse fast path: across random shapes,
+//! row-sparsity levels in {0, 25, 50, 75, 95} %, caller-given activity
+//! lists, thread counts, and dispatch modes, the compacted path must be
 //! **bit-identical** to the dense packed path (skipping exact zeros is
 //! exact) and agree with the unfused scalar reference within rounding.
 
-use mime_tensor::{
-    matmul_into_with_threads, matmul_scalar_ref, matmul_sparse_dispatch_into_with_threads,
-    matmul_sparse_into, SparseDispatch, Tensor,
-};
+use mime_tensor::{matmul_scalar_ref, matmul_sparse_dispatch_into, SparseDispatch, Tensor};
 use proptest::prelude::*;
+
+/// Which activity list the caller hands the dispatcher.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum RowList {
+    /// No list: the dispatcher probes `B`.
+    Probe,
+    /// Exactly the rows of `B` holding a nonzero.
+    Exact,
+    /// The exact rows plus one all-zero row (a legal superset; equals
+    /// `Exact` when no row is all zero).
+    Superset,
+}
+
+/// The activity list `which` names for `b`, as strictly ascending rows.
+fn row_list(b: &Tensor, which: RowList) -> Option<Vec<usize>> {
+    let (k, n) = (b.dims()[0], b.dims()[1]);
+    let nonzero = |p: usize| b.as_slice()[p * n..(p + 1) * n].iter().any(|&v| v != 0.0);
+    let mut rows: Vec<usize> = (0..k).filter(|&p| nonzero(p)).collect();
+    match which {
+        RowList::Probe => return None,
+        RowList::Exact => {}
+        RowList::Superset => {
+            if let Some(zero) = (0..k).find(|&p| !nonzero(p)) {
+                rows.push(zero);
+                rows.sort_unstable();
+            }
+        }
+    }
+    Some(rows)
+}
 
 /// Zeroes whole `k`-rows of `b` (the row-structured sparsity a
 /// thresholded activation matrix exhibits after im2col) so that about
@@ -43,6 +70,7 @@ proptest! {
         n in 1usize..48,
         pct in prop::sample::select(vec![0u32, 25, 50, 75, 95]),
         seed in 0u64..u64::MAX,
+        which in prop::sample::select(vec![RowList::Probe, RowList::Exact, RowList::Superset]),
     ) {
         let a = Tensor::from_fn(&[m, k], |i| {
             (((i as u64).wrapping_mul(2654435761).wrapping_add(seed) % 19) as f32) * 0.3 - 2.7
@@ -53,8 +81,10 @@ proptest! {
         zero_rows(&mut b, pct, seed);
 
         let mut dense = Tensor::zeros(&[m, n]);
-        matmul_into_with_threads(&a, &b, &mut dense, 1).unwrap();
+        matmul_sparse_dispatch_into(&a, &b, &mut dense, None, SparseDispatch::DenseOnly, 1)
+            .unwrap();
         let scalar = matmul_scalar_ref(&a, &b).unwrap();
+        let list = row_list(&b, which);
 
         for threads in [1usize, 2, 5, 16] {
             for dispatch in [
@@ -63,19 +93,23 @@ proptest! {
                 SparseDispatch::DenseOnly,
             ] {
                 let mut out = Tensor::zeros(&[m, n]);
-                let stats = matmul_sparse_dispatch_into_with_threads(
-                    &a, &b, &mut out, dispatch, threads,
+                let stats = matmul_sparse_dispatch_into(
+                    &a, &b, &mut out, list.as_deref(), dispatch, threads,
                 )
                 .unwrap();
                 // the hard gate: bitwise equality with the dense packed
-                // path at every thread count and dispatch mode
+                // path at every thread count, dispatch mode and list
+                let bits = |t: &Tensor| -> Vec<u32> {
+                    t.as_slice().iter().map(|v| v.to_bits()).collect()
+                };
                 prop_assert_eq!(
-                    out.as_slice(),
-                    dense.as_slice(),
-                    "dispatch={:?} threads={} pct={}",
+                    bits(&out),
+                    bits(&dense),
+                    "dispatch={:?} threads={} pct={} list={:?}",
                     dispatch,
                     threads,
-                    pct
+                    pct,
+                    which
                 );
                 // the dense packed kernels use FMA where available, so
                 // the unfused scalar reference only agrees to rounding
@@ -87,13 +121,11 @@ proptest! {
                     prop_assert!(!stats.used_sparse);
                 } else {
                     prop_assert!(stats.k_active <= k);
+                    if let Some(rows) = &list {
+                        prop_assert_eq!(stats.k_active, rows.len());
+                    }
                 }
             }
         }
-
-        // the legacy wrapper must ride the same dispatcher
-        let mut wrapped = Tensor::zeros(&[m, n]);
-        matmul_sparse_into(&a, &b, &mut wrapped).unwrap();
-        prop_assert_eq!(wrapped.as_slice(), dense.as_slice());
     }
 }

@@ -1,7 +1,7 @@
 //! Pipelined multi-task inference — the paper's motivating scenario.
 //!
-//! Trains thresholds for three child tasks **in parallel** (one thread
-//! per task, crossbeam-scoped) over one shared frozen backbone, registers
+//! Trains thresholds for three child tasks **in parallel** (one scoped
+//! thread per task) over one shared frozen backbone, registers
 //! them in a [`MultiTaskModel`], then runs a task-interleaved batch the
 //! way the paper's *Pipelined task mode* does, counting threshold swaps.
 //! Finally it feeds the measured sparsity into the systolic simulator and
@@ -21,10 +21,10 @@ use mime::systolic::{
     simulate_network, vgg16_geometry, Approach, ArrayConfig, Scenario, TaskMode,
 };
 use mime::tensor::Tensor;
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::error::Error;
+use std::sync::Mutex;
 
 fn main() -> Result<(), Box<dyn Error>> {
     // shared parent backbone
@@ -48,13 +48,13 @@ fn main() -> Result<(), Box<dyn Error>> {
         TaskSpec::fmnist_like().with_samples(16, 6),
     ];
     let trained: Mutex<Vec<(String, Vec<Tensor>, f64)>> = Mutex::new(Vec::new());
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for spec in &specs {
             let arch = &arch;
             let parent = &parent;
             let family = &family;
             let trained = &trained;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let task = family.generate(spec);
                 let mut net = MimeNetwork::from_trained(arch, parent, 0.01)
                     .expect("parent/arch match");
@@ -68,17 +68,21 @@ fn main() -> Result<(), Box<dyn Error>> {
                 let sparsity = measure_sparsity(&mut net, &task.test.batches(16))
                     .expect("sparsity measurement")
                     .mean();
-                trained.lock().push((spec.name.clone(), net.export_thresholds(), sparsity));
+                trained
+                    .lock()
+                    .expect("a training thread panicked holding the lock")
+                    .push((spec.name.clone(), net.export_thresholds(), sparsity));
             });
         }
-    })
-    .expect("threshold-training threads");
+    });
 
     // assemble the deployable multi-task model
     let net = MimeNetwork::from_trained(&arch, &parent, 0.01)?;
     let mut model = MultiTaskModel::new(net);
     let mut mean_sparsity = 0.0;
-    for (name, thresholds, sparsity) in trained.into_inner() {
+    for (name, thresholds, sparsity) in
+        trained.into_inner().expect("a training thread panicked holding the lock")
+    {
         println!("task {name:<14} trained (mean dynamic sparsity {sparsity:.3})");
         model.register_task(name, thresholds)?;
         mean_sparsity += sparsity / specs.len() as f64;

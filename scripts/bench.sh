@@ -4,18 +4,7 @@
 #   ./scripts/bench.sh           # quick mode (default)
 #   ./scripts/bench.sh --full    # more reps + more geometries
 #
-# Two phases:
-#
-#  1. The *pre-PR scalar baseline*: the scalar GEMM kernel measured at
-#     the codegen it originally shipped with. The repo's
-#     .cargo/config.toml adds `-C target-cpu=native`, but an env
-#     RUSTFLAGS overrides the config file, so `RUSTFLAGS=""` plus a
-#     separate --target-dir rebuilds the workspace exactly as the
-#     pre-benchmark repo built it (baseline x86-64 codegen, no config).
-#  2. The real benchmark under the repo's flags, which merges phase 1's
-#     numbers in via --baseline so the report carries the scalar kernel
-#     at BOTH codegens next to the blocked/threaded kernels.
-#
+# Runs `bench_kernels` under the repo's build flags (.cargo/config.toml).
 # A smoke variant for CI lives in scripts/check.sh (it never touches
 # the tracked BENCH_kernels.json).
 
@@ -31,13 +20,6 @@ case "$mode" in
     ;;
 esac
 
-echo "==> phase 1: pre-PR-codegen scalar baseline (RUSTFLAGS='')"
-RUSTFLAGS="" cargo run --release -p mime-bench --bin bench_kernels \
-    --target-dir target/prepr-baseline -- \
-    "$mode" --scalar-only --out target/prepr_scalar.txt
-
-echo "==> phase 2: blocked/threaded kernels under repo flags"
-cargo run --release -p mime-bench --bin bench_kernels -- \
-    "$mode" --baseline target/prepr_scalar.txt --out BENCH_kernels.json
+cargo run --release -p mime-bench --bin bench_kernels -- "$mode" --out BENCH_kernels.json
 
 echo "==> wrote BENCH_kernels.json"

@@ -23,6 +23,12 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# rustdoc with warnings denied: catches doc links left pointing at
+# deleted or private items. --lib because the `mime` library and the
+# `mime` binary would otherwise write the same doc output path.
+echo "==> cargo doc --workspace --no-deps --lib (warnings denied)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib
+
 echo "==> cargo build --release"
 cargo build --release
 
