@@ -156,8 +156,8 @@ pub enum Command {
         image: Option<String>,
         /// Per-request deadline budget in milliseconds (default 5000).
         deadline_ms: u64,
-        /// Inject the process-level fault on every n-th request per
-        /// replica (default 4).
+        /// Inject the process-level fault on every n-th dispatch per
+        /// replica; a batch counts once (default 4).
         inject_every: usize,
         /// Skip the startup weight-panel prepack (`--no-prepack`);
         /// forwarded to replica workers in front-door mode.
@@ -180,8 +180,8 @@ pub enum Command {
         /// rungs behind the fleet (default 0).
         critical_tasks: usize,
         /// Most requests one dispatch coalesces into a `BatchRequest`
-        /// (default 8; front door only). `--no-batch` forces 1 —
-        /// per-request dispatch on the unchanged v2 wire protocol.
+        /// (default 8; front door only). `--no-batch` forces 1 — every
+        /// dispatch is a batch of one.
         max_batch: usize,
         /// Batch-formation linger in milliseconds: how long a partial
         /// batch waits for a ride-along request once the backlog is
@@ -197,7 +197,8 @@ pub enum Command {
         replica: u32,
         /// Process-level fault to self-inject.
         inject: ServeFault,
-        /// Inject on every n-th request this replica serves.
+        /// Inject on every n-th dispatch this replica receives; a batch
+        /// counts once.
         inject_every: usize,
         /// Heartbeat interval in milliseconds.
         heartbeat_ms: u64,

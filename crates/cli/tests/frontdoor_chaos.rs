@@ -209,7 +209,9 @@ fn every_request_terminates_exactly_once_while_replicas_abort() {
     );
 
     // Each injected abort calls `flight::dump_now("abort")` on its way
-    // down: the killed replicas must have left parseable dumps behind.
+    // down: the killed replicas must have left parseable dumps behind,
+    // each showing the dispatch it died on as in flight — a `dequeue`
+    // event whose request has no `terminal` event in that dump.
     let dumps: Vec<_> = std::fs::read_dir(&flight)
         .expect("flight dir exists")
         .filter_map(|e| e.ok())
@@ -225,6 +227,20 @@ fn every_request_terminates_exactly_once_while_replicas_abort() {
         let text = std::fs::read_to_string(dump).expect("flight dump readable");
         assert!(text.contains("\"schema\":\"mime-flight/v1\""), "dump has schema: {text}");
         assert!(text.contains("\"reason\":\"abort\""), "dump records the abort");
+        let requests = |kind: &str| -> Vec<u64> {
+            let tag = format!("\"kind\":\"{kind}\"");
+            text.lines()
+                .filter(|l| l.contains(&tag))
+                .filter_map(|l| {
+                    l.split("\"request\":").nth(1)?.split(',').next()?.parse().ok()
+                })
+                .collect()
+        };
+        let terminal = requests("terminal");
+        assert!(
+            requests("dequeue").iter().any(|r| !terminal.contains(r)),
+            "abort dump shows no request in flight: {text}"
+        );
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -65,8 +65,8 @@ pub struct FrontDoorConfig {
     /// `deadline_ms == 0`.
     pub deadline: Duration,
     /// Most requests one dispatch may coalesce into a `BatchRequest`
-    /// (DESIGN.md §15). `1` disables batching; the wire then stays
-    /// byte-identical to the pre-batching protocol.
+    /// (DESIGN.md §15). `1` disables batching: every dispatch is a
+    /// batch of one.
     pub max_batch: usize,
     /// How long a runner holding a partial batch waits for a ride-along
     /// request once the backlog is empty. Zero (the default) means
@@ -1248,9 +1248,6 @@ fn serve_with_replica(
     slot: u32,
     proc: &mut ReplicaProc,
 ) -> Option<Vec<Job>> {
-    // Terminal frames for dispatch ids we already answered for the
-    // client (its deadline fired first) still arrive; skip them.
-    let mut stale: Vec<u64> = Vec::new();
     // Per-item compute EWMA (µs) feeding the batch-close deadline
     // check, seeded pessimistically so batches stay small until real
     // compute numbers arrive.
@@ -1266,8 +1263,7 @@ fn serve_with_replica(
                 .histogram_with("mime_frontdoor_batch_size", &[], &BATCH_SIZE_BUCKETS)
                 .observe(batch.len() as f64);
         }
-        let outcome =
-            dispatch_batch(shared, slot, proc, batch, &mut stale, &mut ewma_compute_us);
+        let outcome = dispatch_batch(shared, slot, proc, batch, &mut ewma_compute_us);
         shared.replica_outstanding[slot as usize].store(0, Ordering::Release);
         if let Err(unanswered) = outcome {
             return Some(unanswered);
@@ -1376,17 +1372,15 @@ fn grow_batch(
     }
 }
 
-/// Dispatches one formed batch and waits for every item's terminal
-/// frame. A single-item batch encodes as the bare request frame —
-/// byte-identical to the pre-batching wire protocol. On `Err` the
-/// replica died or wedged; the returned jobs are still unanswered and
-/// the caller requeues them.
+/// Dispatches one formed batch (of one or more jobs) as a
+/// `BatchRequest` and waits for every item's terminal frame. On `Err`
+/// the replica died or wedged; the returned jobs are still unanswered
+/// and the caller requeues them.
 fn dispatch_batch(
     shared: &Arc<Shared>,
     slot: u32,
     proc: &mut ReplicaProc,
     batch: Vec<BatchItem>,
-    stale: &mut Vec<u64>,
     ewma_compute_us: &mut f64,
 ) -> Result<(), Vec<Job>> {
     let now = Instant::now();
@@ -1422,23 +1416,20 @@ fn dispatch_batch(
     if proc.send(&Frame::BatchRequest { items }).is_err() {
         return Err(pending.into_iter().map(|(_, i)| i.job).collect());
     }
-    await_batch_replies(shared, slot, proc, pending, max_remaining, stale, ewma_compute_us)
+    await_batch_replies(shared, slot, proc, pending, max_remaining, ewma_compute_us)
 }
 
-/// Waits until every dispatched item has its terminal frame, refreshing
-/// the liveness deadline on heartbeats. Accepts both a coalesced
-/// `BatchReply` and bare per-item frames (the 1-item wire form, and
-/// stale singles from before a death). A silent replica past the
-/// liveness window is Suspect and killed; the unanswered jobs ride the
-/// `Err` back for requeue.
-#[allow(clippy::too_many_arguments)]
+/// Waits until every dispatched item has its terminal frame (the
+/// replica answers each item with its own `Reply` or `ErrorReply`),
+/// refreshing the liveness deadline on heartbeats. A silent replica past
+/// the liveness window is Suspect and killed; the unanswered jobs ride
+/// the `Err` back for requeue.
 fn await_batch_replies(
     shared: &Arc<Shared>,
     slot: u32,
     proc: &mut ReplicaProc,
     mut pending: Vec<(u64, BatchItem)>,
     max_remaining: Duration,
-    stale: &mut Vec<u64>,
     ewma_compute_us: &mut f64,
 ) -> Result<(), Vec<Job>> {
     let dispatched = Instant::now();
@@ -1451,18 +1442,9 @@ fn await_batch_replies(
     loop {
         match proc.recv_timeout(TICK) {
             Ok(Frame::Heartbeat { .. }) => last_seen = Instant::now(),
-            Ok(Frame::BatchReply { items }) => {
-                last_seen = Instant::now();
-                for frame in items {
-                    settle_one(shared, frame, &mut pending, stale, ewma_compute_us);
-                }
-                if pending.is_empty() {
-                    return Ok(());
-                }
-            }
             Ok(frame @ (Frame::Reply { .. } | Frame::ErrorReply { .. })) => {
                 last_seen = Instant::now();
-                settle_one(shared, frame, &mut pending, stale, ewma_compute_us);
+                settle_one(shared, frame, &mut pending, ewma_compute_us);
                 if pending.is_empty() {
                     return Ok(());
                 }
@@ -1496,7 +1478,6 @@ fn await_batch_replies(
                         replica = slot,
                         outstanding = pending.len()
                     );
-                    stale.extend(pending.iter().map(|(id, _)| *id));
                     return Err(pending.into_iter().map(|(_, i)| i.job).collect());
                 }
             }
@@ -1506,22 +1487,18 @@ fn await_batch_replies(
 
 /// Routes one replica terminal frame: a dispatch id we are waiting on
 /// is rewritten to the client's request id (with the front door's
-/// measured queue wait stamped in) and finished; anything else clears a
-/// stale entry. Replies also feed the per-item compute EWMA the batch
+/// measured queue wait stamped in) and finished; any other id is
+/// ignored. Replies also feed the per-item compute EWMA the batch
 /// former predicts with.
 fn settle_one(
     shared: &Arc<Shared>,
     frame: Frame,
     pending: &mut Vec<(u64, BatchItem)>,
-    stale: &mut Vec<u64>,
     ewma_compute_us: &mut f64,
 ) {
     match frame {
         Frame::Reply { id, trace, degraded, queue_us: _, compute_us, rung, logits } => {
-            let Some(pos) = pending.iter().position(|(d, _)| *d == id) else {
-                stale.retain(|&s| s != id);
-                return;
-            };
+            let Some(pos) = pending.iter().position(|(d, _)| *d == id) else { return };
             let (_, item) = pending.swap_remove(pos);
             *ewma_compute_us = 0.8 * *ewma_compute_us + 0.2 * f64::from(compute_us);
             let frame = Frame::Reply {
@@ -1536,10 +1513,7 @@ fn settle_one(
             shared.finish(&item.job, frame);
         }
         Frame::ErrorReply { id, trace, code, rung, retry_after_ms, message } => {
-            let Some(pos) = pending.iter().position(|(d, _)| *d == id) else {
-                stale.retain(|&s| s != id);
-                return;
-            };
+            let Some(pos) = pending.iter().position(|(d, _)| *d == id) else { return };
             let (_, item) = pending.swap_remove(pos);
             if code == ErrorCode::DeadlineExceeded {
                 shared.overload.observe_deadline_miss(Instant::now());

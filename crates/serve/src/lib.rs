@@ -23,9 +23,12 @@
 //!   one), graceful drain shutdown, and chaos hooks ([`FaultPlan`]).
 //! * [`proto`] — the length-framed wire protocol for multi-process
 //!   serving: typed request/reply/error frames, heartbeats, and a
-//!   fragmentation-tolerant [`proto::FrameReader`].
+//!   fragmentation-tolerant [`proto::FrameReader`]. One frame version:
+//!   the replica hop carries a `BatchRequest` of one or more requests
+//!   in and one terminal frame per request out.
 //! * [`replica`] — the process-level isolation unit:
-//!   [`replica::run_replica_worker`] (the child-side serving loop with
+//!   [`replica::run_replica_worker`] (the child-side serving loop, one
+//!   request path where a single request is a batch of one, with
 //!   between-layer heartbeats and `--inject replica-*` faults) and
 //!   [`replica::ReplicaProc`] (the supervisor-side child handle).
 //! * [`FrontDoor`] — the TCP front door and replica supervisor:

@@ -12,7 +12,10 @@
 //!
 //! The client-visible contract: every `Request` receives exactly one
 //! terminal frame — a `Reply` (success or degraded-to-parent) or an
-//! `ErrorReply` carrying one of the typed [`ErrorCode`]s.
+//! `ErrorReply` carrying one of the typed [`ErrorCode`]s. On the replica
+//! hop the front door sends every request inside a `BatchRequest` (one
+//! item or more), and the replica answers each item with its own
+//! terminal frame.
 
 use mime_obs::trace::SpanEvent;
 use mime_tensor::Tensor;
@@ -56,25 +59,12 @@ const KIND_TRACE_CHUNK: u8 = 9;
 const KIND_CLOCK_PROBE: u8 = 10;
 const KIND_CLOCK_REPLY: u8 = 11;
 const KIND_METRICS_CHUNK: u8 = 12;
-// v2 request/reply/error frames append brownout fields (`rung`, and
-// `retry_after_ms` on errors) after the v1 payload. Encoders emit the
-// v1 kind whenever every appended field is zero, so healthy rung-0
-// traffic stays byte-identical to older peers and older decoders never
-// see a kind they don't know; decoders accept both and default the
-// missing fields to zero.
-const KIND_REQUEST_V2: u8 = 13;
-const KIND_REPLY_V2: u8 = 14;
-const KIND_ERROR_V2: u8 = 15;
-// v3 batch frames carry several requests (or their terminal replies) in
-// one frame as nested `kind|len|payload` subframes. A batch of exactly
-// one encodes as the bare v1/v2 kind — single-request traffic stays
-// byte-identical to the v2 protocol and older peers never see kinds
-// 16/17 unless real coalescing happened.
+// A batch request carries its requests as nested `kind|len|payload`
+// subframes behind a u16 count.
 const KIND_BATCH_REQUEST: u8 = 16;
-const KIND_BATCH_REPLY: u8 = 17;
 
-/// Cap on requests coalesced into one `BatchRequest` (and replies in a
-/// `BatchReply`); a hostile count field is rejected before allocation.
+/// Cap on requests in one `BatchRequest`; a hostile count field is
+/// rejected before allocation.
 pub const MAX_BATCH_ITEMS: usize = 256;
 
 /// Request input: either a raw `[C, H, W]` tensor, or a deterministic
@@ -145,7 +135,8 @@ impl ErrorCode {
 /// One protocol frame.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
-    /// One inference request (client → front door, front door → replica).
+    /// One inference request (client → front door; front door →
+    /// replica only as an item of a [`Frame::BatchRequest`]).
     Request {
         /// Caller-chosen id echoed on the terminal frame.
         id: u64,
@@ -265,21 +256,14 @@ pub enum Frame {
         /// `MetricsSnapshot::encode` bytes (decoded at ingestion).
         snapshot: Vec<u8>,
     },
-    /// Front door → replica: several coalesced [`Frame::Request`]s
-    /// (mixed tasks, mixed rungs) to execute as one batched pass over
-    /// the shared backbone. A batch of one encodes as the bare request
-    /// kind, so batch=1 wire bytes stay identical to the v2 protocol.
+    /// Front door → replica: the only work frame on the replica hop —
+    /// one or more coalesced [`Frame::Request`]s (mixed tasks, mixed
+    /// rungs) to execute as one batched pass over the shared backbone.
+    /// The replica answers each item with its own [`Frame::Reply`] or
+    /// [`Frame::ErrorReply`], in request order.
     BatchRequest {
         /// The coalesced requests, each a [`Frame::Request`], in
-        /// dispatch order (at most [`MAX_BATCH_ITEMS`]).
-        items: Vec<Frame>,
-    },
-    /// Replica → front door: one terminal frame per `BatchRequest`
-    /// item, in the same order — each a [`Frame::Reply`] or
-    /// [`Frame::ErrorReply`]. A batch of one encodes as the bare
-    /// terminal kind.
-    BatchReply {
-        /// Per-item terminal frames, request order.
+        /// dispatch order (1..=[`MAX_BATCH_ITEMS`]).
         items: Vec<Frame>,
     },
 }
@@ -346,6 +330,7 @@ fn encode_payload(frame: &Frame) -> (u8, Vec<u8>) {
             put_u64(&mut p, *trace);
             put_u32(&mut p, *task);
             put_u32(&mut p, *deadline_ms);
+            p.push(*rung);
             match input {
                 RequestInput::Probe(i) => {
                     p.push(0);
@@ -362,12 +347,7 @@ fn encode_payload(frame: &Frame) -> (u8, Vec<u8>) {
                     }
                 }
             }
-            if *rung == 0 {
-                KIND_REQUEST
-            } else {
-                p.push(*rung);
-                KIND_REQUEST_V2
-            }
+            KIND_REQUEST
         }
         Frame::Reply { id, trace, degraded, queue_us, compute_us, rung, logits } => {
             put_u64(&mut p, *id);
@@ -375,32 +355,24 @@ fn encode_payload(frame: &Frame) -> (u8, Vec<u8>) {
             p.push(u8::from(*degraded));
             put_u32(&mut p, *queue_us);
             put_u32(&mut p, *compute_us);
+            p.push(*rung);
             put_u32(&mut p, logits.len() as u32);
             for &v in logits {
                 put_u32(&mut p, v.to_bits());
             }
-            if *rung == 0 {
-                KIND_REPLY
-            } else {
-                p.push(*rung);
-                KIND_REPLY_V2
-            }
+            KIND_REPLY
         }
         Frame::ErrorReply { id, trace, code, rung, retry_after_ms, message } => {
             put_u64(&mut p, *id);
             put_u64(&mut p, *trace);
             p.push(code.to_u8());
+            p.push(*rung);
+            put_u32(&mut p, *retry_after_ms);
             let msg = message.as_bytes();
             let n = msg.len().min(u16::MAX as usize);
             put_u16(&mut p, n as u16);
             p.extend_from_slice(&msg[..n]);
-            if *rung == 0 && *retry_after_ms == 0 {
-                KIND_ERROR
-            } else {
-                p.push(*rung);
-                put_u32(&mut p, *retry_after_ms);
-                KIND_ERROR_V2
-            }
+            KIND_ERROR
         }
         Frame::Heartbeat { seq, trace } => {
             put_u64(&mut p, *seq);
@@ -457,46 +429,22 @@ fn encode_payload(frame: &Frame) -> (u8, Vec<u8>) {
             KIND_METRICS_CHUNK
         }
         Frame::BatchRequest { items } => {
-            // A 1-item batch is the bare request — byte-identical to
-            // the v2 protocol, so uncoalesced traffic never changes.
-            if items.len() == 1 {
-                return encode_payload(&items[0]);
-            }
             debug_assert!(
                 items.iter().all(|f| matches!(f, Frame::Request { .. })),
                 "batch request items must be Request frames"
             );
-            put_subframes(&mut p, items);
-            KIND_BATCH_REQUEST
-        }
-        Frame::BatchReply { items } => {
-            if items.len() == 1 {
-                return encode_payload(&items[0]);
+            let n = items.len().min(MAX_BATCH_ITEMS);
+            put_u16(&mut p, n as u16);
+            for item in &items[..n] {
+                let (kind, payload) = encode_payload(item);
+                p.push(kind);
+                put_u32(&mut p, payload.len() as u32);
+                p.extend_from_slice(&payload);
             }
-            debug_assert!(
-                items
-                    .iter()
-                    .all(|f| matches!(f, Frame::Reply { .. } | Frame::ErrorReply { .. })),
-                "batch reply items must be terminal frames"
-            );
-            put_subframes(&mut p, items);
-            KIND_BATCH_REPLY
+            KIND_BATCH_REQUEST
         }
     };
     (kind, p)
-}
-
-/// Encodes `items` as nested `kind|len|payload` subframes, preceded by
-/// a u16 count (capped at [`MAX_BATCH_ITEMS`]).
-fn put_subframes(p: &mut Vec<u8>, items: &[Frame]) {
-    let n = items.len().min(MAX_BATCH_ITEMS);
-    put_u16(p, n as u16);
-    for item in &items[..n] {
-        let (kind, payload) = encode_payload(item);
-        p.push(kind);
-        put_u32(p, payload.len() as u32);
-        p.extend_from_slice(&payload);
-    }
 }
 
 /// Writes one frame (header + payload) and flushes.
@@ -577,35 +525,6 @@ fn decode_str(c: &mut Cursor<'_>, what: &str) -> Result<String, ProtoError> {
     Ok(String::from_utf8_lossy(c.take(n, what)?).into_owned())
 }
 
-/// Decodes the nested subframes of a batch frame: a u16 count, then
-/// `count` inner `kind|len|payload` records whose kinds must satisfy
-/// `kind_ok` (nesting batch frames inside batch frames is rejected, so
-/// decode recursion is bounded at depth two).
-fn take_subframes(
-    c: &mut Cursor<'_>,
-    what: &str,
-    kind_ok: impl Fn(u8) -> bool,
-) -> Result<Vec<Frame>, ProtoError> {
-    let n = c.u16(what)? as usize;
-    if !(2..=MAX_BATCH_ITEMS).contains(&n) {
-        return Err(malformed(format!(
-            "{what} item count {n} out of range (2..={MAX_BATCH_ITEMS}; \
-             single items use the bare frame kind)"
-        )));
-    }
-    let mut items = Vec::with_capacity(n);
-    for _ in 0..n {
-        let kind = c.u8("subframe kind")?;
-        if !kind_ok(kind) {
-            return Err(malformed(format!("kind {kind} not allowed in a {what}")));
-        }
-        let len = c.u32("subframe length")? as usize;
-        let raw = c.take(len, "subframe payload")?;
-        items.push(decode_payload(kind, raw)?);
-    }
-    Ok(items)
-}
-
 fn decode_f32s(c: &mut Cursor<'_>, n: usize, what: &str) -> Result<Vec<f32>, ProtoError> {
     if n > MAX_ELEMS {
         return Err(malformed(format!("{what} count {n} exceeds {MAX_ELEMS}")));
@@ -620,11 +539,12 @@ fn decode_f32s(c: &mut Cursor<'_>, n: usize, what: &str) -> Result<Vec<f32>, Pro
 fn decode_payload(kind: u8, payload: &[u8]) -> Result<Frame, ProtoError> {
     let mut c = Cursor::new(payload);
     let frame = match kind {
-        KIND_REQUEST | KIND_REQUEST_V2 => {
+        KIND_REQUEST => {
             let id = c.u64("request id")?;
             let trace = c.u64("trace id")?;
             let task = c.u32("task id")?;
             let deadline_ms = c.u32("deadline")?;
+            let rung = c.u8("request rung")?;
             let input = match c.u8("input kind")? {
                 0 => RequestInput::Probe(c.u32("probe index")?),
                 1 => {
@@ -649,11 +569,10 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Frame, ProtoError> {
                 }
                 other => return Err(malformed(format!("unknown input kind {other}"))),
             };
-            let rung = if kind == KIND_REQUEST_V2 { c.u8("request rung")? } else { 0 };
             c.done("request")?;
             Frame::Request { id, trace, task, deadline_ms, rung, input }
         }
-        KIND_REPLY | KIND_REPLY_V2 => {
+        KIND_REPLY => {
             let id = c.u64("reply id")?;
             let trace = c.u64("reply trace id")?;
             let degraded = match c.u8("degraded flag")? {
@@ -663,24 +582,21 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Frame, ProtoError> {
             };
             let queue_us = c.u32("queue time")?;
             let compute_us = c.u32("compute time")?;
+            let rung = c.u8("reply rung")?;
             let n = c.u32("logit count")? as usize;
             let logits = decode_f32s(&mut c, n, "logits")?;
-            let rung = if kind == KIND_REPLY_V2 { c.u8("reply rung")? } else { 0 };
             c.done("reply")?;
             Frame::Reply { id, trace, degraded, queue_us, compute_us, rung, logits }
         }
-        KIND_ERROR | KIND_ERROR_V2 => {
+        KIND_ERROR => {
             let id = c.u64("error id")?;
             let trace = c.u64("error trace id")?;
             let code = ErrorCode::from_u8(c.u8("error code")?)?;
+            let rung = c.u8("error rung")?;
+            let retry_after_ms = c.u32("retry-after hint")?;
             let n = c.u16("message length")? as usize;
             let raw = c.take(n, "error message")?;
             let message = String::from_utf8_lossy(raw).into_owned();
-            let (rung, retry_after_ms) = if kind == KIND_ERROR_V2 {
-                (c.u8("error rung")?, c.u32("retry-after hint")?)
-            } else {
-                (0, 0)
-            };
             c.done("error reply")?;
             Frame::ErrorReply { id, trace, code, rung, retry_after_ms, message }
         }
@@ -771,18 +687,27 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Frame, ProtoError> {
             Frame::MetricsChunk { replica, snapshot }
         }
         KIND_BATCH_REQUEST => {
-            let items = take_subframes(&mut c, "batch request", |k| {
-                matches!(k, KIND_REQUEST | KIND_REQUEST_V2)
-            })?;
+            // only request subframes: no nested batches, so decode
+            // recursion is bounded at depth two
+            let n = c.u16("batch item count")? as usize;
+            if !(1..=MAX_BATCH_ITEMS).contains(&n) {
+                return Err(malformed(format!(
+                    "batch item count {n} out of range (1..={MAX_BATCH_ITEMS})"
+                )));
+            }
+            let mut items = Vec::with_capacity(n);
+            for _ in 0..n {
+                let kind = c.u8("subframe kind")?;
+                if kind != KIND_REQUEST {
+                    return Err(malformed(format!(
+                        "kind {kind} not allowed in a batch request"
+                    )));
+                }
+                let len = c.u32("subframe length")? as usize;
+                items.push(decode_payload(kind, c.take(len, "subframe payload")?)?);
+            }
             c.done("batch request")?;
             Frame::BatchRequest { items }
-        }
-        KIND_BATCH_REPLY => {
-            let items = take_subframes(&mut c, "batch reply", |k| {
-                matches!(k, KIND_REPLY | KIND_REPLY_V2 | KIND_ERROR | KIND_ERROR_V2)
-            })?;
-            c.done("batch reply")?;
-            Frame::BatchReply { items }
         }
         other => return Err(malformed(format!("unknown frame kind {other}"))),
     };
@@ -1006,116 +931,6 @@ mod tests {
         round_trip(Frame::MetricsChunk { replica: 1, snapshot: vec![9, 8, 7] });
     }
 
-    /// Zeroed brownout fields must encode as the v1 kinds — the
-    /// rung-0 wire bytes are the backward-compatibility contract (an
-    /// older peer never sees kinds 13..15 from a healthy fleet).
-    #[test]
-    fn zero_brownout_fields_encode_as_v1_kinds() {
-        let (kind, _) = encode_payload(&Frame::Request {
-            id: 1,
-            trace: 2,
-            task: 0,
-            deadline_ms: 0,
-            rung: 0,
-            input: RequestInput::Probe(0),
-        });
-        assert_eq!(kind, KIND_REQUEST);
-        let (kind, _) = encode_payload(&Frame::Reply {
-            id: 1,
-            trace: 2,
-            degraded: false,
-            queue_us: 0,
-            compute_us: 0,
-            rung: 0,
-            logits: vec![1.0],
-        });
-        assert_eq!(kind, KIND_REPLY);
-        let (kind, _) = encode_payload(&Frame::ErrorReply {
-            id: 1,
-            trace: 2,
-            code: ErrorCode::Overloaded,
-            rung: 0,
-            retry_after_ms: 0,
-            message: "full".into(),
-        });
-        assert_eq!(kind, KIND_ERROR);
-
-        // and nonzero fields select the v2 kinds
-        let (kind, _) = encode_payload(&Frame::Request {
-            id: 1,
-            trace: 2,
-            task: 0,
-            deadline_ms: 0,
-            rung: 1,
-            input: RequestInput::Probe(0),
-        });
-        assert_eq!(kind, KIND_REQUEST_V2);
-        let (kind, _) = encode_payload(&Frame::ErrorReply {
-            id: 1,
-            trace: 2,
-            code: ErrorCode::Overloaded,
-            rung: 0,
-            retry_after_ms: 100,
-            message: "full".into(),
-        });
-        assert_eq!(kind, KIND_ERROR_V2);
-    }
-
-    /// Hand-built v1 byte streams (no rung fields on the wire) decode
-    /// with the brownout fields defaulted to zero.
-    #[test]
-    fn legacy_v1_bytes_decode_with_zero_rung() {
-        let mut p = Vec::new();
-        put_u64(&mut p, 7); // id
-        put_u64(&mut p, 99); // trace
-        put_u32(&mut p, 2); // task
-        put_u32(&mut p, 1500); // deadline
-        p.push(0); // probe input
-        put_u32(&mut p, 41);
-        let frame = decode_payload(KIND_REQUEST, &p).unwrap();
-        assert_eq!(
-            frame,
-            Frame::Request {
-                id: 7,
-                trace: 99,
-                task: 2,
-                deadline_ms: 1500,
-                rung: 0,
-                input: RequestInput::Probe(41),
-            }
-        );
-
-        let mut p = Vec::new();
-        put_u64(&mut p, 9); // id
-        put_u64(&mut p, 99); // trace
-        p.push(1); // degraded
-        put_u32(&mut p, 1200); // queue_us
-        put_u32(&mut p, 35_000); // compute_us
-        put_u32(&mut p, 1); // logit count
-        put_u32(&mut p, 0.5f32.to_bits());
-        let frame = decode_payload(KIND_REPLY, &p).unwrap();
-        assert!(matches!(frame, Frame::Reply { rung: 0, .. }));
-
-        let mut p = Vec::new();
-        put_u64(&mut p, 4); // id
-        put_u64(&mut p, 0); // trace
-        p.push(0); // code: Overloaded
-        put_u16(&mut p, 4);
-        p.extend_from_slice(b"full");
-        let frame = decode_payload(KIND_ERROR, &p).unwrap();
-        assert!(matches!(frame, Frame::ErrorReply { rung: 0, retry_after_ms: 0, .. }));
-
-        // v1 kinds with trailing rung bytes are still rejected: the
-        // appended fields belong to the v2 kinds only.
-        let mut p = Vec::new();
-        put_u64(&mut p, 4);
-        put_u64(&mut p, 0);
-        p.push(0);
-        put_u16(&mut p, 0);
-        p.push(1); // stray rung byte on a v1 error frame
-        assert!(decode_payload(KIND_ERROR, &p).is_err());
-    }
-
     #[test]
     fn trace_chunk_caps_enforced() {
         // span count beyond the cap is rejected before allocation
@@ -1281,71 +1096,13 @@ mod tests {
         round_trip(Frame::BatchRequest {
             items: vec![req(1, 0, 0), req(2, 1, 3), req(3, 2, 0)],
         });
-        round_trip(Frame::BatchReply {
-            items: vec![
-                Frame::Reply {
-                    id: 1,
-                    trace: 101,
-                    degraded: false,
-                    queue_us: 5,
-                    compute_us: 9,
-                    rung: 0,
-                    logits: vec![1.0, -2.0],
-                },
-                Frame::ErrorReply {
-                    id: 2,
-                    trace: 102,
-                    code: ErrorCode::DeadlineExceeded,
-                    rung: 1,
-                    retry_after_ms: 0,
-                    message: "late".into(),
-                },
-                Frame::Reply {
-                    id: 3,
-                    trace: 103,
-                    degraded: true,
-                    queue_us: 0,
-                    compute_us: 2,
-                    rung: 2,
-                    logits: vec![0.5],
-                },
-            ],
-        });
-    }
-
-    /// A batch of exactly one must encode as the bare v1/v2 kind with
-    /// byte-identical payload — uncoalesced traffic never changes on
-    /// the wire, which is the v2 compatibility contract.
-    #[test]
-    fn single_item_batch_encodes_as_bare_v2_frame() {
-        for single in [req(7, 2, 0), req(8, 1, 3)] {
-            let (bare_kind, bare_payload) = encode_payload(&single);
-            let (kind, payload) =
-                encode_payload(&Frame::BatchRequest { items: vec![single.clone()] });
-            assert_eq!(kind, bare_kind);
-            assert_eq!(payload, bare_payload);
-            assert!(kind != KIND_BATCH_REQUEST);
-        }
-        let reply = Frame::Reply {
-            id: 7,
-            trace: 9,
-            degraded: false,
-            queue_us: 1,
-            compute_us: 2,
-            rung: 0,
-            logits: vec![1.0],
-        };
-        let (bare_kind, bare_payload) = encode_payload(&reply);
-        let (kind, payload) =
-            encode_payload(&Frame::BatchReply { items: vec![reply.clone()] });
-        assert_eq!((kind, &payload), (bare_kind, &bare_payload));
-        assert_eq!(bare_kind, KIND_REPLY);
+        round_trip(Frame::BatchRequest { items: vec![req(4, 1, 2)] });
     }
 
     #[test]
     fn batch_decode_rejects_hostile_payloads() {
-        // count 0 / 1 / over the cap
-        for n in [0u16, 1, (MAX_BATCH_ITEMS + 1) as u16] {
+        // count 0 / over the cap
+        for n in [0u16, (MAX_BATCH_ITEMS + 1) as u16] {
             let mut p = Vec::new();
             put_u16(&mut p, n);
             assert!(decode_payload(KIND_BATCH_REQUEST, &p).is_err(), "count {n}");

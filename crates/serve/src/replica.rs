@@ -3,15 +3,16 @@
 //!
 //! Two halves live here. [`run_replica_worker`] is the *child* side — a
 //! single-threaded loop speaking [`crate::proto`] frames over
-//! stdin/stdout, executing requests against a read-only packed image
-//! and emitting [`Frame::Heartbeat`]s from the executor's between-layer
-//! guard (so a wedged request handler stops beating and the supervisor
-//! can declare it dead). [`ReplicaProc`] is the *supervisor* side — a
-//! spawned [`std::process::Command`] child with piped stdio, a reader
-//! thread turning its stdout into a frame channel (the channel closing
-//! is the death signal), and a stderr thread republishing the child's
-//! log lines through the `MIME_LOG` leveled logger under a
-//! `replica=<n>` key so chaos failures are debuggable from one stream.
+//! stdin/stdout, executing each `BatchRequest` (one request or more)
+//! against a read-only packed image and emitting [`Frame::Heartbeat`]s
+//! from the executor's between-layer guard (so a wedged request handler
+//! stops beating and the supervisor can declare it dead).
+//! [`ReplicaProc`] is the *supervisor* side — a spawned
+//! [`std::process::Command`] child with piped stdio, a reader thread
+//! turning its stdout into a frame channel (the channel closing is the
+//! death signal), and a stderr thread republishing the child's log lines
+//! through the `MIME_LOG` leveled logger under a `replica=<n>` key so
+//! chaos failures are debuggable from one stream.
 
 use crate::proto::{
     read_frame, write_frame, ErrorCode, Frame, ProtoError, RequestInput,
@@ -92,8 +93,9 @@ pub struct ReplicaWorkerConfig {
     pub replica: u32,
     /// Injected fault mode.
     pub fault: ReplicaFault,
-    /// Inject on every `fault_every`-th request this replica serves
-    /// (its local 1-based counter; 0 disables injection).
+    /// Inject on every `fault_every`-th dispatch this replica receives
+    /// (its local 1-based count of `BatchRequest`s: a batch counts once,
+    /// whatever its size; 0 disables injection).
     pub fault_every: usize,
     /// Target heartbeat interval while a request executes.
     pub heartbeat: Duration,
@@ -135,17 +137,20 @@ impl Default for ReplicaWorkerConfig {
 }
 
 /// The child-side worker loop: announce [`Frame::Ready`], then serve
-/// requests from `input` until a [`Frame::Shutdown`] or clean EOF.
+/// [`Frame::BatchRequest`]s from `input` until a [`Frame::Shutdown`] or
+/// clean EOF.
 ///
-/// Every request receives exactly one terminal frame. Panics are *not*
-/// caught here — in multi-process serving the process is the isolation
-/// unit, and the supervisor's requeue path is the recovery route.
+/// Every request item receives exactly one terminal frame. Panics are
+/// *not* caught here — in multi-process serving the process is the
+/// isolation unit, and the supervisor's requeue path is the recovery
+/// route.
 ///
 /// # Errors
 ///
-/// Returns an error on a malformed control stream or a broken stdout
-/// pipe; the CLI surfaces it and exits non-zero (which the supervisor
-/// sees as a death).
+/// Returns an error on a malformed control stream (including a bare
+/// [`Frame::Request`]: requests arrive only as batch items) or a broken
+/// stdout pipe; the CLI surfaces it and exits non-zero (which the
+/// supervisor sees as a death).
 pub fn run_replica_worker(
     plans: &[BoundNetwork],
     hw: ArrayConfig,
@@ -169,12 +174,11 @@ pub fn run_replica_worker(
         },
     )
     .map_err(|e| ProtoError::Malformed(format!("brownout ladder derivation: {e}")))?;
-    let mut exec = HardwareExecutor::with_options(hw, ComputePath::Software, cfg.dispatch);
     // Verified once, off the request path: batch coalescing requires
     // every task plan to be a view over ONE backbone (the MIME
     // invariant). A mixed-weight image — e.g. conventional per-task
-    // baselines packed together — serves batches through the serial
-    // per-item path instead.
+    // baselines packed together — serves each batch item as a batch of
+    // one instead.
     let coalesce = shares_backbone(plans);
     if !coalesce && plans.len() > 1 {
         mime_obs::warn!(
@@ -183,8 +187,15 @@ pub fn run_replica_worker(
             replica = cfg.replica
         );
     }
+    let mut worker = Worker {
+        cfg: &cfg,
+        parents: &parents,
+        ladders: &ladders,
+        coalesce,
+        exec: HardwareExecutor::with_options(hw, ComputePath::Software, cfg.dispatch),
+        heartbeat_seq: 0,
+    };
     let mut served = 0usize;
-    let mut heartbeat_seq = 0u64;
     let mut last_full_ship = std::time::Instant::now();
 
     write_frame(output, &Frame::Ready { replica: cfg.replica, tasks: plans.len() as u32 })
@@ -201,7 +212,7 @@ pub fn run_replica_worker(
             Err(ProtoError::Closed) => return Ok(()),
             Err(e) => return Err(e),
         };
-        let (id, trace, task, deadline_ms, rung, input_spec) = match frame {
+        let items = match frame {
             Frame::Shutdown => {
                 mime_obs::info!(
                     "serve.replica",
@@ -223,55 +234,26 @@ pub fn run_replica_worker(
                 .map_err(ProtoError::Io)?;
                 continue;
             }
-            Frame::Request { id, trace, task, deadline_ms, rung, input } => {
-                (id, trace, task, deadline_ms, rung, input)
-            }
-            Frame::BatchRequest { items } => {
-                served += 1;
-                let inject = cfg.fault_every > 0 && served.is_multiple_of(cfg.fault_every);
-                if inject && cfg.fault == ReplicaFault::Abort {
-                    mime_obs::warn!(
-                        "serve.replica",
-                        "injected abort",
-                        replica = cfg.replica,
-                        batch = items.len()
-                    );
-                    flight::dump_now("abort");
-                    std::process::abort();
-                }
-                let reply = serve_batch(
-                    &mut exec,
-                    plans,
-                    &parents,
-                    &ladders,
-                    coalesce,
-                    &cfg,
-                    items,
-                    if inject { cfg.fault } else { ReplicaFault::None },
-                    &mut heartbeat_seq,
-                    output,
-                )?;
-                if let Frame::BatchReply { items } = &reply {
-                    for item in items {
-                        let trace = match item {
-                            Frame::Reply { trace, .. }
-                            | Frame::ErrorReply { trace, .. } => *trace,
-                            _ => 0,
-                        };
-                        flight::record(FlightKind::Terminal, trace, terminal_detail(item));
-                    }
-                }
-                emit_terminal(&cfg, output, &mut last_full_ship, &reply)?;
-                continue;
-            }
+            Frame::BatchRequest { items } => items,
             other => {
                 return Err(ProtoError::Malformed(format!(
                     "unexpected frame on replica control pipe: {other:?}"
                 )));
             }
         };
+        let mut requests = Vec::with_capacity(items.len());
+        for item in items {
+            let Frame::Request { id, trace, task, deadline_ms, rung, input } = item else {
+                // the decoder already rejects these on the wire; guard
+                // against in-process construction too
+                return Err(ProtoError::Malformed(format!(
+                    "unexpected frame inside BatchRequest: {item:?}"
+                )));
+            };
+            flight::record(FlightKind::Dequeue, trace, u64::from(task));
+            requests.push(Request { id, trace, task, deadline_ms, rung, input });
+        }
 
-        flight::record(FlightKind::Dequeue, trace, u64::from(task));
         served += 1;
         let inject = cfg.fault_every > 0 && served.is_multiple_of(cfg.fault_every);
         if inject && cfg.fault == ReplicaFault::Abort {
@@ -279,71 +261,54 @@ pub fn run_replica_worker(
                 "serve.replica",
                 "injected abort",
                 replica = cfg.replica,
-                request = id
+                batch = requests.len()
             );
             // The flight recorder is the whole post-mortem story for an
             // uncatchable death: dump before the process vanishes, with
-            // this request still in-flight (Dequeue without Terminal).
+            // these requests still in flight (Dequeue without Terminal).
             flight::dump_now("abort");
             std::process::abort();
         }
-
-        let reply = serve_one(
-            &mut exec,
-            plans,
-            &parents,
-            &ladders,
-            &cfg,
-            id,
-            trace,
-            task,
-            deadline_ms,
-            rung,
-            input_spec,
-            if inject { cfg.fault } else { ReplicaFault::None },
-            &mut heartbeat_seq,
-            output,
-        )?;
-        flight::record(FlightKind::Terminal, trace, terminal_detail(&reply));
-        emit_terminal(&cfg, output, &mut last_full_ship, &reply)?;
+        let fault = if inject { cfg.fault } else { ReplicaFault::None };
+        let replies = worker.serve_batch(requests, fault, output)?;
+        emit_terminal(&cfg, output, &mut last_full_ship, &replies)?;
     }
 }
 
-/// Writes a terminal frame, with observability shipped first when
-/// enabled. Ship spans/metrics *before* the terminal frame: once the
-/// supervisor sees the reply, this request's spans are already ingested
-/// — drain order is what makes the stitched trace complete for every
-/// terminated request. Scalar counters ship every request (cheap map
-/// copies, keeps the live scrape exact); full snapshots with histogram
-/// bucket arrays are throttled — cloning and re-decoding every bucket
-/// vector per request measurably slowed the serving path. The obs
-/// frames and the reply coalesce into ONE pipe write: separate writes
-/// meant separate reader-thread wakeups per request, which also showed
-/// up in p50.
+/// Writes one batch's terminal frames, with observability shipped first
+/// when enabled. Ship spans/metrics *before* the terminal frames: once
+/// the supervisor sees a reply, its request's spans are already
+/// ingested — drain order is what makes the stitched trace complete for
+/// every terminated request. Scalar counters ship every batch (cheap
+/// map copies, keeps the live scrape exact); full snapshots with
+/// histogram bucket arrays are throttled — cloning and re-decoding every
+/// bucket vector per request measurably slowed the serving path. The
+/// obs frames and the replies coalesce into ONE pipe write: separate
+/// writes meant separate reader-thread wakeups, which also showed up in
+/// p50.
 fn emit_terminal(
     cfg: &ReplicaWorkerConfig,
     output: &mut impl Write,
     last_full_ship: &mut Instant,
-    reply: &Frame,
+    replies: &[Frame],
 ) -> Result<(), ProtoError> {
+    let mut buf: Vec<u8> = Vec::with_capacity(256);
     if cfg.obs {
-        match reply {
-            Frame::BatchReply { items } => items.iter().for_each(record_replica_outcome),
-            _ => record_replica_outcome(reply),
-        }
+        replies.iter().for_each(record_replica_outcome);
         let full = last_full_ship.elapsed() >= FULL_SNAPSHOT_INTERVAL;
-        let mut batch: Vec<u8> = Vec::with_capacity(256);
-        ship_obs_frames(cfg.replica, &mut batch, full)?;
+        ship_obs_frames(cfg.replica, &mut buf, full)?;
         if full {
             *last_full_ship = Instant::now();
         }
-        write_frame(&mut batch, reply).map_err(ProtoError::Io)?;
-        output.write_all(&batch).map_err(ProtoError::Io)?;
-        output.flush().map_err(ProtoError::Io)?;
-    } else {
-        write_frame(output, reply).map_err(ProtoError::Io)?;
     }
-    Ok(())
+    for reply in replies {
+        if let Frame::Reply { trace, .. } | Frame::ErrorReply { trace, .. } = reply {
+            flight::record(FlightKind::Terminal, *trace, terminal_detail(reply));
+        }
+        write_frame(&mut buf, reply).map_err(ProtoError::Io)?;
+    }
+    output.write_all(&buf).map_err(ProtoError::Io)?;
+    output.flush().map_err(ProtoError::Io)
 }
 
 /// Outcome code stored in a `Terminal` flight event: 0 = ok,
@@ -428,8 +393,8 @@ fn ship_obs_frames(
     Ok(())
 }
 
-/// The between-layer guard both serving paths hand the executor, for one
-/// request or for one coalesced batch (under its lead item's `trace`).
+/// The between-layer guard handed to the executor for one pass, under
+/// its lead item's `trace`.
 ///
 /// The guard is the liveness story: heartbeats are emitted *here*,
 /// between layers, so a hung handler ([`ReplicaFault::Hang`], or a real
@@ -440,7 +405,7 @@ fn layer_guard<'a, W: Write>(
     cfg: &'a ReplicaWorkerConfig,
     fault: ReplicaFault,
     trace: u64,
-    task: String,
+    task: u32,
     deadline: Instant,
     heartbeat_seq: &'a mut u64,
     output: &'a mut W,
@@ -464,7 +429,7 @@ fn layer_guard<'a, W: Write>(
         let now = Instant::now();
         if now > deadline {
             return Err(MimeError::DeadlineExceeded {
-                task: task.clone(),
+                task: format!("task{task}"),
                 over_ms: (now - deadline).as_millis() as u64,
             });
         }
@@ -472,347 +437,286 @@ fn layer_guard<'a, W: Write>(
     }
 }
 
-/// Drives one request to its terminal frame, emitting heartbeats from
-/// the between-layer guard along the way.
-#[allow(clippy::too_many_arguments)]
-fn serve_one(
-    exec: &mut HardwareExecutor,
-    plans: &[BoundNetwork],
-    parents: &[BoundNetwork],
-    ladders: &[BrownoutLadder],
-    cfg: &ReplicaWorkerConfig,
+/// The fields of one [`Frame::Request`] item of a `BatchRequest`.
+struct Request {
     id: u64,
     trace: u64,
     task: u32,
     deadline_ms: u32,
     rung: u8,
     input: RequestInput,
-    fault: ReplicaFault,
-    heartbeat_seq: &mut u64,
-    output: &mut impl Write,
-) -> Result<Frame, ProtoError> {
-    let mut request_span = mime_obs::trace::span_cat("replica_request", "serve.replica");
-    if request_span.is_active() {
-        request_span.arg("trace", trace);
-        request_span.arg("request", id);
-        request_span.arg("task", task);
-        request_span.arg("replica", cfg.replica);
-        if rung > 0 {
-            request_span.arg("rung", rung);
-        }
-    }
-    let Some(ladder) = ladders.get(task as usize) else {
-        return Ok(Frame::ErrorReply {
-            id,
-            trace,
-            code: ErrorCode::UnknownTask,
-            rung,
-            retry_after_ms: 0,
-            message: format!("task {task} of {}", plans.len()),
-        });
-    };
-    // Degradation order (DESIGN.md §13): rungs validated at startup
-    // serve their browned threshold banks; a rung beyond the validated
-    // ladder depth serves the thresholds-stripped parent path and is
-    // marked degraded — quality-unknown territory the ladder refused to
-    // certify. Rung 0 is the ladder's bit-identical clone of the plan.
-    let (plan, beyond_ladder) = if (rung as usize) < ladder.len() {
-        (ladder.plan(rung as usize), false)
-    } else {
-        (&parents[task as usize], true)
-    };
-    let image = match input {
-        RequestInput::Probe(i) => crate::proto::probe_image(i as usize),
-        RequestInput::Tensor(t) => t,
-    };
-    let budget = if deadline_ms == 0 {
-        cfg.default_deadline
-    } else {
-        Duration::from_millis(u64::from(deadline_ms))
-    };
-    let started = Instant::now();
-    let mut guard = layer_guard(
-        cfg,
-        fault,
-        trace,
-        format!("task{task}"),
-        started + budget,
-        heartbeat_seq,
-        output,
-    );
-    let primary = (|| {
-        plan.validate_thresholds()?;
-        exec.run_image_guarded(plan, &image, cfg.zero_skip, &mut guard)
-    })();
-    let compute_us = started.elapsed().as_micros().min(u128::from(u32::MAX)) as u32;
-    Ok(match primary {
-        Ok(logits) => Frame::Reply {
-            id,
-            trace,
-            degraded: beyond_ladder,
-            queue_us: 0,
-            compute_us,
-            rung,
-            logits,
-        },
-        Err(MimeError::DeadlineExceeded { over_ms, .. }) => Frame::ErrorReply {
-            id,
-            trace,
-            code: ErrorCode::DeadlineExceeded,
-            rung,
-            retry_after_ms: 0,
-            message: format!("{over_ms}ms over budget"),
-        },
-        Err(primary_err) => {
-            // Permanent primary-path failure: the exact parent path is
-            // the gentler route, exactly as the in-process server
-            // degrades (PR 1's fallback).
-            mime_obs::warn!(
-                "serve.replica",
-                "primary path failed; serving parent fallback",
-                replica = cfg.replica,
-                request = id,
-                error = primary_err
-            );
-            match exec.run_image_guarded(
-                &parents[task as usize],
-                &image,
-                cfg.zero_skip,
-                &mut guard,
-            ) {
-                Ok(logits) => {
-                    let compute_us =
-                        started.elapsed().as_micros().min(u128::from(u32::MAX)) as u32;
-                    Frame::Reply {
-                        id,
-                        trace,
-                        degraded: true,
-                        queue_us: 0,
-                        compute_us,
-                        rung,
-                        logits,
-                    }
-                }
-                Err(MimeError::DeadlineExceeded { over_ms, .. }) => Frame::ErrorReply {
-                    id,
-                    trace,
-                    code: ErrorCode::DeadlineExceeded,
-                    rung,
-                    retry_after_ms: 0,
-                    message: format!("{over_ms}ms over budget"),
-                },
-                Err(parent_err) => Frame::ErrorReply {
-                    id,
-                    trace,
-                    code: ErrorCode::FailedAfterRetries,
-                    rung,
-                    retry_after_ms: 0,
-                    message: format!("primary: {primary_err}; parent: {parent_err}"),
-                },
-            }
-        }
-    })
 }
 
-/// Drives one coalesced batch to its [`Frame::BatchReply`] (one
-/// terminal sub-frame per item, in request order).
-///
-/// Each item resolves its plan view exactly as [`serve_one`] would:
-/// unknown task → typed error; a rung beyond the validated ladder or an
-/// invalid threshold bank → the thresholds-stripped parent, marked
-/// degraded. All runnable items then execute as ONE pass over the
-/// shared backbone ([`HardwareExecutor::run_coalesced_guarded`]) — the
-/// weights stream once for the whole batch and only per-sample
-/// threshold banks are swapped between samples — so per-item logits are
-/// bit-identical to serial serving.
-///
-/// The batch runs under the loosest in-batch deadline budget (the front
-/// door already closed the batch window against the *tightest* one);
-/// items whose own budget lapsed by the end fail individually with
-/// `DeadlineExceeded`. A pass stopped by that loosest budget is past
-/// every item's budget, so every item fails `DeadlineExceeded` without
-/// another pass. Any other whole-batch failure (malformed input,
-/// non-finite logits), or a mixed-weight image with coalescing
-/// disabled, falls back to the serial per-item path, preserving
-/// single-request semantics — parent fallback included.
-#[allow(clippy::too_many_arguments)]
-fn serve_batch(
-    exec: &mut HardwareExecutor,
-    plans: &[BoundNetwork],
-    parents: &[BoundNetwork],
-    ladders: &[BrownoutLadder],
+/// A request resolved to what a pass runs.
+struct Item<'a> {
+    id: u64,
+    trace: u64,
+    task: u32,
+    rung: u8,
+    /// The plan view it runs on: its ladder rung, or the parent.
+    plan: &'a BoundNetwork,
+    /// Served by the thresholds-stripped parent.
+    degraded: bool,
+    image: Tensor,
+    budget: Duration,
+}
+
+/// One replica's serving state, built once before `Ready`.
+struct Worker<'a> {
+    cfg: &'a ReplicaWorkerConfig,
+    /// Each plan with its thresholds stripped: the exact parent path.
+    parents: &'a [BoundNetwork],
+    ladders: &'a [BrownoutLadder],
+    /// Whether a pass may run several items at once (see
+    /// [`shares_backbone`]).
     coalesce: bool,
-    cfg: &ReplicaWorkerConfig,
-    items: Vec<Frame>,
-    fault: ReplicaFault,
-    heartbeat_seq: &mut u64,
-    output: &mut impl Write,
-) -> Result<Frame, ProtoError> {
-    struct Req {
-        id: u64,
-        trace: u64,
-        task: u32,
-        deadline_ms: u32,
-        rung: u8,
+    exec: HardwareExecutor,
+    heartbeat_seq: u64,
+}
+
+impl<'a> Worker<'a> {
+    /// Drives one `BatchRequest` to its terminal frames, one per item in
+    /// request order, emitting heartbeats from the between-layer guard.
+    ///
+    /// Each item gets its own `replica_request` span and resolves its
+    /// plan view: unknown task → typed error; a rung beyond the
+    /// validated ladder or an invalid threshold bank → the
+    /// thresholds-stripped parent, marked degraded. The runnable items
+    /// then run as one pass ([`Worker::run_pass`]).
+    fn serve_batch(
+        &mut self,
+        requests: Vec<Request>,
+        fault: ReplicaFault,
+        output: &mut impl Write,
+    ) -> Result<Vec<Frame>, ProtoError> {
+        let batch = requests.len();
+        let _spans: Vec<_> = requests
+            .iter()
+            .map(|r| {
+                let mut span =
+                    mime_obs::trace::span_cat("replica_request", "serve.replica");
+                if span.is_active() {
+                    span.arg("trace", r.trace);
+                    span.arg("request", r.id);
+                    span.arg("task", r.task);
+                    span.arg("replica", self.cfg.replica);
+                    span.arg("batch", batch);
+                    if r.rung > 0 {
+                        span.arg("rung", r.rung);
+                    }
+                }
+                span
+            })
+            .collect();
+        let resolved: Vec<_> = requests.into_iter().map(|r| self.resolve(r)).collect();
+        let runnable: Vec<&Item<'a>> = resolved.iter().flatten().collect();
+        let mut answers = self.run_pass(&runnable, fault, output)?.into_iter();
+        Ok(resolved
+            .into_iter()
+            .map(|r| match r {
+                Ok(_) => answers.next().expect("one answer per runnable item"),
+                Err(reply) => reply,
+            })
+            .collect())
     }
-    let mut reqs = Vec::with_capacity(items.len());
-    let mut inputs = Vec::with_capacity(items.len());
-    for item in items {
-        match item {
-            Frame::Request { id, trace, task, deadline_ms, rung, input } => {
-                flight::record(FlightKind::Dequeue, trace, u64::from(task));
-                reqs.push(Req { id, trace, task, deadline_ms, rung });
-                inputs.push(input);
-            }
-            other => {
-                // the decoder already rejects these on the wire; guard
-                // against in-process construction too
-                return Err(ProtoError::Malformed(format!(
-                    "unexpected frame inside BatchRequest: {other:?}"
-                )));
-            }
-        }
-    }
-    let mut span = mime_obs::trace::span_cat("replica_batch", "serve.replica");
-    if span.is_active() {
-        span.arg("batch", reqs.len());
-        span.arg("replica", cfg.replica);
-    }
-    let mut replies: Vec<Option<Frame>> = (0..reqs.len()).map(|_| None).collect();
-    // (item index, plan view, degraded, image, budget)
-    let mut run: Vec<(usize, &BoundNetwork, bool, Tensor, Duration)> =
-        Vec::with_capacity(reqs.len());
-    for (i, r) in reqs.iter().enumerate() {
-        let Some(ladder) = ladders.get(r.task as usize) else {
-            replies[i] = Some(Frame::ErrorReply {
+
+    /// The plan view, input image and budget `r` runs with, or its
+    /// terminal frame when it cannot run. Degradation order (DESIGN.md
+    /// §13): rungs validated at startup serve their browned threshold
+    /// banks; a rung beyond the validated ladder depth serves the
+    /// thresholds-stripped parent path and is marked degraded —
+    /// quality-unknown territory the ladder refused to certify. Rung 0
+    /// is the ladder's bit-identical clone of the plan.
+    fn resolve(&self, r: Request) -> Result<Item<'a>, Frame> {
+        let Some(ladder) = self.ladders.get(r.task as usize) else {
+            return Err(Frame::ErrorReply {
                 id: r.id,
                 trace: r.trace,
                 code: ErrorCode::UnknownTask,
                 rung: r.rung,
                 retry_after_ms: 0,
-                message: format!("task {} of {}", r.task, plans.len()),
+                message: format!("task {} of {}", r.task, self.ladders.len()),
             });
-            continue;
         };
-        let (plan, beyond_ladder) = if (r.rung as usize) < ladder.len() {
+        let parent = &self.parents[r.task as usize];
+        let (plan, degraded) = if (r.rung as usize) < ladder.len() {
             (ladder.plan(r.rung as usize), false)
         } else {
-            (&parents[r.task as usize], true)
+            (parent, true)
         };
-        // pre-substitute the degradation serial serving reaches: an
-        // invalid bank never runs the primary path
         let (plan, degraded) = if plan.validate_thresholds().is_ok() {
-            (plan, beyond_ladder)
+            (plan, degraded)
         } else {
-            (&parents[r.task as usize], true)
+            (parent, true)
         };
-        let image = match &inputs[i] {
-            RequestInput::Probe(p) => crate::proto::probe_image(*p as usize),
-            RequestInput::Tensor(t) => t.clone(),
-        };
-        let budget = if r.deadline_ms == 0 {
-            cfg.default_deadline
-        } else {
-            Duration::from_millis(u64::from(r.deadline_ms))
-        };
-        run.push((i, plan, degraded, image, budget));
-    }
-    if !run.is_empty() {
-        let started = Instant::now();
-        let max_budget = run.iter().map(|(.., b)| *b).max().expect("run is non-empty");
-        let views: Vec<&BoundNetwork> = run.iter().map(|&(_, p, ..)| p).collect();
-        let images: Vec<&Tensor> = run.iter().map(|(_, _, _, img, _)| img).collect();
-        let coalesced = coalesce.then(|| {
-            let mut guard = layer_guard(
-                cfg,
-                fault,
-                reqs[run[0].0].trace,
-                "batch".to_string(),
-                started + max_budget,
-                heartbeat_seq,
-                output,
-            );
-            exec.run_coalesced_guarded(&views, &images, cfg.zero_skip, &mut guard)
-        });
-        let lapsed = |r: &Req, over: Duration| Frame::ErrorReply {
+        Ok(Item {
             id: r.id,
             trace: r.trace,
-            code: ErrorCode::DeadlineExceeded,
+            task: r.task,
             rung: r.rung,
-            retry_after_ms: 0,
-            message: format!("{}ms over budget (batched)", over.as_millis()),
-        };
-        match coalesced {
-            Some(Ok(all_logits)) => {
-                let elapsed = started.elapsed();
-                // per-item compute attribution: an equal share of the
-                // one backbone pass (what the front door's batch-close
-                // EWMA consumes)
-                let share_us = (elapsed.as_micros() / run.len().max(1) as u128)
-                    .min(u128::from(u32::MAX)) as u32;
-                for ((i, _, degraded, _, budget), logits) in run.iter().zip(all_logits) {
-                    let r = &reqs[*i];
-                    replies[*i] = Some(if elapsed > *budget {
-                        lapsed(r, elapsed - *budget)
-                    } else {
-                        Frame::Reply {
-                            id: r.id,
-                            trace: r.trace,
-                            degraded: *degraded,
-                            queue_us: 0,
-                            compute_us: share_us,
-                            rung: r.rung,
-                            logits,
-                        }
-                    });
+            plan,
+            degraded,
+            image: match r.input {
+                RequestInput::Probe(i) => crate::proto::probe_image(i as usize),
+                RequestInput::Tensor(t) => t,
+            },
+            budget: match r.deadline_ms {
+                0 => self.cfg.default_deadline,
+                ms => Duration::from_millis(u64::from(ms)),
+            },
+        })
+    }
+
+    /// Runs `items` as ONE pass over the shared backbone
+    /// ([`HardwareExecutor::run_coalesced_guarded`]) and answers each,
+    /// in order. The weights stream once for the whole batch and only
+    /// per-sample threshold banks are swapped between samples, so
+    /// per-item logits are bit-identical to serving each item alone.
+    ///
+    /// The pass runs under the loosest item budget (the front door
+    /// already closed the batch against the *tightest* one); an item
+    /// whose own budget lapsed by the end fails `DeadlineExceeded`. A
+    /// pass stopped by that loosest budget is past every item's budget,
+    /// so every item fails `DeadlineExceeded` without another pass. Any
+    /// other failure of a pass over several items (malformed input,
+    /// non-finite logits), or several items with coalescing off, re-runs
+    /// each item as a batch of one. A lone item that fails that way gets
+    /// one try on the exact parent path under the same deadline, and
+    /// ends `FailedAfterRetries` if that fails too.
+    fn run_pass(
+        &mut self,
+        items: &[&Item<'a>],
+        fault: ReplicaFault,
+        output: &mut impl Write,
+    ) -> Result<Vec<Frame>, ProtoError> {
+        let Some(lead) = items.first() else { return Ok(Vec::new()) };
+        if items.len() > 1 && !self.coalesce {
+            return self.run_each(items, fault, output);
+        }
+        let started = Instant::now();
+        let budget = items.iter().map(|i| i.budget).max().unwrap_or_default();
+        let mut guard = layer_guard(
+            self.cfg,
+            fault,
+            lead.trace,
+            lead.task,
+            started + budget,
+            &mut self.heartbeat_seq,
+            output,
+        );
+        let views: Vec<&BoundNetwork> = items.iter().map(|i| i.plan).collect();
+        let images: Vec<&Tensor> = items.iter().map(|i| &i.image).collect();
+        let zero_skip = self.cfg.zero_skip;
+        let (all_logits, on_parent) =
+            match self.exec.run_coalesced_guarded(&views, &images, zero_skip, &mut guard) {
+                Ok(all_logits) => (all_logits, false),
+                Err(MimeError::DeadlineExceeded { .. }) => {
+                    let elapsed = started.elapsed();
+                    return Ok(items.iter().map(|i| lapsed(i, elapsed)).collect());
                 }
-            }
-            Some(Err(MimeError::DeadlineExceeded { .. })) => {
-                // past the loosest budget is past every item's own
-                // budget: answer each now instead of re-running it
-                let elapsed = started.elapsed();
-                for (i, .., budget) in &run {
-                    replies[*i] = Some(lapsed(&reqs[*i], elapsed.saturating_sub(*budget)));
-                }
-            }
-            outcome => {
-                if let Some(Err(e)) = outcome {
+                Err(e) if items.len() > 1 => {
+                    drop(guard);
                     mime_obs::warn!(
                         "serve.replica",
                         "coalesced batch failed; serving items serially",
-                        replica = cfg.replica,
-                        batch = views.len(),
+                        replica = self.cfg.replica,
+                        batch = items.len(),
                         error = e
                     );
+                    return self.run_each(items, fault, output);
                 }
-                for (i, _, _, image, _) in &run {
-                    let r = &reqs[*i];
-                    replies[*i] = Some(serve_one(
-                        exec,
-                        plans,
-                        parents,
-                        ladders,
-                        cfg,
-                        r.id,
-                        r.trace,
-                        r.task,
-                        r.deadline_ms,
-                        r.rung,
-                        RequestInput::Tensor(image.clone()),
-                        fault,
-                        heartbeat_seq,
-                        output,
-                    )?);
+                Err(primary_err) => {
+                    // Permanent failure of a lone item: the exact parent
+                    // path is the gentler route, exactly as the
+                    // in-process server degrades.
+                    mime_obs::warn!(
+                        "serve.replica",
+                        "primary path failed; serving parent fallback",
+                        replica = self.cfg.replica,
+                        request = lead.id,
+                        error = primary_err
+                    );
+                    let parent = &self.parents[lead.task as usize];
+                    match self.exec.run_image_guarded(
+                        parent,
+                        &lead.image,
+                        zero_skip,
+                        &mut guard,
+                    ) {
+                        Ok(logits) => (vec![logits], true),
+                        Err(MimeError::DeadlineExceeded { .. }) => {
+                            return Ok(vec![lapsed(lead, started.elapsed())]);
+                        }
+                        Err(parent_err) => {
+                            return Ok(vec![Frame::ErrorReply {
+                                id: lead.id,
+                                trace: lead.trace,
+                                code: ErrorCode::FailedAfterRetries,
+                                rung: lead.rung,
+                                retry_after_ms: 0,
+                                message: format!(
+                                    "primary: {primary_err}; parent: {parent_err}"
+                                ),
+                            }]);
+                        }
+                    }
                 }
-            }
-        }
+            };
+        let elapsed = started.elapsed();
+        // per-item compute attribution: an equal share of the one
+        // backbone pass (what the front door's batch-close EWMA consumes)
+        let share_us =
+            (elapsed.as_micros() / items.len() as u128).min(u128::from(u32::MAX)) as u32;
+        Ok(items
+            .iter()
+            .zip(all_logits)
+            .map(|(i, logits)| {
+                if elapsed > i.budget {
+                    lapsed(i, elapsed)
+                } else {
+                    Frame::Reply {
+                        id: i.id,
+                        trace: i.trace,
+                        degraded: i.degraded || on_parent,
+                        queue_us: 0,
+                        compute_us: share_us,
+                        rung: i.rung,
+                        logits,
+                    }
+                }
+            })
+            .collect())
     }
-    Ok(Frame::BatchReply {
-        items: replies
-            .into_iter()
-            .map(|r| r.expect("every batch item resolves to a terminal frame"))
-            .collect(),
-    })
+
+    /// Runs each item as a batch of one, with a fresh budget.
+    fn run_each(
+        &mut self,
+        items: &[&Item<'a>],
+        fault: ReplicaFault,
+        output: &mut impl Write,
+    ) -> Result<Vec<Frame>, ProtoError> {
+        let mut replies = Vec::with_capacity(items.len());
+        for item in items {
+            replies.extend(self.run_pass(std::slice::from_ref(item), fault, output)?);
+        }
+        Ok(replies)
+    }
+}
+
+/// `DeadlineExceeded` for an item whose budget ran out `elapsed` into
+/// its pass.
+fn lapsed(item: &Item<'_>, elapsed: Duration) -> Frame {
+    Frame::ErrorReply {
+        id: item.id,
+        trace: item.trace,
+        code: ErrorCode::DeadlineExceeded,
+        rung: item.rung,
+        retry_after_ms: 0,
+        message: format!(
+            "{}ms over budget",
+            elapsed.saturating_sub(item.budget).as_millis()
+        ),
+    }
 }
 
 /// Whether every plan is a view over ONE backbone, bit-for-bit (weights
@@ -1077,7 +981,12 @@ mod tests {
     ) -> Vec<Frame> {
         let mut input = Vec::new();
         for f in inbound {
-            write_frame(&mut input, f).unwrap();
+            // requests reach a replica only as batch items
+            let f = match f {
+                Frame::Request { .. } => Frame::BatchRequest { items: vec![f.clone()] },
+                other => other.clone(),
+            };
+            write_frame(&mut input, &f).unwrap();
         }
         let mut output = Vec::new();
         run_replica_worker(plans, hw, cfg, &mut input.as_slice(), &mut output).unwrap();
@@ -1181,6 +1090,31 @@ mod tests {
     }
 
     #[test]
+    fn bare_request_on_the_control_pipe_is_malformed() {
+        let (plans, hw) = tiny_plans(1);
+        let mut input = Vec::new();
+        let request = Frame::Request {
+            id: 1,
+            trace: 0,
+            task: 0,
+            deadline_ms: 0,
+            rung: 0,
+            input: RequestInput::Probe(0),
+        };
+        write_frame(&mut input, &request).unwrap();
+        let mut output = Vec::new();
+        let err = run_replica_worker(
+            &plans,
+            hw,
+            ReplicaWorkerConfig::default(),
+            &mut input.as_slice(),
+            &mut output,
+        )
+        .unwrap_err();
+        assert!(matches!(err, ProtoError::Malformed(_)), "{err}");
+    }
+
+    #[test]
     fn worker_poisoned_bank_degrades_to_parent() {
         let (plan, hw) = poisoned_plan();
         let cfg = ReplicaWorkerConfig::default();
@@ -1228,13 +1162,10 @@ mod tests {
             cfg,
             &[Frame::BatchRequest { items: items.clone() }, Frame::Shutdown],
         );
-        let batch_reply = batched
+        let batch_reply: Vec<&Frame> = batched
             .iter()
-            .find_map(|f| match f {
-                Frame::BatchReply { items } => Some(items),
-                _ => None,
-            })
-            .expect("one BatchReply");
+            .filter(|f| matches!(f, Frame::Reply { .. } | Frame::ErrorReply { .. }))
+            .collect();
         assert_eq!(batch_reply.len(), items.len());
         let serial_terminals: Vec<&Frame> = serial
             .iter()
@@ -1327,12 +1258,11 @@ mod tests {
             cfg,
             &[Frame::BatchRequest { items: vec![item(1), item(2)] }],
         );
-        let Some(Frame::BatchReply { items }) =
-            frames.iter().find(|f| matches!(f, Frame::BatchReply { .. }))
-        else {
-            panic!("one BatchReply: {frames:?}");
-        };
-        assert_eq!(items.len(), 2);
+        let items: Vec<&Frame> = frames
+            .iter()
+            .filter(|f| matches!(f, Frame::Reply { .. } | Frame::ErrorReply { .. }))
+            .collect();
+        assert_eq!(items.len(), 2, "one terminal frame per item: {frames:?}");
         for (got, want_id) in items.iter().zip([1u64, 2]) {
             assert!(
                 matches!(

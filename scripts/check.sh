@@ -245,7 +245,9 @@ assert d['events'], 'flight ring was empty'
         grep -q '"reason":"sigusr1"' "$flight_file"
     fi
     # drain; the exit-written stitched trace must hold one lane per
-    # process (front door + both replicas)
+    # process (front door + both replicas), and every front-door
+    # request span's trace id must appear on exactly one stitched
+    # replica_request span, batched or not
     timeout 120 ./target/release/mime loadgen --connect "$obs_fd_addr" \
         --requests 1 --concurrency 1 --drain >/dev/null \
         || { echo "FAIL: drain loadgen against the observed front door" >&2; exit 1; }
@@ -253,12 +255,17 @@ assert d['events'], 'flight ring was empty'
         || { echo "FAIL: observed front door crashed or failed to drain" >&2; exit 1; }
     if command -v python3 >/dev/null 2>&1; then
         python3 -c "
-import json, sys
+import collections, json, sys
 d = json.load(open(sys.argv[1]))
 ev = d['traceEvents']
 labels = {e['args']['name'] for e in ev if e.get('ph') == 'M'}
 assert 'frontdoor' in labels and 'replica 0' in labels and 'replica 1' in labels, labels
-assert any(e['name'] == 'replica_request' for e in ev), 'no stitched replica spans'
+spans = [e for e in ev if e.get('ph') == 'X']
+front = [e['args']['trace'] for e in spans if e['name'] == 'request']
+replica = collections.Counter(e['args'].get('trace') for e in spans if e['name'] == 'replica_request')
+assert front, 'no front-door request spans'
+bad = [t for t in front if replica[t] != 1]
+assert not bad, '%d of %d traces lack exactly one replica_request span: %s' % (len(bad), len(front), bad[:8])
 " "$obs_fd_trace"
     else
         grep -q '"name":"replica_request"' "$obs_fd_trace"
