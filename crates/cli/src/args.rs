@@ -121,14 +121,13 @@ pub enum Command {
         /// fused-epilogue parity checks.
         no_prepack: bool,
     },
-    /// `mime serve`: resilient serving loop over the functional array —
-    /// bounded admission, deadlines, retries, per-task circuit
-    /// breakers, supervised workers — with optional fault injection.
-    /// With `--listen`, becomes the multi-process TCP front door
-    /// supervising replica worker processes.
+    /// `mime serve`: the multi-process TCP front door supervising
+    /// replica worker processes, with optional fault injection. With
+    /// `--listen` it serves clients until drained; without, it drives
+    /// `--requests` requests through its own fleet and drains.
     Serve {
-        /// Number of requests to admit (default 16; in-process mode
-        /// only — the front door serves until stopped).
+        /// Requests the self-driven run sends (default 16; ignored with
+        /// `--listen`, which serves until stopped).
         requests: usize,
         /// Number of child tasks round-robined over the requests
         /// (default 3).
@@ -137,17 +136,14 @@ pub enum Command {
         seed: u64,
         /// Fault to inject (default none).
         inject: ServeFault,
-        /// Supervised worker count (default 2; in-process mode).
-        workers: usize,
-        /// Admission-queue capacity (default 0 = fit all requests in
-        /// process / 64 at the front door; `overload` injection halves
-        /// it instead).
+        /// Admission-queue capacity (default 0 = 64); beyond it
+        /// requests shed `Overloaded`.
         capacity: usize,
         /// Pin worker replicas to the dense packed kernels
         /// (`--dense-only`), bypassing the sparsity-aware dispatcher.
         dense_only: bool,
-        /// TCP bind address (e.g. `127.0.0.1:0`); switches to the
-        /// multi-process front door.
+        /// TCP bind address (e.g. `127.0.0.1:0`) to serve clients on;
+        /// absent, the self-driven run binds `127.0.0.1:0` itself.
         listen: Option<String>,
         /// Replica worker processes behind the front door (default 2).
         replicas: usize,
@@ -160,7 +156,7 @@ pub enum Command {
         /// replica; a batch counts once (default 4).
         inject_every: usize,
         /// Skip the startup weight-panel prepack (`--no-prepack`);
-        /// forwarded to replica workers in front-door mode.
+        /// forwarded to replica workers.
         no_prepack: bool,
         /// Disable fleet observability (`--no-obs`): no trace
         /// stitching, clock probes, flight events, or per-request
@@ -172,24 +168,24 @@ pub enum Command {
         /// Disable the brownout ladder (`--no-brownout`): overload is
         /// answered by shedding alone — the control-run baseline.
         no_brownout: bool,
-        /// Brownout ladder depth including rung 0 (default 4; front
-        /// door only, forwarded to replica workers).
+        /// Brownout ladder depth including rung 0 (default 4;
+        /// forwarded to replica workers).
         brownout_rungs: usize,
         /// Tasks `0..critical_tasks` are priority-class critical: they
         /// brown out [`CRITICAL_GRACE`](mime_serve::CRITICAL_GRACE)
         /// rungs behind the fleet (default 0).
         critical_tasks: usize,
         /// Most requests one dispatch coalesces into a `BatchRequest`
-        /// (default 8; front door only). `--no-batch` forces 1 — every
-        /// dispatch is a batch of one.
+        /// (default 8). `--no-batch` forces 1 — every dispatch is a
+        /// batch of one.
         max_batch: usize,
         /// Batch-formation linger in milliseconds: how long a partial
         /// batch waits for a ride-along request once the backlog is
         /// empty (default 0 = batch from existing backlog only).
         linger_ms: u64,
     },
-    /// `mime replica-worker`: one replica process behind `mime serve
-    /// --listen` (spawned by the front door; not for direct use).
+    /// `mime replica-worker`: one replica process behind `mime serve`
+    /// (spawned by the front door; not for direct use).
     ReplicaWorker {
         /// Packed image to load read-only.
         image: String,
@@ -253,40 +249,20 @@ pub enum Command {
 pub enum ServeFault {
     /// No fault: every request should succeed.
     None,
-    /// NaN-poison the last task's threshold bank (breaker trips to the
-    /// parent path and stays open).
-    NanPoison,
-    /// Pack the fleet image, flip bits in a task section, reload
-    /// through the containment unpack.
-    BitFlip,
-    /// Pack, truncate the image, reload (typically every bank lost).
-    Truncate,
-    /// Pack, garble a byte run, reload.
-    Garble,
-    /// Panic the worker on every 5th request's first attempt
-    /// (supervised restart + requeue).
-    Panic,
-    /// Transient failure on every 3rd request's first attempt
-    /// (backoff retry).
-    Flaky,
-    /// Make request 0 a 1000x straggler (deadline enforcement).
-    Slow,
-    /// Halve the queue capacity so the overflow sheds `QueueFull`.
-    Overload,
-    /// Front door only: replicas `abort()` on every n-th request
-    /// (supervisor respawn + requeue).
+    /// Replicas `abort()` on every n-th dispatch (supervisor respawn +
+    /// requeue).
     ReplicaAbort,
-    /// Front door only: replicas wedge mid-layer on every n-th request
-    /// (heartbeats stop, liveness deadline declares them dead).
+    /// Replicas wedge mid-layer on every n-th dispatch (heartbeats
+    /// stop, liveness deadline declares them dead).
     ReplicaHang,
-    /// Front door only: replicas sleep per layer on every n-th request
-    /// (deadline enforcement across the process boundary).
+    /// Replicas sleep per layer on every n-th dispatch (deadline
+    /// enforcement across the process boundary).
     ReplicaSlow,
-    /// Front door only: a chaos client periodically sends garbage
-    /// frames at the listener.
+    /// A chaos client periodically sends garbage frames at the
+    /// listener.
     ConnGarbage,
-    /// Front door only: a chaos client periodically opens a connection,
-    /// sends a truncated header, and slams it shut.
+    /// A chaos client periodically opens a connection, sends a
+    /// truncated header, and slams it shut.
     ConnTruncate,
 }
 
@@ -295,33 +271,12 @@ impl ServeFault {
     pub fn name(self) -> &'static str {
         match self {
             ServeFault::None => "none",
-            ServeFault::NanPoison => "nan-poison",
-            ServeFault::BitFlip => "bitflip",
-            ServeFault::Truncate => "truncate",
-            ServeFault::Garble => "garble",
-            ServeFault::Panic => "panic",
-            ServeFault::Flaky => "flaky",
-            ServeFault::Slow => "slow",
-            ServeFault::Overload => "overload",
             ServeFault::ReplicaAbort => "replica-abort",
             ServeFault::ReplicaHang => "replica-hang",
             ServeFault::ReplicaSlow => "replica-slow",
             ServeFault::ConnGarbage => "conn-garbage",
             ServeFault::ConnTruncate => "conn-truncate",
         }
-    }
-
-    /// True for the process/connection-level faults that only make
-    /// sense at the multi-process front door (`--listen`).
-    pub fn is_process_level(self) -> bool {
-        matches!(
-            self,
-            ServeFault::ReplicaAbort
-                | ServeFault::ReplicaHang
-                | ServeFault::ReplicaSlow
-                | ServeFault::ConnGarbage
-                | ServeFault::ConnTruncate
-        )
     }
 }
 
@@ -487,23 +442,14 @@ fn get_num<T: std::str::FromStr>(
 fn parse_serve_fault(spelling: Option<&str>) -> Result<ServeFault, ArgError> {
     match spelling {
         None | Some("none") => Ok(ServeFault::None),
-        Some("nan-poison") => Ok(ServeFault::NanPoison),
-        Some("bitflip") => Ok(ServeFault::BitFlip),
-        Some("truncate") => Ok(ServeFault::Truncate),
-        Some("garble") => Ok(ServeFault::Garble),
-        Some("panic") => Ok(ServeFault::Panic),
-        Some("flaky") => Ok(ServeFault::Flaky),
-        Some("slow") => Ok(ServeFault::Slow),
-        Some("overload") => Ok(ServeFault::Overload),
         Some("replica-abort") => Ok(ServeFault::ReplicaAbort),
         Some("replica-hang") => Ok(ServeFault::ReplicaHang),
         Some("replica-slow") => Ok(ServeFault::ReplicaSlow),
         Some("conn-garbage") => Ok(ServeFault::ConnGarbage),
         Some("conn-truncate") => Ok(ServeFault::ConnTruncate),
         Some(m) => Err(err(format!(
-            "unknown fault '{m}' (expected none|nan-poison|bitflip|truncate|garble|\
-             panic|flaky|slow|overload|replica-abort|replica-hang|replica-slow|\
-             conn-garbage|conn-truncate)"
+            "unknown fault '{m}' (expected none|replica-abort|replica-hang|\
+             replica-slow|conn-garbage|conn-truncate)"
         ))),
     }
 }
@@ -806,7 +752,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, ArgError> {
                     "tasks",
                     "seed",
                     "inject",
-                    "workers",
                     "capacity",
                     "listen",
                     "replicas",
@@ -832,10 +777,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, ArgError> {
                 return Err(err("--tasks must be at least 1"));
             }
             let inject = parse_serve_fault(flags.get("inject").map(String::as_str))?;
-            let workers: usize = get_num(&flags, "workers", 2)?;
-            if workers == 0 {
-                return Err(err("--workers must be at least 1"));
-            }
             let listen = flags.get("listen").cloned();
             let replicas: usize = get_num(&flags, "replicas", 2)?;
             if replicas == 0 {
@@ -844,20 +785,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, ArgError> {
             let inject_every: usize = get_num(&flags, "inject-every", 4)?;
             if inject_every == 0 {
                 return Err(err("--inject-every must be at least 1"));
-            }
-            if inject.is_process_level() && listen.is_none() {
-                return Err(err(format!(
-                    "--inject {} is a front-door fault; it requires --listen",
-                    inject.name()
-                )));
-            }
-            if listen.is_some() && inject != ServeFault::None && !inject.is_process_level()
-            {
-                return Err(err(format!(
-                    "--inject {} is an in-process fault; with --listen use \
-                     replica-abort|replica-hang|replica-slow|conn-garbage|conn-truncate",
-                    inject.name()
-                )));
             }
             let brownout_rungs: usize = get_num(&flags, "brownout-rungs", 4)?;
             if brownout_rungs == 0 {
@@ -875,7 +802,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, ArgError> {
                 tasks,
                 seed: get_num(&flags, "seed", 42)?,
                 inject,
-                workers,
                 capacity: get_num(&flags, "capacity", 0)?,
                 dense_only,
                 listen,
@@ -1249,17 +1175,16 @@ mod tests {
             }
         );
         assert_eq!(
-            p(&["serve", "--workers", "3", "--dense-only"]).unwrap(),
+            p(&["serve", "--replicas", "3", "--dense-only"]).unwrap(),
             Command::Serve {
                 requests: 16,
                 tasks: 3,
                 seed: 42,
                 inject: ServeFault::None,
-                workers: 3,
                 capacity: 0,
                 dense_only: true,
                 listen: None,
-                replicas: 2,
+                replicas: 3,
                 image: None,
                 deadline_ms: 5000,
                 inject_every: 4,
@@ -1350,7 +1275,6 @@ mod tests {
                 tasks: 3,
                 seed: 42,
                 inject: ServeFault::None,
-                workers: 2,
                 capacity: 0,
                 dense_only: false,
                 listen: None,
@@ -1368,33 +1292,33 @@ mod tests {
                 linger_ms: 0,
             }
         );
+        // one fault set, with or without --listen
         for (name, fault) in [
             ("none", ServeFault::None),
-            ("nan-poison", ServeFault::NanPoison),
-            ("bitflip", ServeFault::BitFlip),
-            ("truncate", ServeFault::Truncate),
-            ("garble", ServeFault::Garble),
-            ("panic", ServeFault::Panic),
-            ("flaky", ServeFault::Flaky),
-            ("slow", ServeFault::Slow),
-            ("overload", ServeFault::Overload),
+            ("replica-abort", ServeFault::ReplicaAbort),
+            ("replica-hang", ServeFault::ReplicaHang),
+            ("replica-slow", ServeFault::ReplicaSlow),
+            ("conn-garbage", ServeFault::ConnGarbage),
+            ("conn-truncate", ServeFault::ConnTruncate),
         ] {
-            match p(&["serve", "--inject", name]).unwrap() {
-                Command::Serve { inject, .. } => {
-                    assert_eq!(inject, fault);
-                    assert_eq!(inject.name(), name);
+            assert_eq!(fault.name(), name);
+            for args in [
+                &["serve", "--inject", name][..],
+                &["serve", "--listen", "127.0.0.1:0", "--inject", name],
+            ] {
+                match p(args).unwrap() {
+                    Command::Serve { inject, .. } => assert_eq!(inject, fault),
+                    other => panic!("{other:?}"),
                 }
-                other => panic!("{other:?}"),
             }
         }
         assert_eq!(
-            p(&["serve", "--requests", "64", "--workers", "4", "--capacity", "8"]).unwrap(),
+            p(&["serve", "--requests", "64", "--capacity", "8"]).unwrap(),
             Command::Serve {
                 requests: 64,
                 tasks: 3,
                 seed: 42,
                 inject: ServeFault::None,
-                workers: 4,
                 capacity: 8,
                 dense_only: false,
                 listen: None,
@@ -1414,7 +1338,9 @@ mod tests {
         );
         assert!(p(&["serve", "--requests", "0"]).is_err());
         assert!(p(&["serve", "--tasks", "0"]).is_err());
-        assert!(p(&["serve", "--workers", "0"]).is_err());
+        // the retired in-process knobs no longer parse
+        assert!(p(&["serve", "--workers", "2"]).is_err());
+        assert!(p(&["serve", "--inject", "panic"]).is_err());
         assert!(p(&["serve", "--inject", "gremlins"]).is_err());
         assert!(p(&["serve", "extra"]).is_err());
     }
@@ -1454,24 +1380,6 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        for (name, fault) in [
-            ("replica-abort", ServeFault::ReplicaAbort),
-            ("replica-hang", ServeFault::ReplicaHang),
-            ("replica-slow", ServeFault::ReplicaSlow),
-            ("conn-garbage", ServeFault::ConnGarbage),
-            ("conn-truncate", ServeFault::ConnTruncate),
-        ] {
-            assert!(fault.is_process_level());
-            assert_eq!(fault.name(), name);
-            match p(&["serve", "--listen", "127.0.0.1:0", "--inject", name]).unwrap() {
-                Command::Serve { inject, .. } => assert_eq!(inject, fault),
-                other => panic!("{other:?}"),
-            }
-            // front-door faults are meaningless without a front door
-            assert!(p(&["serve", "--inject", name]).is_err());
-        }
-        // in-process faults are meaningless at the front door
-        assert!(p(&["serve", "--listen", "127.0.0.1:0", "--inject", "panic"]).is_err());
         assert!(p(&["serve", "--listen", "127.0.0.1:0", "--replicas", "0"]).is_err());
         assert!(p(&["serve", "--listen", "127.0.0.1:0", "--inject-every", "0"]).is_err());
     }

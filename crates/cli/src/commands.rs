@@ -12,7 +12,6 @@ use mime_core::{
 use mime_datasets::{TaskFamily, TaskSpec};
 use mime_nn::{build_network, evaluate, train_epoch, vgg16_arch, Adam};
 use mime_runtime::BoundNetwork;
-use mime_serve::{FaultPlan, Request, ServeConfig, Server, VirtualClock};
 use mime_systolic::{
     analytic_image_counts, simulate_network, storage_curve, vgg16_geometry_with, Approach,
     ArrayConfig, FunctionalArray, Mapper, Scenario, TaskMode,
@@ -92,7 +91,6 @@ pub fn run(cmd: Command, out: &mut dyn Write) -> Result<(), CliError> {
             tasks,
             seed,
             inject,
-            workers,
             capacity,
             dense_only,
             listen,
@@ -108,33 +106,28 @@ pub fn run(cmd: Command, out: &mut dyn Write) -> Result<(), CliError> {
             critical_tasks,
             max_batch,
             linger_ms,
-        } => match listen {
-            Some(addr) => serve_listen(
-                out,
-                &addr,
-                tasks,
-                seed,
-                inject,
-                capacity,
-                dense_only,
-                replicas,
-                image.as_deref(),
-                deadline_ms,
-                inject_every,
-                no_prepack,
-                no_obs,
-                flight_dir.as_deref(),
-                no_brownout,
-                brownout_rungs,
-                critical_tasks,
-                max_batch,
-                linger_ms,
-            ),
-            None => serve(
-                out, requests, tasks, seed, inject, workers, capacity, dense_only,
-                no_prepack,
-            ),
-        },
+        } => serve(
+            out,
+            listen.as_deref(),
+            requests,
+            tasks,
+            seed,
+            inject,
+            capacity,
+            dense_only,
+            replicas,
+            image.as_deref(),
+            deadline_ms,
+            inject_every,
+            no_prepack,
+            no_obs,
+            flight_dir.as_deref(),
+            no_brownout,
+            brownout_rungs,
+            critical_tasks,
+            max_batch,
+            linger_ms,
+        ),
         Command::ReplicaWorker {
             image,
             replica,
@@ -209,20 +202,19 @@ fn write_help(out: &mut dyn Write) {
          \x20           [--dense-only] [--no-prepack]  multi-task batch on the sparse\n\
          \x20           software path, serial vs parallel (exit code 2 when a task\n\
          \x20           degraded to parent)\n\
-         \x20 serve     [--requests 16] [--tasks 3] [--seed 42] [--workers 2]\n\
-         \x20           [--capacity 0] [--dense-only] [--no-prepack] [--inject none|\n\
-         \x20           nan-poison|bitflip|truncate|garble|panic|flaky|slow|overload]\n\
-         \x20           serving chaos drill\n\
-         \x20 serve     --listen <addr> [--replicas 2] [--image <file>] [--capacity 0]\n\
-         \x20           [--deadline-ms 5000] [--inject replica-abort|replica-hang|\n\
-         \x20           replica-slow|conn-garbage|conn-truncate] [--inject-every 4]\n\
-         \x20           [--no-obs] [--flight-dir <dir>] [--no-brownout]\n\
+         \x20 serve     [--listen <addr> | --requests 16] [--tasks 3] [--seed 42]\n\
+         \x20           [--replicas 2] [--image <file>] [--capacity 0] [--dense-only]\n\
+         \x20           [--no-prepack] [--deadline-ms 5000] [--inject none|replica-abort|\n\
+         \x20           replica-hang|replica-slow|conn-garbage|conn-truncate]\n\
+         \x20           [--inject-every 4] [--no-obs] [--flight-dir <dir>] [--no-brownout]\n\
          \x20           [--brownout-rungs 4] [--critical-tasks 0]\n\
          \x20           [--max-batch 8 | --no-batch] [--linger-ms 0]\n\
          \x20           multi-process TCP front door over supervised replica processes\n\
          \x20           with brownout overload control (DESIGN.md \u{00a7}13) and\n\
          \x20           deadline-aware request batching (DESIGN.md \u{00a7}15);\n\
-         \x20           also answers GET /metrics, /healthz, /readyz on the same port\n\
+         \x20           also answers GET /metrics, /healthz, /readyz on the same port.\n\
+         \x20           Without --listen: drives --requests requests through its own\n\
+         \x20           fleet (the loadgen client, 4 connections), then drains\n\
          \x20 loadgen   --connect <addr> [--requests 64] [--concurrency 4] [--tasks 3]\n\
          \x20           [--deadline-ms 5000] [--bench-out <file>] [--label run] [--drain]\n\
          \x20           [--slow-threshold-ms 0] [--rate 0]\n\
@@ -729,188 +721,34 @@ fn logits_checksum(logits: &[Vec<f32>]) -> u64 {
     h
 }
 
-/// Deterministic probe input for `serve`, matching the batch command's
-/// image generator.
-fn probe_image(i: usize) -> Tensor {
-    Tensor::from_fn(&[3, 32, 32], move |j| (((j + i * 97) % 17) as f32 - 8.0) * 0.09)
-}
-
-/// A plan whose threshold banks are NaN-poisoned: validation fails, so
-/// the serving loop must degrade its requests to the parent path.
-fn unusable_plan(model: &mut MultiTaskModel, seed: u64) -> Result<BoundNetwork, CliError> {
-    let orig = model.network().export_thresholds();
-    let mut banks = orig.clone();
-    FaultInjector::new(seed).poison_tensor(&mut banks[0], 2);
-    model.network_mut().import_thresholds(&banks).map_err(io_err)?;
-    let plan = BoundNetwork::from_mime(model.network()).map_err(io_err)?;
-    model.network_mut().import_thresholds(&orig).map_err(io_err)?;
-    Ok(plan)
-}
-
-/// Packs the fleet image, corrupts it with the requested injector, and
-/// reloads it through the containment unpack — tasks whose sections
-/// were rejected (or the whole image, if unusable) get an unusable plan
-/// that degrades to the parent path at serve time.
-fn plans_after_image_fault(
-    out: &mut dyn Write,
-    model: &mut MultiTaskModel,
-    seed: u64,
-    inject: ServeFault,
-) -> Result<Vec<BoundNetwork>, CliError> {
-    let tasks = model.tasks().len();
-    let mut bytes = pack_model(model).map_err(io_err)?.to_vec();
-    let mut injector = FaultInjector::new(seed);
-    match inject {
-        ServeFault::BitFlip => {
-            let off = bytes.len().saturating_sub(64);
-            injector.flip_bits(&mut bytes[off..], 4);
-        }
-        ServeFault::Truncate => {
-            injector.truncate(&mut bytes);
-        }
-        ServeFault::Garble => {
-            let off = bytes.len().saturating_sub(256);
-            injector.garble(&mut bytes[off..], 128);
-        }
-        _ => {}
+/// Loads a deployment image for serving: every section must pass its
+/// checksum and carry at least one task. `replica-worker` serves what
+/// this returns; `serve` runs it on `--image` before spawning replicas.
+/// The error names each rejected section.
+fn load_serving_model(image: &str) -> Result<MultiTaskModel, String> {
+    let raw =
+        std::fs::read(image).map_err(|e| format!("cannot read image {image}: {e}"))?;
+    // The receiver seed is irrelevant: the backbone and every task bank
+    // are replaced by the image's sections.
+    let mut receiver = small_multitask_model(0, 0)?;
+    let report = unpack_model(&Bytes::from(raw), &mut receiver)
+        .map_err(|e| format!("unusable image {image}: {e}"))?;
+    if !report.is_clean() {
+        let rejected: Vec<String> = report
+            .rejected
+            .iter()
+            .map(|r| format!("task #{}: {}", r.index, r.error))
+            .collect();
+        return Err(format!(
+            "image {image} has {} rejected task section(s): {}",
+            rejected.len(),
+            rejected.join("; ")
+        ));
     }
-    // The receiver shares the architecture and (via the seed) the
-    // frozen parent weights — known-good even when the shipped image is
-    // damaged beyond use.
-    let mut receiver = small_multitask_model(seed, 0)?;
-    let loaded = match unpack_model(&Bytes::from(bytes), &mut receiver) {
-        Ok(report) => report.loaded,
-        Err(e) => {
-            let _ = writeln!(out, "image unusable after {}: {e}", inject.name());
-            Vec::new()
-        }
-    };
-    let mut plans = Vec::with_capacity(tasks);
-    for i in 0..tasks {
-        let name = format!("task{i}");
-        if loaded.contains(&name) {
-            receiver.activate(&name).map_err(io_err)?;
-            plans.push(BoundNetwork::from_mime(receiver.network()).map_err(io_err)?);
-        } else {
-            let _ = writeln!(out, "task {name}: bank lost to {}", inject.name());
-            plans.push(unusable_plan(&mut receiver, seed)?);
-        }
+    if receiver.tasks().is_empty() {
+        return Err(format!("image {image} carries no tasks"));
     }
-    Ok(plans)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn serve(
-    out: &mut dyn Write,
-    requests: usize,
-    tasks: usize,
-    seed: u64,
-    inject: ServeFault,
-    workers: usize,
-    mut capacity: usize,
-    dense_only: bool,
-    no_prepack: bool,
-) -> Result<(), CliError> {
-    let mut model = small_multitask_model(seed, tasks)?;
-    let mut plans = Vec::with_capacity(tasks);
-    for i in 0..tasks {
-        model.activate(&format!("task{i}")).map_err(io_err)?;
-        plans.push(BoundNetwork::from_mime(model.network()).map_err(io_err)?);
-    }
-    let mut faults = FaultPlan::default();
-    match inject {
-        ServeFault::None => {}
-        ServeFault::NanPoison => {
-            plans[tasks - 1] = unusable_plan(&mut model, seed)?;
-        }
-        ServeFault::BitFlip | ServeFault::Truncate | ServeFault::Garble => {
-            plans = plans_after_image_fault(out, &mut model, seed, inject)?;
-        }
-        ServeFault::Panic => faults.panic_every = Some(5),
-        ServeFault::Flaky => faults.flaky_every = Some(3),
-        ServeFault::Slow => {
-            // only request 0 hits the straggler hook
-            faults.slow_every = Some(requests.max(2));
-            faults.slow_factor = 1000;
-        }
-        ServeFault::Overload => {
-            if capacity == 0 {
-                capacity = (requests / 2).max(1);
-            }
-        }
-        // the parser rejects these without --listen; keep the error
-        // typed for direct `run(Command::Serve { .. })` callers
-        ServeFault::ReplicaAbort
-        | ServeFault::ReplicaHang
-        | ServeFault::ReplicaSlow
-        | ServeFault::ConnGarbage
-        | ServeFault::ConnTruncate => {
-            return Err(format!(
-                "error: --inject {} requires --listen (front-door mode)",
-                inject.name()
-            )
-            .into())
-        }
-    }
-    if capacity == 0 {
-        capacity = requests;
-    }
-    let dispatch = if dense_only {
-        mime_runtime::SparseDispatch::DenseOnly
-    } else {
-        mime_runtime::SparseDispatch::Auto
-    };
-    // One prepack pass at startup — worker threads share the panels
-    // read-only; per-request prepacking would defeat the residency win.
-    if !no_prepack {
-        let stats = mime_runtime::prepack_plans(&mut plans).map_err(io_err)?;
-        let _ = writeln!(
-            out,
-            "prepacked {} weighted layer(s) ({} shared, {} bytes) in {:.2} ms",
-            stats.layers, stats.shared, stats.bytes, stats.ms
-        );
-    }
-    let cfg = ServeConfig {
-        queue_capacity: capacity,
-        workers,
-        dispatch,
-        ..ServeConfig::default()
-    };
-    // Virtual clock: deadlines, backoff and breaker cooldowns advance
-    // with simulated per-layer cost, so drills are reproducible.
-    let clock = VirtualClock::new();
-    let server = Server::new(&plans, ArrayConfig::eyeriss_65nm(), cfg, &clock, faults);
-    let reqs: Vec<Request> = (0..requests)
-        .map(|i| Request { id: i, task: i % tasks, image: probe_image(i) })
-        .collect();
-    let report = server.serve(reqs);
-    let _ = writeln!(
-        out,
-        "served {requests} request(s) over {tasks} task(s), inject={} \
-         (capacity {capacity}, {workers} worker(s))",
-        inject.name()
-    );
-    let _ = writeln!(out, "  success:            {}", report.success);
-    let _ = writeln!(out, "  degraded-to-parent: {}", report.degraded);
-    let _ = writeln!(out, "  shed:               {}", report.shed);
-    let _ = writeln!(out, "  deadline-exceeded:  {}", report.deadline_exceeded);
-    let _ = writeln!(out, "  retries:            {}", report.retries);
-    let _ = writeln!(out, "  worker restarts:    {}", report.worker_restarts);
-    let _ = writeln!(out, "  breaker trips:      {}", report.breaker_trips);
-    let _ = writeln!(out, "  peak queue depth:   {}", report.peak_queue_depth);
-    if report.completions.len() == requests {
-        let _ = writeln!(out, "every request terminated in exactly one terminal state");
-        Ok(())
-    } else {
-        // The drill ran but the drain left requests without a terminal
-        // state — the run completed degraded, same contract as `mime
-        // batch`'s parent-path fallback, so scripts can distinguish it
-        // from a hard failure.
-        Err(CliError::degraded(format!(
-            "warning: {} request(s) never reached a terminal state",
-            requests - report.completions.len()
-        )))
-    }
+    Ok(receiver)
 }
 
 /// POSIX signal → atomic flag, with no libc crate: the handler may only
@@ -971,14 +809,18 @@ fn arm_flight_recorder(dir: &str, label: &str) {
     });
 }
 
-/// `mime serve --listen`: the multi-process front door. Packs a
-/// temporary image when none is given, spawns `replicas` copies of this
-/// binary as `replica-worker` processes, and serves until SIGINT /
-/// SIGTERM / a client `Shutdown` frame drains it.
+/// `mime serve`: the multi-process front door. Checks a given image (or
+/// packs a temporary one from `--seed`/`--tasks`), spawns `replicas`
+/// copies of this binary as `replica-worker` processes, and serves.
+/// With `listen`, it serves until SIGINT / SIGTERM / a client `Shutdown`
+/// frame drains it. Without, it binds `127.0.0.1:0`, drives `requests`
+/// requests through its own fleet with the `mime loadgen` client
+/// (closed loop, 4 connections), and drains.
 #[allow(clippy::too_many_arguments)]
-fn serve_listen(
+fn serve(
     out: &mut dyn Write,
-    addr: &str,
+    listen: Option<&str>,
+    requests: usize,
     tasks: usize,
     seed: u64,
     inject: ServeFault,
@@ -1001,9 +843,14 @@ fn serve_listen(
     use std::time::Duration;
 
     // Every replica maps the same read-only packed artifact; without
-    // --image, pack one from the --seed/--tasks fleet.
+    // --image, pack one from the --seed/--tasks fleet. A given image
+    // passes the replicas' own load check first: a damaged one would
+    // only fail every spawn until the restart budgets ran out.
     let (image_path, temp_image) = match image {
-        Some(p) => (p.to_string(), None),
+        Some(p) => {
+            drop(load_serving_model(p).map_err(|e| format!("error: {e}"))?);
+            (p.to_string(), None)
+        }
         None => {
             let path = std::env::temp_dir()
                 .join(format!("mime_frontdoor_{}_{seed}.mime", std::process::id()));
@@ -1060,10 +907,10 @@ fn serve_listen(
         }
         ServeFault::ConnGarbage => self_inject = Some(ConnFault::Garbage),
         ServeFault::ConnTruncate => self_inject = Some(ConnFault::Truncate),
-        _ => {}
+        ServeFault::None => {}
     }
     let cfg = FrontDoorConfig {
-        listen: addr.to_string(),
+        listen: listen.unwrap_or("127.0.0.1:0").to_string(),
         replicas,
         replica_cmd,
         tasks: tasks as u32,
@@ -1082,9 +929,10 @@ fn serve_listen(
         ..FrontDoorConfig::default()
     };
     let door = FrontDoor::start(cfg).map_err(io_err)?;
+    let addr = door.addr();
     // Scripts parse this line for the kernel-assigned port; flush so it
     // is visible before the (long) serving phase.
-    let _ = writeln!(out, "listening on {} ({replicas} replica(s))", door.addr());
+    let _ = writeln!(out, "listening on {addr} ({replicas} replica(s))");
     let _ = out.flush();
     let stopper = door.stopper();
     sig::install();
@@ -1094,6 +942,24 @@ fn serve_listen(
             return;
         }
         std::thread::sleep(Duration::from_millis(50));
+    });
+    // Self-driven: this process is its own client, then drains.
+    let driven = listen.is_none().then(|| {
+        let driven = loadgen(
+            out,
+            &addr.to_string(),
+            requests,
+            4,
+            tasks,
+            deadline_ms,
+            None,
+            "serve",
+            false,
+            0,
+            0.0,
+        );
+        door.stopper().stop();
+        driven
     });
     let report = door.wait();
     if let Some(p) = temp_image {
@@ -1114,6 +980,7 @@ fn serve_listen(
     let _ = writeln!(out, "  replica restarts:   {}", report.restarts);
     let _ = writeln!(out, "  spawn failures:     {}", report.spawn_failures);
     let _ = writeln!(out, "  live replicas:      {}", report.live_replicas);
+    driven.transpose()?;
     if report.drain_clean {
         let _ = writeln!(out, "every request terminated in exactly one terminal state");
         Ok(())
@@ -1155,25 +1022,9 @@ fn replica_worker(
     if let Some(dir) = flight_dir {
         arm_flight_recorder(dir, &format!("replica{replica}"));
     }
-    let raw = std::fs::read(image).map_err(io_err)?;
-    // The receiver seed is irrelevant: the backbone and every task bank
-    // are replaced by the image's sections.
-    let mut receiver = small_multitask_model(0, 0)?;
-    let report = unpack_model(&Bytes::from(raw), &mut receiver)
-        .map_err(|e| format!("error: replica {replica}: unusable image {image}: {e}"))?;
-    if !report.is_clean() {
-        return Err(format!(
-            "error: replica {replica}: image {image} has {} rejected task section(s)",
-            report.rejected.len()
-        )
-        .into());
-    }
+    let mut receiver =
+        load_serving_model(image).map_err(|e| format!("error: replica {replica}: {e}"))?;
     let names: Vec<String> = receiver.tasks().iter().map(|t| t.name.clone()).collect();
-    if names.is_empty() {
-        return Err(
-            format!("error: replica {replica}: image {image} carries no tasks").into()
-        );
-    }
     let mut plans = Vec::with_capacity(names.len());
     for name in &names {
         receiver.activate(name).map_err(io_err)?;
@@ -1904,129 +1755,5 @@ mod tests {
         let s = String::from_utf8(buf).unwrap();
         assert!(s.contains("parallel == serial: true"), "{s}");
         assert!(s.contains("degraded tasks:     [1]"), "{s}");
-    }
-
-    #[test]
-    fn serve_clean_run_all_success() {
-        let s = capture(Command::Serve {
-            requests: 6,
-            tasks: 2,
-            seed: 1,
-            inject: ServeFault::None,
-            workers: 2,
-            capacity: 0,
-            dense_only: false,
-            listen: None,
-            replicas: 2,
-            image: None,
-            deadline_ms: 5000,
-            inject_every: 4,
-            no_prepack: false,
-            no_obs: false,
-            flight_dir: None,
-            no_brownout: false,
-            brownout_rungs: 4,
-            critical_tasks: 0,
-            max_batch: 8,
-            linger_ms: 0,
-        });
-        assert!(s.contains("success:            6"), "{s}");
-        assert!(s.contains("shed:               0"), "{s}");
-        assert!(s.contains("every request terminated"), "{s}");
-    }
-
-    #[test]
-    fn serve_overload_sheds_overflow() {
-        let s = capture(Command::Serve {
-            requests: 8,
-            tasks: 2,
-            seed: 1,
-            inject: ServeFault::Overload,
-            workers: 2,
-            capacity: 0,
-            dense_only: false,
-            listen: None,
-            replicas: 2,
-            image: None,
-            deadline_ms: 5000,
-            inject_every: 4,
-            no_prepack: false,
-            no_obs: false,
-            flight_dir: None,
-            no_brownout: false,
-            brownout_rungs: 4,
-            critical_tasks: 0,
-            max_batch: 8,
-            linger_ms: 0,
-        });
-        assert!(s.contains("shed:               4"), "{s}");
-        assert!(s.contains("success:            4"), "{s}");
-        assert!(s.contains("every request terminated"), "{s}");
-    }
-
-    #[test]
-    fn serve_nan_poison_degrades_and_trips_breaker() {
-        let s = capture(Command::Serve {
-            requests: 9,
-            tasks: 3,
-            seed: 1,
-            inject: ServeFault::NanPoison,
-            workers: 1,
-            capacity: 0,
-            dense_only: false,
-            listen: None,
-            replicas: 2,
-            image: None,
-            deadline_ms: 5000,
-            inject_every: 4,
-            no_prepack: false,
-            no_obs: false,
-            flight_dir: None,
-            no_brownout: false,
-            brownout_rungs: 4,
-            critical_tasks: 0,
-            max_batch: 8,
-            linger_ms: 0,
-        });
-        // tasks 0 and 1 serve 3 requests each; task 2's bank is
-        // poisoned, so its 3 requests degrade and the breaker trips
-        assert!(s.contains("success:            6"), "{s}");
-        assert!(s.contains("degraded-to-parent: 3"), "{s}");
-        let trips: u64 = s
-            .lines()
-            .find(|l| l.contains("breaker trips"))
-            .and_then(|l| l.split_whitespace().last())
-            .and_then(|v| v.parse().ok())
-            .unwrap();
-        assert!(trips >= 1, "{s}");
-    }
-
-    #[test]
-    fn serve_panic_injection_restarts_and_recovers() {
-        let s = capture(Command::Serve {
-            requests: 10,
-            tasks: 2,
-            seed: 1,
-            inject: ServeFault::Panic,
-            workers: 1,
-            capacity: 0,
-            dense_only: false,
-            listen: None,
-            replicas: 2,
-            image: None,
-            deadline_ms: 5000,
-            inject_every: 4,
-            no_prepack: false,
-            no_obs: false,
-            flight_dir: None,
-            no_brownout: false,
-            brownout_rungs: 4,
-            critical_tasks: 0,
-            max_batch: 8,
-            linger_ms: 0,
-        });
-        assert!(s.contains("success:            10"), "{s}");
-        assert!(s.contains("worker restarts:    2"), "{s}");
-        assert!(s.contains("retries:            2"), "{s}");
     }
 }

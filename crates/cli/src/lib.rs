@@ -15,22 +15,23 @@
 //! mime inject-faults <file> --out <file> [--seed 42] [--mode bitflip|truncate|garble] [--count N]
 //! mime validate  [--input-hw 32]
 //! mime batch     [--images 6] [--tasks 2] [--seed 42] [--threads 0] [--poison i]
-//! mime serve     [--requests 16] [--tasks 3] [--seed 42] [--workers 2] [--capacity 0]
-//!                [--inject none|nan-poison|bitflip|truncate|garble|panic|flaky|slow|overload]
-//! mime serve     --listen <addr> [--replicas 2] [--image <file>] [--deadline-ms 5000]
-//!                [--inject replica-abort|replica-hang|replica-slow|conn-garbage|conn-truncate]
-//!                [--inject-every 4]
+//! mime serve     [--listen <addr> | --requests 16] [--tasks 3] [--seed 42]
+//!                [--replicas 2] [--image <file>] [--capacity 0] [--deadline-ms 5000]
+//!                [--inject none|replica-abort|replica-hang|replica-slow|
+//!                 conn-garbage|conn-truncate] [--inject-every 4]
 //! mime loadgen   --connect <addr> [--requests 64] [--concurrency 4] [--tasks 3]
 //!                [--deadline-ms 5000] [--bench-out <file>] [--label run] [--drain]
 //! mime help
 //! ```
 //!
-//! With `--listen`, `mime serve` becomes a multi-process TCP front door:
-//! it spawns `--replicas` copies of this binary as `replica-worker`
-//! processes (each loading the same packed image read-only), supervises
-//! them with heartbeat liveness deadlines, restart budgets and
-//! per-replica circuit breakers, and guarantees every client request
-//! one terminal reply even while replicas are killed under it.
+//! `mime serve` is a multi-process TCP front door: it spawns `--replicas`
+//! copies of this binary as `replica-worker` processes (each loading the
+//! same packed image read-only), supervises them with heartbeat liveness
+//! deadlines, restart budgets and per-replica circuit breakers, and
+//! guarantees every client request one terminal reply even while replicas
+//! are killed under it. With `--listen` it serves clients until drained;
+//! without, it binds `127.0.0.1:0`, drives `--requests` requests through
+//! its own fleet with the `loadgen` client, and drains.
 //!
 //! Every command additionally accepts the global observability flags
 //! `--trace-out <file>` (Chrome-trace JSON for `chrome://tracing` /

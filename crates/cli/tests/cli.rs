@@ -85,27 +85,75 @@ fn serve_drill_terminates_and_publishes_metrics() {
     let dir = std::env::temp_dir().join("mime_cli_bin_serve");
     std::fs::create_dir_all(&dir).unwrap();
     let metrics = dir.join("serve.prom");
+    // --no-batch: 8 requests make at least 8 dispatches, so some replica
+    // reaches its 3rd and aborts; the front door respawns it and
+    // requeues what it held
     let out = mime()
         .args([
+            "--metrics-out",
+            metrics.to_str().unwrap(),
             "serve",
             "--requests",
             "8",
             "--tasks",
             "2",
             "--inject",
-            "overload",
-            "--metrics-out",
-            metrics.to_str().unwrap(),
+            "replica-abort",
+            "--inject-every",
+            "3",
+            "--no-batch",
         ])
         .output()
         .expect("binary runs");
     assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("shed:               4"), "{stdout}");
+    assert!(stdout.contains("lost:               0"), "{stdout}");
     assert!(stdout.contains("every request terminated"), "{stdout}");
     let prom = std::fs::read_to_string(&metrics).unwrap();
-    assert!(prom.contains("mime_serve_requests_total 8"), "{prom}");
-    assert!(prom.contains("mime_serve_shed_total 4"), "{prom}");
+    assert!(prom.contains("mime_frontdoor_requests_total 8\n"), "{prom}");
+    let restarts: u64 = prom
+        .lines()
+        .find_map(|l| l.strip_prefix("mime_replica_restarts_total "))
+        .and_then(|v| v.parse().ok())
+        .expect("restarts counter published");
+    assert!(restarts >= 1, "{prom}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn serve_refuses_a_damaged_image_before_spawning_replicas() {
+    let dir = std::env::temp_dir().join("mime_cli_bin_serve_bad_image");
+    std::fs::create_dir_all(&dir).unwrap();
+    let clean = dir.join("clean.mime");
+    let bad = dir.join("bad.mime");
+    let out = mime()
+        .args(["pack", "--out", clean.to_str().unwrap(), "--tasks", "2"])
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    // seed 1 flips one bit inside task #0's section
+    let out = mime()
+        .args(["inject-faults", clean.to_str().unwrap(), "--out", bad.to_str().unwrap()])
+        .args(["--mode", "bitflip", "--seed", "1"])
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let out = mime()
+        .args([
+            "serve",
+            "--image",
+            bad.to_str().unwrap(),
+            "--requests",
+            "4",
+            "--tasks",
+            "2",
+        ])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("rejected task section"), "{stderr}");
+    assert!(stderr.contains("task #0"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

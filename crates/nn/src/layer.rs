@@ -124,8 +124,8 @@ pub trait Layer: Send + Sync {
     /// Immutable access to the layer's parameters.
     fn parameters(&self) -> Vec<&Parameter>;
 
-    /// Clones the layer behind the trait object (enables network
-    /// replication for data-parallel training).
+    /// Clones the layer behind the trait object (backs `Clone` for
+    /// `Box<dyn Layer>`, and so for [`Sequential`](crate::Sequential)).
     fn clone_box(&self) -> Box<dyn Layer>;
 
     /// The GEMM shape a forward call on an input of `input_dims` lowers

@@ -27,7 +27,6 @@ mod layer;
 mod linear_layer;
 mod loss;
 mod optim;
-mod parallel;
 mod pool_layer;
 pub mod pruning;
 pub mod quant;
@@ -42,7 +41,6 @@ pub use layer::{GemmDims, Layer, LayerKind, Parameter};
 pub use linear_layer::Linear;
 pub use loss::{accuracy, softmax_cross_entropy, CrossEntropyOut};
 pub use optim::{Adam, AdamConfig, Optimizer, Sgd};
-pub use parallel::{parallel_gradients, parallel_train_step};
 pub use pool_layer::MaxPool2d;
 pub use schedule::{diverged, EarlyStopping, LrSchedule};
 pub use sequential::Sequential;

@@ -1,24 +1,23 @@
-//! Per-task circuit breaker: Closed → Open → HalfOpen.
+//! Per-replica circuit breaker: Closed → Open → HalfOpen.
 //!
-//! The breaker encodes the DynaShare-style observation that the task —
-//! not the whole model — is the right failure domain: one task's
-//! repeatedly-invalid threshold bank must not cost every request to
-//! that task a validation-plus-fallback round trip, and must never
-//! affect sibling tasks. After `failure_threshold` *consecutive* bank
-//! failures, the task trips Open and its traffic routes straight to the
-//! exact parent path (`strip_thresholds`, PR 1's degradation route).
-//! After `cooldown` of virtual/real time, one probe request re-tries
-//! the primary path (HalfOpen); success closes the breaker, failure
-//! re-opens it for another cooldown.
+//! The front door keeps one breaker per replica slot, so a replica that
+//! keeps dying (or failing to spawn) stops being respawned in a tight
+//! loop and never holds up its sibling slots. After
+//! `failure_threshold` *consecutive* deaths or spawn failures, the slot
+//! trips Open: its Cooldown, in which no respawn is attempted. After
+//! `cooldown`, one respawn is tried as the probe (HalfOpen); a replica
+//! that comes up closes the breaker, another failure re-opens it for
+//! another cooldown. Time is passed in by the caller as a `Duration`
+//! since the slot's epoch.
 
 use std::time::Duration;
 
-/// Breaker thresholds, shared by every task's breaker.
+/// Breaker thresholds, shared by every replica slot's breaker.
 #[derive(Debug, Clone, Copy)]
 pub struct BreakerConfig {
-    /// Consecutive primary-path failures that trip the breaker.
+    /// Consecutive failures that trip the breaker.
     pub failure_threshold: u32,
-    /// How long an Open breaker routes to the parent path before
+    /// How long an Open breaker refuses the primary route before
     /// allowing a HalfOpen probe.
     pub cooldown: Duration,
 }
@@ -32,30 +31,32 @@ impl Default for BreakerConfig {
 /// Observable breaker state (for metrics and tests).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BreakerState {
-    /// Normal operation: requests take the primary (thresholded) path.
+    /// Normal operation: attempts take the primary route.
     Closed,
-    /// Tripped: requests take the exact parent path until the cooldown
+    /// Tripped: attempts take the fallback route until the cooldown
     /// elapses.
     Open,
-    /// Cooldown elapsed: one probe is in flight on the primary path.
+    /// Cooldown elapsed: one probe is in flight on the primary route.
     HalfOpen,
 }
 
-/// Where the breaker routes one request.
+/// Where the breaker routes one attempt. The front door spawns a
+/// replica on either primary route and sits out a Cooldown tick on
+/// [`Route::Parent`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Route {
-    /// Primary thresholded path (breaker Closed).
+    /// Primary route (breaker Closed).
     Primary,
-    /// Primary path as the single HalfOpen probe; its outcome decides
+    /// Primary route as the single HalfOpen probe; its outcome decides
     /// whether the breaker closes or re-opens.
     PrimaryProbe,
-    /// Exact parent path (breaker Open, or HalfOpen with the probe
+    /// Fallback route (breaker Open, or HalfOpen with the probe
     /// already taken).
     Parent,
 }
 
-/// One task's breaker. The server wraps each in a `Mutex`; all methods
-/// take `&mut self` and are O(1).
+/// One replica slot's breaker, owned by that slot's runner thread; all
+/// methods take `&mut self` and are O(1).
 #[derive(Debug)]
 pub struct CircuitBreaker {
     consecutive_failures: u32,
@@ -87,7 +88,7 @@ impl CircuitBreaker {
         self.trips
     }
 
-    /// Decides the route for a request arriving at `now`.
+    /// Decides the route for an attempt at `now`.
     pub fn route(&mut self, now: Duration, cfg: &BreakerConfig) -> Route {
         match self.state {
             BreakerState::Closed => Route::Primary,
@@ -101,9 +102,9 @@ impl CircuitBreaker {
         }
     }
 
-    /// Reports a successful request on `route`. A parent-path success
-    /// says nothing about the primary path's health, so it neither
-    /// closes the breaker nor resets the failure count.
+    /// Reports a successful attempt on `route`. A fallback success says
+    /// nothing about the primary route's health, so it neither closes
+    /// the breaker nor resets the failure count.
     pub fn report_success(&mut self, route: Route) {
         match route {
             Route::Primary => self.consecutive_failures = 0,
@@ -115,7 +116,7 @@ impl CircuitBreaker {
         }
     }
 
-    /// Reports a failed primary-path request on `route` at `now`.
+    /// Reports a failed primary-route attempt on `route` at `now`.
     pub fn report_failure(&mut self, route: Route, now: Duration, cfg: &BreakerConfig) {
         match route {
             Route::Primary => {
@@ -227,10 +228,10 @@ mod tests {
             }
             assert_eq!(b.state(), BreakerState::Open);
         }
-        // Every worker hits the breaker at the same post-cooldown
-        // instant, exactly like the server's workers racing `route()`
-        // on a shared `Mutex<CircuitBreaker>` after a cooldown expires:
-        // precisely one of them may carry the HalfOpen probe.
+        // Every thread hits the breaker at the same post-cooldown
+        // instant, racing `route()` on a shared `Mutex<CircuitBreaker>`
+        // after a cooldown expires: precisely one of them may carry the
+        // HalfOpen probe.
         let threads = 8;
         let barrier = Arc::new(Barrier::new(threads));
         let routes: Vec<Route> = (0..threads)

@@ -12,11 +12,10 @@
 //! between respawn attempts, and the in-flight request is requeued or
 //! failed fast under the shared [`RetryPolicy`].
 //!
-//! The cross-process invariant mirrors the in-process server's: **every
-//! request a client manages to send reaches exactly one terminal
-//! frame** — a reply, `Overloaded`, `DeadlineExceeded`,
-//! `FailedAfterRetries`, `Unavailable`, or `BadFrame` — even while
-//! replicas are being killed under it.
+//! The cross-process invariant: **every request a client manages to
+//! send reaches exactly one terminal frame** — a reply, `Overloaded`,
+//! `DeadlineExceeded`, `FailedAfterRetries`, `Unavailable`, or
+//! `BadFrame` — even while replicas are being killed under it.
 
 use crate::proto::{
     write_frame, ErrorCode, Frame, FrameReader, ProtoError, RequestInput, MAX_BATCH_ITEMS,

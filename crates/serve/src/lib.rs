@@ -1,28 +1,22 @@
 //! # mime-serve
 //!
-//! A resilient serving loop over the MIME hardware executor, for the
-//! mixed-task shared-weight traffic the paper's pipelined batch mode
-//! models (Bhattacharjee et al., DAC 2022):
+//! A resilient multi-process serving loop over the MIME hardware
+//! executor, for the mixed-task shared-weight traffic the paper's
+//! pipelined batch mode models (Bhattacharjee et al., DAC 2022):
 //!
 //! * [`BoundedQueue`] — bounded MPSC admission with backpressure:
-//!   requests beyond capacity shed immediately with
-//!   [`ShedReason::QueueFull`] instead of growing latency unboundedly.
-//! * [`Clock`] — time as a capability. [`SystemClock`] for production,
-//!   [`VirtualClock`] for deterministic tests: deadlines, backoff, and
-//!   breaker cooldowns are reproducible without wall-clock reads.
+//!   requests beyond capacity shed immediately (`Overloaded` on the
+//!   wire) instead of growing latency unboundedly.
 //! * [`RetryPolicy`] — bounded retry with deterministic exponential
-//!   backoff for transient faults (worker panics, flaky errors).
-//! * [`CircuitBreaker`] — per-task Closed → Open → HalfOpen breaker
-//!   counting *consecutive* threshold-bank failures; a tripped task
-//!   routes to the exact parent path (`strip_thresholds`) for a
-//!   cooldown window, leaving sibling tasks untouched.
-//! * [`Server`] — panic-isolated supervised workers over
-//!   [`mime_runtime::HardwareExecutor`] replicas, with per-request
-//!   deadlines checked at dequeue and between layers (the guard hook of
-//!   the executor's one step loop, which runs each request as a batch of
-//!   one), graceful drain shutdown, and chaos hooks ([`FaultPlan`]).
-//! * [`proto`] — the length-framed wire protocol for multi-process
-//!   serving: typed request/reply/error frames, heartbeats, and a
+//!   backoff: requeues of requests in flight on a dead replica, and the
+//!   pause between respawn attempts.
+//! * [`CircuitBreaker`] — per-replica Closed → Open → HalfOpen breaker
+//!   counting *consecutive* deaths and spawn failures; Open is the
+//!   slot's Cooldown between respawn attempts.
+//! * [`OverloadController`] — the fleet-wide brownout rung picked from
+//!   queue sojourn, sheds and deadline misses.
+//! * [`proto`] — the length-framed wire protocol: typed
+//!   request/reply/error frames, heartbeats, and a
 //!   fragmentation-tolerant [`proto::FrameReader`]. One frame version:
 //!   the replica hop carries a `BatchRequest` of one or more requests
 //!   in and one terminal frame per request out.
@@ -32,27 +26,23 @@
 //!   between-layer heartbeats and `--inject replica-*` faults) and
 //!   [`replica::ReplicaProc`] (the supervisor-side child handle).
 //! * [`FrontDoor`] — the TCP front door and replica supervisor:
-//!   liveness deadlines, restart budgets with per-replica breakers,
-//!   requeue-or-fail on replica death, cross-process backpressure, and
-//!   graceful drain.
+//!   admission, deadline-aware batching, brownout, liveness deadlines,
+//!   restart budgets with per-replica breakers, requeue-or-fail on
+//!   replica death, and graceful drain.
 //!
 //! The invariant everything here defends: **every admitted request
-//! terminates in exactly one terminal state** ([`Outcome`] in process,
-//! one terminal [`proto::Frame`] on the wire) — never a hang, never an
-//! unanswered client.
+//! terminates in exactly one terminal [`proto::Frame`]** — never a
+//! hang, never an unanswered client.
 
 mod breaker;
-mod clock;
 mod frontdoor;
 mod overload;
 pub mod proto;
 mod queue;
 pub mod replica;
 mod retry;
-mod server;
 
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker, Route};
-pub use clock::{Clock, SystemClock, VirtualClock};
 pub use frontdoor::{
     ConnFault, FrontDoor, FrontDoorConfig, FrontDoorReport, FrontDoorStopper,
 };
@@ -62,6 +52,3 @@ pub use replica::{
     ReplicaFault, ReplicaProc, ReplicaState, ReplicaWorkerConfig, SideChannel,
 };
 pub use retry::RetryPolicy;
-pub use server::{
-    Completion, FaultPlan, Outcome, Request, ServeConfig, ServeReport, Server, ShedReason,
-};

@@ -1010,25 +1010,35 @@ mod tests {
 
     #[test]
     fn tensor_rank_and_element_caps_enforced() {
-        // rank 0
-        let mut p = Vec::new();
-        put_u64(&mut p, 1);
-        put_u32(&mut p, 0);
-        put_u32(&mut p, 0);
-        p.push(1); // tensor input
-        p.push(0); // ndim 0
-        assert!(decode_payload(KIND_REQUEST, &p).is_err());
-
-        // dims whose product overflows the element cap
-        let mut p = Vec::new();
-        put_u64(&mut p, 1);
-        put_u32(&mut p, 0);
-        put_u32(&mut p, 0);
-        p.push(1);
-        p.push(2);
-        put_u32(&mut p, u32::MAX);
-        put_u32(&mut p, u32::MAX);
-        assert!(decode_payload(KIND_REQUEST, &p).is_err());
+        // a valid request carrying a [2, 3] tensor, patched in place so
+        // each payload fails on exactly one cap
+        let (kind, valid) = encode_payload(&Frame::Request {
+            id: 1,
+            trace: 2,
+            task: 0,
+            deadline_ms: 0,
+            rung: 0,
+            input: RequestInput::Tensor(Tensor::from_vec(vec![0.5; 6], &[2, 3]).unwrap()),
+        });
+        assert!(decode_payload(kind, &valid).is_ok(), "the unpatched payload decodes");
+        // id, trace, task, deadline, rung, input kind
+        const RANK_AT: usize = 8 + 8 + 4 + 4 + 1 + 1;
+        assert_eq!(valid[RANK_AT], 2);
+        let why = |payload: &[u8]| match decode_payload(kind, payload) {
+            Err(ProtoError::Malformed(why)) => why,
+            other => panic!("expected Malformed, got {other:?}"),
+        };
+        for rank in [0, MAX_NDIM as u8 + 1] {
+            let mut p = valid.clone();
+            p[RANK_AT] = rank;
+            let why = why(&p);
+            assert!(why.contains(&format!("tensor rank {rank} out of range")), "{why}");
+        }
+        // two u32::MAX dims: their product exceeds the element cap
+        let mut p = valid.clone();
+        p[RANK_AT + 1..RANK_AT + 9].fill(0xFF);
+        let why = why(&p);
+        assert!(why.contains("tensor element count overflow"), "{why}");
     }
 
     #[test]

@@ -1,9 +1,9 @@
-//! The bounded MPSC admission queue behind the serving loop.
+//! The bounded MPSC admission queue behind the front door.
 //!
 //! Admission control is the first resilience layer: beyond `capacity`
-//! in-flight requests, [`BoundedQueue::try_push`] rejects immediately
-//! (the caller sheds with `QueueFull`) instead of letting latency grow
-//! without bound. Supervised workers drain with the blocking
+//! queued requests, [`BoundedQueue::try_push`] rejects immediately (the
+//! front door sheds with `Overloaded`) instead of letting latency grow
+//! without bound. Replica runners drain it with the blocking
 //! [`BoundedQueue::pop`], which returns `None` only once the queue is
 //! both closed and empty — the graceful-drain shutdown contract.
 
@@ -16,7 +16,7 @@ struct State<T> {
 }
 
 /// A bounded multi-producer queue with explicit close-and-drain
-/// shutdown and a capacity-exempt requeue path for supervised retries.
+/// shutdown and a capacity-exempt requeue path for retries.
 pub struct BoundedQueue<T> {
     state: Mutex<State<T>>,
     capacity: usize,

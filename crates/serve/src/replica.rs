@@ -627,8 +627,7 @@ impl<'a> Worker<'a> {
                 }
                 Err(primary_err) => {
                     // Permanent failure of a lone item: the exact parent
-                    // path is the gentler route, exactly as the
-                    // in-process server degrades.
+                    // path is the gentler route.
                     mime_obs::warn!(
                         "serve.replica",
                         "primary path failed; serving parent fallback",
@@ -1202,6 +1201,80 @@ mod tests {
             batch_reply[2],
             Frame::ErrorReply { id: 3, code: ErrorCode::UnknownTask, .. }
         ));
+    }
+
+    /// Plans prepacked once at startup (backbone panels shared across
+    /// tasks, task 2's bank NaN-poisoned) must reply bit-identically to
+    /// an unfused serial `run_image`, one request at a time and as one
+    /// batch. The poisoned task is served degraded on its
+    /// thresholds-stripped parent, which keeps the shared panels.
+    #[test]
+    fn worker_on_prepacked_plans_matches_unfused_serial_logits() {
+        const TASKS: usize = 3;
+        let fleet = || {
+            let (mut plans, hw) = tiny_plans(TASKS);
+            plans[TASKS - 1] = poisoned_plan().0;
+            (plans, hw)
+        };
+        let (reference_plans, hw) = fleet();
+        let mut reference =
+            HardwareExecutor::with_options(hw, ComputePath::Software, SparseDispatch::Auto);
+        let n = 9u32;
+        let expected: Vec<Vec<f32>> = (0..n)
+            .map(|i| {
+                let task = i as usize % TASKS;
+                let plan = if task == TASKS - 1 {
+                    reference_plans[task].strip_thresholds()
+                } else {
+                    reference_plans[task].clone()
+                };
+                let image = crate::proto::probe_image(i as usize);
+                reference.run_image(&plan, &image, true).unwrap()
+            })
+            .collect();
+
+        let (mut plans, hw) = fleet();
+        let stats = mime_runtime::prepack_plans(&mut plans).unwrap();
+        assert!(stats.layers > 0, "fleet FC steps must be prepacked");
+        assert!(stats.shared > 0, "shared backbone panels must dedup across tasks");
+        let requests: Vec<Frame> = (0..n)
+            .map(|i| Frame::Request {
+                id: u64::from(i),
+                trace: 0,
+                task: i % TASKS as u32,
+                deadline_ms: 0,
+                rung: 0,
+                input: RequestInput::Probe(i),
+            })
+            .collect();
+        let cfg = ReplicaWorkerConfig::default();
+        let one_at_a_time = roundtrip_worker(&plans, hw, cfg, &requests);
+        let batched =
+            roundtrip_worker(&plans, hw, cfg, &[Frame::BatchRequest { items: requests }]);
+        for frames in [one_at_a_time, batched] {
+            let replies: Vec<&Frame> = frames
+                .iter()
+                .filter(|f| matches!(f, Frame::Reply { .. } | Frame::ErrorReply { .. }))
+                .collect();
+            assert_eq!(replies.len(), n as usize, "{frames:?}");
+            for (i, reply) in replies.into_iter().enumerate() {
+                let Frame::Reply { id, degraded, logits, .. } = reply else {
+                    panic!("request {i} did not produce logits: {reply:?}");
+                };
+                assert_eq!(*id, i as u64);
+                assert_eq!(*degraded, i % TASKS == TASKS - 1, "request {i}");
+                assert!(
+                    logits.len() == expected[i].len()
+                        && logits
+                            .iter()
+                            .zip(&expected[i])
+                            .all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "request {i} (task {}): prepacked replica logits diverge from the \
+                     unfused serial reference",
+                    i % TASKS
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,11 +1,9 @@
 //! Bounded retry with deterministic exponential backoff.
 //!
-//! Transient faults (a worker panic, an injected flaky error) are
-//! retried up to `max_attempts` total attempts, sleeping
-//! `base · multiplier^attempt` (clamped to `max_backoff`) between
-//! attempts through the [`crate::Clock`] — so under the virtual clock a
-//! retry schedule is a pure function of the attempt number, with no
-//! jitter and no wall-clock reads.
+//! The front door requeues a request in flight on a dead replica up to
+//! `max_attempts` total attempts, and spaces respawn attempts by
+//! `base · multiplier^attempt` (clamped to `max_backoff`). A schedule
+//! is a pure function of the attempt number, with no jitter.
 
 use std::time::Duration;
 

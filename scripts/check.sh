@@ -107,29 +107,37 @@ if [[ "$run_tests" == 1 ]]; then
     [[ -n "$unfused_ck" && "$unfused_ck" == "$sparse_ck" ]] \
         || { echo "FAIL: fused epilogue changed the logits checksum" >&2; exit 1; }
 
-    # serving-loop chaos smoke: every fault mode must terminate every
-    # request (no hang — enforced by the wall-clock timeout; no panic —
-    # enforced by the exit code) and publish its serve metrics
-    echo "==> mime serve chaos smoke (every --inject mode)"
-    for fault in none nan-poison bitflip truncate garble panic flaky slow overload; do
+    # serving chaos smoke: `mime serve` without --listen drives 64
+    # requests through its own fleet (front door + 2 replica processes)
+    # under every --inject fault. Every request must terminate (no hang
+    # — enforced by the wall-clock timeout; no lost request — enforced
+    # by the exit code) and the front door must publish its metrics.
+    echo "==> mime serve chaos smoke (every --inject fault)"
+    for fault in none replica-abort replica-hang replica-slow conn-garbage conn-truncate; do
         serve_metrics="target/serve_smoke.$fault.prom"
-        timeout 120 cargo run --release -p mime-cli --bin mime -- serve \
-            --requests 64 --tasks 3 --inject "$fault" \
-            --metrics-out "$serve_metrics" >/dev/null \
-            || { echo "FAIL: mime serve --inject $fault (panic, error, or hang)" >&2; exit 1; }
-        grep -q '^mime_serve_requests_total 64$' "$serve_metrics"
+        rm -f "$serve_metrics"
+        timeout 120 ./target/release/mime --metrics-out "$serve_metrics" serve \
+            --requests 64 --tasks 3 --inject "$fault" --deadline-ms 1000 >/dev/null \
+            || { echo "FAIL: mime serve --inject $fault (error, lost request, or hang)" >&2; exit 1; }
+        grep -q '^mime_frontdoor_requests_total 64$' "$serve_metrics"
     done
-    # panels are prepacked exactly once at serve startup — 64 requests
-    # across the worker pool must not bump the counter past 1
-    grep -q '^mime_prepack_total 1$' target/serve_smoke.none.prom
+    # each replica process prepacks its panels exactly once at startup:
+    # 64 requests must not bump the fleet-wide counter past one per
+    # spawned replica (2, plus one per respawn)
+    serve_pk=$(awk '/^mime_prepack_total / {print $2}' target/serve_smoke.none.prom)
+    serve_rs=$(awk '/^mime_replica_restarts_total / {print $2}' target/serve_smoke.none.prom)
+    [[ -n "$serve_pk" && -n "$serve_rs" && "$serve_pk" -eq $((2 + serve_rs)) ]] \
+        || { echo "FAIL: $serve_pk prepack pass(es) for 2 replica(s) + $serve_rs respawn(s)" >&2; exit 1; }
     grep -q '^mime_prepack_bytes [1-9]' target/serve_smoke.none.prom
-    # overload must shed the overflow; a poisoned bank must leave its
-    # breaker open at drain time
-    grep -q '^mime_serve_shed_total 32$' target/serve_smoke.overload.prom
-    grep -q '^mime_serve_breaker_open 1$' target/serve_smoke.nan-poison.prom
-    grep -q '^mime_serve_worker_restarts_total [1-9]' target/serve_smoke.panic.prom
-    grep -q '^mime_serve_retries_total [1-9]' target/serve_smoke.flaky.prom
-    grep -q '^mime_serve_deadline_exceeded_total [1-9]' target/serve_smoke.slow.prom
+    # an aborted replica is respawned and its requests requeued; a hung
+    # one is declared dead and respawned; a slowed one blows deadlines;
+    # both connection faults are answered as bad frames
+    grep -Eq '^mime_replica_restarts_total [1-9]' target/serve_smoke.replica-abort.prom
+    grep -Eq '^mime_frontdoor_retries_total [1-9]' target/serve_smoke.replica-abort.prom
+    grep -Eq '^mime_replica_restarts_total [1-9]' target/serve_smoke.replica-hang.prom
+    grep -Eq '^mime_frontdoor_deadline_exceeded_total [1-9]' target/serve_smoke.replica-slow.prom
+    grep -Eq '^mime_frontdoor_bad_frames_total [1-9]' target/serve_smoke.conn-garbage.prom
+    grep -Eq '^mime_frontdoor_bad_frames_total [1-9]' target/serve_smoke.conn-truncate.prom
 
     # multi-process front-door smoke: a 2-replica fleet behind a TCP
     # listener, 64 loadgen requests while one replica is kill -9'd
