@@ -9,11 +9,12 @@
 //! the stitched cross-process trace, and each aborted replica leaves a
 //! flight-recorder dump behind.
 
+mod support;
+
 use mime_serve::proto::{read_frame, write_frame, ErrorCode, Frame, RequestInput};
-use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
-use std::process::{Command, Stdio};
 use std::time::Duration;
+use support::FrontDoor;
 
 const REQUESTS: usize = 64;
 const CLIENTS: usize = 4;
@@ -54,39 +55,26 @@ fn every_request_terminates_exactly_once_while_replicas_abort() {
     let flight = dir.join("flight");
     let flight_str = flight.to_str().unwrap().to_string();
 
-    let mut child = Command::new(env!("CARGO_BIN_EXE_mime"))
-        .args([
-            "--metrics-out",
-            &metrics_str,
-            "--trace-out",
-            &trace_str,
-            "serve",
-            "--listen",
-            "127.0.0.1:0",
-            "--replicas",
-            "2",
-            "--tasks",
-            "3",
-            "--flight-dir",
-            &flight_str,
-            "--inject",
-            "replica-abort",
-            "--inject-every",
-            "5",
-        ])
-        .stdout(Stdio::piped())
-        .spawn()
-        .expect("front door starts");
-
-    // First stdout line carries the kernel-assigned port.
-    let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
-    let mut line = String::new();
-    stdout.read_line(&mut line).expect("listening line");
-    let addr = line
-        .split_whitespace()
-        .nth(2)
-        .unwrap_or_else(|| panic!("unparseable listening line: {line:?}"))
-        .to_string();
+    let mut door = FrontDoor::spawn(&[
+        "--metrics-out",
+        &metrics_str,
+        "--trace-out",
+        &trace_str,
+        "serve",
+        "--listen",
+        "127.0.0.1:0",
+        "--replicas",
+        "2",
+        "--tasks",
+        "3",
+        "--flight-dir",
+        &flight_str,
+        "--inject",
+        "replica-abort",
+        "--inject-every",
+        "5",
+    ]);
+    let addr = door.addr.clone();
 
     // CLIENTS connections, one request outstanding each, REQUESTS total.
     // Replicas abort on every 5th request they serve; the supervisor
@@ -172,7 +160,7 @@ fn every_request_terminates_exactly_once_while_replicas_abort() {
     // Graceful drain via the wire, then a clean exit.
     write_frame(&mut s, &Frame::Shutdown).unwrap();
     drop(s);
-    let status = child.wait().expect("front door exits");
+    let status = door.wait();
     assert!(status.success(), "front door drained cleanly: {status:?}");
 
     let text = std::fs::read_to_string(&metrics).expect("metrics file written");

@@ -14,54 +14,41 @@
 //! - the `mime_brownout_*` / `mime_replica_rung_total` metrics cross
 //!   the process boundary into the front door's metrics file.
 
+mod support;
+
 use mime_serve::proto::{read_frame, write_frame, ErrorCode, Frame, RequestInput};
-use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
+use support::FrontDoor;
 
 const CONNS: usize = 48;
 const PER_CONN: usize = 60;
 const TASKS: usize = 2;
 
 struct Fleet {
-    child: Child,
-    addr: String,
+    door: FrontDoor,
     metrics: PathBuf,
 }
 
 fn start_fleet(dir: &Path, label: &str, brownout: bool) -> Fleet {
     let metrics = dir.join(format!("metrics_{label}.prom"));
-    let metrics_str = metrics.to_str().unwrap().to_string();
+    let tasks = TASKS.to_string();
     let mut args = vec![
-        "--metrics-out".to_string(),
-        metrics_str,
-        "serve".to_string(),
-        "--listen".to_string(),
-        "127.0.0.1:0".to_string(),
-        "--replicas".to_string(),
-        "1".to_string(),
-        "--tasks".to_string(),
-        TASKS.to_string(),
+        "--metrics-out",
+        metrics.to_str().unwrap(),
+        "serve",
+        "--listen",
+        "127.0.0.1:0",
+        "--replicas",
+        "1",
+        "--tasks",
+        &tasks,
     ];
     if !brownout {
-        args.push("--no-brownout".to_string());
+        args.push("--no-brownout");
     }
-    let mut child = Command::new(env!("CARGO_BIN_EXE_mime"))
-        .args(&args)
-        .stdout(Stdio::piped())
-        .spawn()
-        .expect("front door starts");
-    let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
-    let mut line = String::new();
-    stdout.read_line(&mut line).expect("listening line");
-    let addr = line
-        .split_whitespace()
-        .nth(2)
-        .unwrap_or_else(|| panic!("unparseable listening line: {line:?}"))
-        .to_string();
-    Fleet { child, addr, metrics }
+    Fleet { door: FrontDoor::spawn(&args), metrics }
 }
 
 #[derive(Default)]
@@ -190,10 +177,10 @@ fn fetch_stats(addr: &str) -> String {
 }
 
 fn shutdown(mut fleet: Fleet) -> (String, PathBuf) {
-    let mut s = TcpStream::connect(&fleet.addr).expect("shutdown connection");
+    let mut s = TcpStream::connect(&fleet.door.addr).expect("shutdown connection");
     write_frame(&mut s, &Frame::Shutdown).unwrap();
     drop(s);
-    let status = fleet.child.wait().expect("front door exits");
+    let status = fleet.door.wait();
     assert!(status.success(), "front door drained cleanly: {status:?}");
     let text = std::fs::read_to_string(&fleet.metrics).expect("metrics file written");
     (text, fleet.metrics)
@@ -212,7 +199,7 @@ fn brownout_beats_shed_only_goodput_under_2x_overload() {
     // fleet stays at rung 0, so this is the rung-0 service time both
     // fleets share).
     let mut cal = Tally::default();
-    let mut s = TcpStream::connect(&brown.addr).expect("calibration connects");
+    let mut s = TcpStream::connect(&brown.door.addr).expect("calibration connects");
     s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
     let mut rtt = Duration::MAX;
     for i in 0..32u64 {
@@ -235,10 +222,10 @@ fn brownout_beats_shed_only_goodput_under_2x_overload() {
     // split evenly across the connections.
     let period = Duration::from_secs_f64(rtt.as_secs_f64() * CONNS as f64 / 2.0);
 
-    let (brown_tally, brown_wall) = drive(&brown.addr, deadline, period);
-    let brown_stats = fetch_stats(&brown.addr);
-    let (control_tally, control_wall) = drive(&control.addr, deadline, period);
-    let control_stats = fetch_stats(&control.addr);
+    let (brown_tally, brown_wall) = drive(&brown.door.addr, deadline, period);
+    let brown_stats = fetch_stats(&brown.door.addr);
+    let (control_tally, control_wall) = drive(&control.door.addr, deadline, period);
+    let control_stats = fetch_stats(&control.door.addr);
 
     let total = (CONNS * PER_CONN) as u64;
     assert_eq!(brown_tally.terminal(), total, "brownout run: every request terminal");

@@ -60,7 +60,7 @@
 use crate::{ImageSection, MimeError, MimeNetwork, MultiTaskModel, TaskEntry};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use mime_nn::quant::QuantizedTensor;
-use mime_tensor::Tensor;
+use mime_tensor::{Tensor, TensorError};
 use std::collections::HashMap;
 use std::path::Path;
 
@@ -74,8 +74,12 @@ pub const VERSION: u16 = 2;
 // CRC32 (IEEE 802.3, reflected — the zip/zlib polynomial)
 // ---------------------------------------------------------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// The byte-at-a-time table (`[0]`) and the seven tables that fold the
+/// next byte positions of an 8-byte block into the same step
+/// (slice-by-8): `[k][i]` is the CRC state of byte `i` followed by `k`
+/// zero bytes.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -84,21 +88,50 @@ const fn crc32_table() -> [u32; 256] {
             crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static CRC32_TABLE: [u32; 256] = crc32_table();
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
+
+/// Advances the (pre-inverted) CRC state over `data` one byte at a time.
+fn crc32_bytewise(mut crc: u32, data: &[u8]) -> u32 {
+    for &b in data {
+        crc = (crc >> 8) ^ CRC32_TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
+    }
+    crc
+}
 
 /// CRC32 (IEEE) of `data` — the checksum stored in v2 section headers.
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let mut blocks = data.chunks_exact(8);
+    for b in &mut blocks {
+        let lo = crc ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        let hi = u32::from_le_bytes([b[4], b[5], b[6], b[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
     }
-    !crc
+    !crc32_bytewise(crc, blocks.remainder())
 }
 
 // ---------------------------------------------------------------------
@@ -163,14 +196,29 @@ fn get_tensor(buf: &mut Bytes, section: &ImageSection) -> crate::Result<Tensor> 
     if buf.remaining() < len * 2 {
         return Err(truncated(section, "tensor payload"));
     }
-    let values: Vec<i16> = (0..len).map(|_| buf.get_i16()).collect();
     if !scale.is_finite() {
         return Err(MimeError::MalformedImage {
             section: section.clone(),
             reason: format!("non-finite quantization scale {scale}"),
         });
     }
-    Ok(QuantizedTensor::from_parts(dims, scale, values)?.dequantize())
+    let expected = dims.iter().try_fold(1usize, |n, &d| n.checked_mul(d));
+    if expected != Some(len) {
+        return Err(TensorError::LengthMismatch {
+            expected: expected.unwrap_or(usize::MAX),
+            actual: len,
+        }
+        .into());
+    }
+    // One pass from the big-endian i16 words to f32, with
+    // `QuantizedTensor::dequantize`'s own arithmetic (`q as f32 * scale`)
+    // so the restored weights are bit-identical to a dequantize.
+    let data = buf.chunk()[..len * 2]
+        .chunks_exact(2)
+        .map(|w| i16::from_be_bytes([w[0], w[1]]) as f32 * scale)
+        .collect();
+    buf.advance(len * 2);
+    Ok(Tensor::from_vec(data, &dims)?)
 }
 
 fn get_name(buf: &mut Bytes, section: &ImageSection) -> crate::Result<String> {
@@ -1113,6 +1161,63 @@ mod tests {
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
+    }
+
+    #[test]
+    fn crc32_slice_by_8_matches_the_bytewise_reference() {
+        let reference = |d: &[u8]| !crc32_bytewise(0xFFFF_FFFF, d);
+        // xorshift64: deterministic bytes with no structure a table
+        // mix-up could hide behind
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let data: Vec<u8> = (0..(3 << 20) + 13)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 32) as u8
+            })
+            .collect();
+        for start in 0..8 {
+            for len in 0..=4096 {
+                let d = &data[start..start + len];
+                assert_eq!(crc32(d), reference(d), "start {start}, len {len}");
+            }
+            let d = &data[start..];
+            assert_eq!(crc32(d), reference(d), "{} bytes at start {start}", d.len());
+        }
+    }
+
+    #[test]
+    fn one_pass_decode_matches_dequantize_bitwise() {
+        let model = model_with_tasks(60, 1);
+        // the scale a real layer packs with
+        let conv1 = &model.network().backbone_params()[0].value;
+        let scale = QuantizedTensor::quantize(conv1).scale();
+        let words = vec![i16::MIN, -1, 0, 1, i16::MAX];
+        let mut buf = BytesMut::new();
+        buf.put_u16(1);
+        buf.put_u32(words.len() as u32);
+        buf.put_f32(scale);
+        buf.put_u32(words.len() as u32);
+        for &w in &words {
+            buf.put_i16(w);
+        }
+        let got = get_tensor(&mut buf.freeze(), &ImageSection::Backbone).unwrap();
+        let want = QuantizedTensor::from_parts(vec![5], scale, words).unwrap().dequantize();
+        let bits =
+            |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want));
+
+        // every restored backbone tensor is the dequantize of its packing
+        let image = pack_model(&model).unwrap();
+        let mut receiver = model_with_tasks(61, 0);
+        unpack_model(&image, &mut receiver).unwrap();
+        let restored = receiver.network().backbone_params();
+        for (src, got) in model.network().backbone_params().iter().zip(restored) {
+            let want = QuantizedTensor::quantize(&src.value).dequantize();
+            assert_eq!(got.value.dims(), want.dims(), "{}", src.name());
+            assert_eq!(bits(&got.value), bits(&want), "{}", src.name());
+        }
     }
 
     #[test]

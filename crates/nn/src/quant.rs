@@ -63,7 +63,9 @@ impl QuantizedTensor {
         self.values.len() * 2
     }
 
-    /// Rebuilds from raw parts (used by the deployment unpacker).
+    /// Rebuilds from raw parts, such as a deployment image tensor's dims,
+    /// scale and words (the unpacker decodes those to `f32` in one pass,
+    /// bit-identical to this type's [`dequantize`](Self::dequantize)).
     ///
     /// # Errors
     ///

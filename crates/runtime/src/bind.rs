@@ -18,8 +18,10 @@ pub enum BoundLayer {
     Array {
         /// Hardware-visible geometry.
         geom: LayerGeometry,
-        /// Weights `[K, C, R, R]`. [`prepack_plans`] makes every plan
-        /// over one backbone share a single copy per layer.
+        /// Weights `[K, C, R, R]`, sharing storage with the network the
+        /// plan was bound from (see [`Tensor`]'s copy-on-write clones).
+        /// [`prepack_plans`] makes every plan over one backbone share a
+        /// single `Arc` per layer.
         weight: Arc<Tensor>,
         /// Bias `[K]`.
         bias: Tensor,
@@ -240,8 +242,9 @@ impl BoundNetwork {
         Self::build(arch, &params, None)
     }
 
-    /// Builds the plan from borrowed parameters, copying each tensor
-    /// exactly once into its step.
+    /// Builds the plan from borrowed parameters. Each step's weight and
+    /// bias share the parameter's storage (a copy-on-write clone or
+    /// reshape), so binding copies no backbone data.
     fn build(
         arch: &VggArch,
         params: &HashMap<&str, &Tensor>,
@@ -375,6 +378,8 @@ struct Resident {
 /// plans' raw weights are deduplicated: a layer whose weight equals
 /// another plan's bit for bit (the shared MIME backbone) takes that
 /// plan's `Arc`, so the backbone is held once before anything is packed.
+/// Plans bound from one network already share each weight's storage, so
+/// for them that comparison is a pointer check, not a scan.
 /// Then each distinct weight is packed once — FC weights as fused-kernel
 /// panels ([`PrepackedB`]), conv weights as GEMM `A` strips
 /// ([`PrepackedA`]) — and shared via `Arc` across plans, and from there,
@@ -557,6 +562,61 @@ mod tests {
                 assert!(t.as_slice().iter().all(|&x| (x - 0.07).abs() < 1e-6));
             }
         }
+    }
+
+    #[test]
+    fn plans_bound_from_an_unpacked_image_share_the_receivers_backbone() {
+        use mime_core::deploy::{pack_model, unpack_model};
+        use mime_core::MultiTaskModel;
+        let (arch, parent) = mini();
+        let mut source =
+            MultiTaskModel::new(MimeNetwork::from_trained(&arch, &parent, 0.0).unwrap());
+        for (i, t) in [0.05f32, 0.1, 0.2].into_iter().enumerate() {
+            let banks =
+                source.network().export_thresholds().iter().map(|b| b.map(|_| t)).collect();
+            source.register_task(format!("task{i}"), banks).unwrap();
+        }
+        let image = pack_model(&source).unwrap();
+        let other = build_network(&arch, &mut StdRng::seed_from_u64(3));
+        let mut receiver =
+            MultiTaskModel::new(MimeNetwork::from_trained(&arch, &other, 0.0).unwrap());
+        let report = unpack_model(&image, &mut receiver).unwrap();
+        let mut plans = Vec::new();
+        for name in &report.loaded {
+            receiver.activate(name).unwrap();
+            plans.push(BoundNetwork::from_mime(receiver.network()).unwrap());
+        }
+        assert_eq!(plans.len(), 3);
+        let resident: HashMap<&str, *const f32> = receiver
+            .network()
+            .backbone_params()
+            .into_iter()
+            .map(|p| (p.name(), p.value.as_slice().as_ptr()))
+            .collect();
+        let assert_shared = |plans: &[BoundNetwork], when: &str| {
+            for plan in plans {
+                for step in plan.steps() {
+                    let BoundLayer::Array { geom, weight, bias, .. } = step else {
+                        continue;
+                    };
+                    let name = &geom.name;
+                    assert_eq!(
+                        weight.as_slice().as_ptr(),
+                        resident[format!("{name}.weight").as_str()],
+                        "{name}: weight copied {when}"
+                    );
+                    assert_eq!(
+                        bias.as_slice().as_ptr(),
+                        resident[format!("{name}.bias").as_str()],
+                        "{name}: bias copied {when}"
+                    );
+                }
+            }
+        };
+        assert_shared(&plans, "by the bind");
+        let stats = prepack_plans(&mut plans).unwrap();
+        assert_eq!((stats.layers, stats.shared), (3 * 16, 2 * 16));
+        assert_shared(&plans, "by prepack");
     }
 
     #[test]

@@ -374,11 +374,11 @@ impl HardwareExecutor {
                         _ => None,
                     };
                     // the fused FC kernel reads [B, C] rows, everything
-                    // else [B, C, H, W]; either view moves the buffer
+                    // else [B, C, H, W]; either view shares the buffer
                     let x_in = if fused.is_some() {
-                        restack(x, &[b, geom.c])?
+                        x.reshape(&[b, geom.c])?
                     } else {
-                        restack(x, &[b, geom.c, geom.in_hw, geom.in_hw])?
+                        x.reshape(&[b, geom.c, geom.in_hw, geom.in_hw])?
                     };
                     if self.path == ComputePath::Software {
                         // analytic MACs per sample, on the pre-GEMM input
@@ -530,7 +530,7 @@ impl HardwareExecutor {
                         }
                     }
                     let per = x.len() / b;
-                    x = restack(x, &[b, per])?;
+                    x = x.reshape(&[b, per])?;
                 }
             }
         }
@@ -875,11 +875,6 @@ fn union_activity(pending: &[Option<Vec<bool>>], c: usize) -> Option<Vec<bool>> 
         }
         u
     })
-}
-
-/// `x` re-viewed as `dims`: the buffer moves, nothing is copied.
-fn restack(x: Tensor, dims: &[usize]) -> crate::Result<Tensor> {
-    Ok(Tensor::from_vec(x.into_vec(), dims)?)
 }
 
 /// Sparse-dispatch observability for one GEMM call. Counters only: sums

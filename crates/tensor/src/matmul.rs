@@ -1294,13 +1294,14 @@ mod tests {
         let (m, k) = (a.dims()[0], a.dims()[1]);
         let n = b.dims()[1];
         let mut c = Tensor::zeros(&[m, n]);
+        let cv = c.as_mut_slice();
         for i in 0..m {
             for j in 0..n {
                 let mut s = 0.0;
                 for p in 0..k {
                     s += a.as_slice()[i * k + p] * b.as_slice()[p * n + j];
                 }
-                c.as_mut_slice()[i * n + j] = s;
+                cv[i * n + j] = s;
             }
         }
         c

@@ -28,15 +28,16 @@ fn zip_broadcast(
     let lstrides = padded_strides(lhs.shape(), &out_shape);
     let rstrides = padded_strides(rhs.shape(), &out_shape);
     let mut out = Tensor::zeros(&out_dims);
+    let (lv, rv, ov) = (lhs.as_slice(), rhs.as_slice(), out.as_mut_slice());
     let mut index = vec![0usize; rank];
-    for flat in 0..out.len() {
+    for o in ov.iter_mut() {
         let mut l_off = 0usize;
         let mut r_off = 0usize;
         for d in 0..rank {
             l_off += index[d] * lstrides[d];
             r_off += index[d] * rstrides[d];
         }
-        out.as_mut_slice()[flat] = f(lhs.as_slice()[l_off], rhs.as_slice()[r_off]);
+        *o = f(lv[l_off], rv[r_off]);
         // increment row-major index
         for d in (0..rank).rev() {
             index[d] += 1;

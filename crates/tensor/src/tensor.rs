@@ -1,11 +1,18 @@
 use crate::{Result, Shape, TensorError};
+use std::sync::Arc;
 
 /// A dense, contiguous, row-major `f32` tensor.
 ///
 /// `Tensor` is the single data container used by every crate in this
 /// workspace: network weights, activations, gradients, threshold banks and
 /// dataset batches are all `Tensor`s. Storage is always contiguous, so
-/// views never alias and kernels can assume unit inner stride.
+/// kernels can assume unit inner stride.
+///
+/// Clones and reshapes share storage copy-on-write: they cost no copy
+/// until one owner writes through [`as_mut_slice`](Tensor::as_mut_slice),
+/// which first copies shared storage. A tensor is still a value — a
+/// write never shows through another owner — so one backbone can be held
+/// by a model and by every plan bound from it without a copy per holder.
 ///
 /// ```
 /// # use mime_tensor::Tensor;
@@ -16,7 +23,7 @@ use crate::{Result, Shape, TensorError};
 #[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     shape: Shape,
-    data: Vec<f32>,
+    data: Arc<Vec<f32>>,
 }
 
 impl Tensor {
@@ -24,7 +31,7 @@ impl Tensor {
     pub fn zeros(dims: &[usize]) -> Self {
         let shape = Shape::new(dims);
         let len = shape.len();
-        Tensor { shape, data: vec![0.0; len] }
+        Tensor { shape, data: Arc::new(vec![0.0; len]) }
     }
 
     /// Creates a tensor filled with ones.
@@ -36,19 +43,20 @@ impl Tensor {
     pub fn full(dims: &[usize], value: f32) -> Self {
         let shape = Shape::new(dims);
         let len = shape.len();
-        Tensor { shape, data: vec![value; len] }
+        Tensor { shape, data: Arc::new(vec![value; len]) }
     }
 
     /// Creates a rank-0 (scalar) tensor.
     pub fn scalar(value: f32) -> Self {
-        Tensor { shape: Shape::scalar(), data: vec![value] }
+        Tensor { shape: Shape::scalar(), data: Arc::new(vec![value]) }
     }
 
     /// Creates the `n × n` identity matrix.
     pub fn eye(n: usize) -> Self {
         let mut t = Tensor::zeros(&[n, n]);
+        let v = t.as_mut_slice();
         for i in 0..n {
-            t.data[i * n + i] = 1.0;
+            v[i * n + i] = 1.0;
         }
         t
     }
@@ -67,19 +75,19 @@ impl Tensor {
                 actual: data.len(),
             });
         }
-        Ok(Tensor { shape, data })
+        Ok(Tensor { shape, data: Arc::new(data) })
     }
 
     /// Creates a rank-1 tensor from a slice.
     pub fn from_slice(data: &[f32]) -> Self {
-        Tensor { shape: Shape::new(&[data.len()]), data: data.to_vec() }
+        Tensor { shape: Shape::new(&[data.len()]), data: Arc::new(data.to_vec()) }
     }
 
     /// Builds a tensor by evaluating `f` at every flat index.
     pub fn from_fn(dims: &[usize], mut f: impl FnMut(usize) -> f32) -> Self {
         let shape = Shape::new(dims);
         let data = (0..shape.len()).map(&mut f).collect();
-        Tensor { shape, data }
+        Tensor { shape, data: Arc::new(data) }
     }
 
     /// The tensor's shape.
@@ -112,25 +120,30 @@ impl Tensor {
         &self.data
     }
 
-    /// Mutable view of the flat storage.
+    /// Mutable view of the flat storage. Storage shared with another
+    /// tensor is copied first, so the write shows through this tensor
+    /// only. Take the slice once outside a loop: each call checks
+    /// whether the storage is shared.
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        &mut self.data
+        Arc::make_mut(&mut self.data).as_mut_slice()
     }
 
-    /// Consumes the tensor, returning its flat storage.
+    /// Consumes the tensor, returning its flat storage: the buffer
+    /// itself when no other tensor shares it, otherwise a copy.
     pub fn into_vec(self) -> Vec<f32> {
-        self.data
+        Arc::unwrap_or_clone(self.data)
     }
 
-    /// Whether `other` is this tensor bit for bit: the same object, or the
-    /// same shape and the same `to_bits` of every element. Stricter than
-    /// `==` (`-0.0` differs from `0.0`, a NaN equals itself), which is
-    /// what deciding that two weights are one layer needs: kernels built
-    /// from either must produce the same bits.
+    /// Whether `other` is this tensor bit for bit: the same shape over
+    /// shared storage (a clone, or the object itself), or the same shape
+    /// and the same `to_bits` of every element. Stricter than `==`
+    /// (`-0.0` differs from `0.0`, a NaN equals itself), which is what
+    /// deciding that two weights are one layer needs: kernels built from
+    /// either must produce the same bits.
     pub fn bits_eq(&self, other: &Tensor) -> bool {
-        std::ptr::eq(self, other)
-            || (self.dims() == other.dims()
-                && self.data.chunks(1024).zip(other.data.chunks(1024)).all(|(x, y)| {
+        self.dims() == other.dims()
+            && (Arc::ptr_eq(&self.data, &other.data)
+                || self.data.chunks(1024).zip(other.data.chunks(1024)).all(|(x, y)| {
                     // OR-of-XOR over a whole chunk vectorizes; stopping at the
                     // first unequal chunk keeps distinct same-shaped tensors cheap
                     x.iter()
@@ -156,11 +169,12 @@ impl Tensor {
     /// Returns [`TensorError::IndexOutOfBounds`] for an invalid index.
     pub fn set(&mut self, index: &[usize], value: f32) -> Result<()> {
         let off = self.shape.offset(index)?;
-        self.data[off] = value;
+        self.as_mut_slice()[off] = value;
         Ok(())
     }
 
-    /// Reinterprets the tensor with a new shape of identical element count.
+    /// Reinterprets the tensor with a new shape of identical element
+    /// count. The result shares this tensor's storage copy-on-write.
     ///
     /// # Errors
     ///
@@ -174,7 +188,7 @@ impl Tensor {
                 actual: self.len(),
             });
         }
-        Ok(Tensor { shape, data: self.data.clone() })
+        Ok(Tensor { shape, data: Arc::clone(&self.data) })
     }
 
     /// Transposes a rank-2 tensor.
@@ -192,9 +206,10 @@ impl Tensor {
         }
         let (r, c) = (self.dims()[0], self.dims()[1]);
         let mut out = Tensor::zeros(&[c, r]);
+        let dst = out.as_mut_slice();
         for i in 0..r {
             for j in 0..c {
-                out.data[j * r + i] = self.data[i * c + j];
+                dst[j * r + i] = self.data[i * c + j];
             }
         }
         Ok(out)
@@ -222,13 +237,13 @@ impl Tensor {
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
         Tensor {
             shape: self.shape.clone(),
-            data: self.data.iter().map(|&x| f(x)).collect(),
+            data: Arc::new(self.data.iter().map(|&x| f(x)).collect()),
         }
     }
 
     /// Applies `f` elementwise in place.
     pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for x in &mut self.data {
+        for x in self.as_mut_slice() {
             *x = f(*x);
         }
     }
@@ -283,7 +298,9 @@ mod tests {
     fn bits_eq_compares_shape_and_bits() {
         let t = Tensor::from_vec(vec![1.0, 0.0, f32::NAN, 4.0], &[2, 2]).unwrap();
         assert!(t.bits_eq(&t));
+        // clones and reshapes share storage: equal dims decide at once
         assert!(t.bits_eq(&t.clone()));
+        assert!(t.bits_eq(&t.reshape(&[2, 2]).unwrap()));
         assert!(!t.bits_eq(&t.reshape(&[4]).unwrap()));
         let mut neg_zero = t.clone();
         neg_zero.as_mut_slice()[1] = -0.0;
@@ -293,6 +310,51 @@ mod tests {
         let mut b = a.clone();
         b.as_mut_slice()[2999] = 1.0;
         assert!(!a.bits_eq(&b));
+    }
+
+    #[test]
+    fn clones_are_values_over_copy_on_write_storage() {
+        let a = Tensor::from_slice(&[1.0, 2.0, 3.0]);
+        let mut b = a.clone();
+        assert_eq!(b.as_slice().as_ptr(), a.as_slice().as_ptr(), "a clone shares storage");
+        b.as_mut_slice()[0] = 9.0;
+        assert_eq!(a.as_slice(), &[1.0, 2.0, 3.0], "a write through a clone stays there");
+        assert_eq!(b.as_slice(), &[9.0, 2.0, 3.0]);
+        let mut c = a.clone();
+        let c_view = c.clone();
+        c.set(&[2], -1.0).unwrap();
+        assert_eq!(c_view.as_slice(), &[1.0, 2.0, 3.0], "and the other way round");
+        assert_eq!(c.as_slice(), &[1.0, 2.0, -1.0]);
+        assert_eq!(a.as_slice(), &[1.0, 2.0, 3.0]);
+        // value equality is unchanged: NaN differs from itself, shared or not
+        let nan = Tensor::from_slice(&[f32::NAN]);
+        assert_ne!(nan, nan.clone());
+        assert_eq!(a, Tensor::from_slice(&[1.0, 2.0, 3.0]));
+    }
+
+    #[test]
+    fn reshape_shares_storage_until_a_write() {
+        let mut t = Tensor::from_slice(&[1.0, 2.0, 3.0, 4.0]);
+        let r = t.reshape(&[2, 2]).unwrap();
+        assert_eq!(r.as_slice().as_ptr(), t.as_slice().as_ptr());
+        t.as_mut_slice()[3] = 0.5;
+        assert_ne!(r.as_slice().as_ptr(), t.as_slice().as_ptr());
+        assert_eq!(r.as_slice(), &[1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(t.as_slice(), &[1.0, 2.0, 3.0, 0.5]);
+    }
+
+    #[test]
+    fn into_vec_moves_unique_storage_and_copies_shared() {
+        let v = vec![1.0, 2.0];
+        let ptr = v.as_ptr();
+        let t = Tensor::from_vec(v, &[2]).unwrap();
+        let shared = t.clone();
+        let copied = t.into_vec();
+        assert_ne!(copied.as_ptr(), ptr, "shared storage is copied out");
+        assert_eq!(copied, [1.0, 2.0]);
+        assert_eq!(shared.as_slice(), &[1.0, 2.0], "the other owner is intact");
+        let moved = shared.into_vec();
+        assert_eq!(moved.as_ptr(), ptr, "unique storage is moved out");
     }
 
     #[test]

@@ -44,6 +44,12 @@ if [[ "$run_tests" == 1 ]]; then
     echo "==> cargo test --workspace"
     cargo test --workspace -q
 
+    # the vendored `bytes` shim sits outside the workspace; its tests pin
+    # the zero-copy views (`From<Vec<u8>>`, `copy_to_bytes`) the image
+    # loader relies on
+    echo "==> cargo test -p bytes"
+    cargo test -q -p bytes
+
     # kernel-bench smoke: tiny shapes, asserts the threaded GEMM and
     # parallel executor still match their references; writes only under
     # target/ (the tracked BENCH_kernels.json is refreshed by
@@ -106,6 +112,28 @@ if [[ "$run_tests" == 1 ]]; then
     unfused_ck=$(grep 'logits checksum' <<<"$unfused_out")
     [[ -n "$unfused_ck" && "$unfused_ck" == "$sparse_ck" ]] \
         || { echo "FAIL: fused epilogue changed the logits checksum" >&2; exit 1; }
+
+    # golden logits: every parity above compares two variants of one run,
+    # so a change that moved every path alike (tensor storage, the image
+    # decode, quantization) would still pass them. These runs pin the
+    # absolute bits; `serve` covers pack → unpack → bind → prepack →
+    # fleet. The values are those of a build that fuses multiply-adds
+    # (target-cpu=native on an x86_64 host with FMA).
+    echo "==> golden logits checksums"
+    if [[ "$(uname -m)" == x86_64 ]] && grep -qw fma /proc/cpuinfo; then
+        golden_batch=$(./target/release/mime batch --images 6 --tasks 3 --threads 2)
+        grep -Eq '^ *logits checksum: +6211ee016172787c$' <<<"$golden_batch" \
+            && grep -Eq '^ *macs executed: +3170364$' <<<"$golden_batch" \
+            || { echo "FAIL: mime batch --images 6 --tasks 3 --threads 2 moved:" >&2
+                 grep -E 'logits checksum|macs executed' <<<"$golden_batch" >&2; exit 1; }
+        golden_serve=$(timeout 120 ./target/release/mime serve --requests 64 --tasks 3) \
+            || { echo "FAIL: mime serve --requests 64 --tasks 3" >&2; exit 1; }
+        grep -Eq '^ *logits checksum: +4b1c1d1c93742306$' <<<"$golden_serve" \
+            || { echo "FAIL: mime serve --requests 64 --tasks 3 moved:" >&2
+                 grep 'logits checksum' <<<"$golden_serve" >&2; exit 1; }
+    else
+        echo "golden check skipped: the pinned checksums are for x86_64 with FMA"
+    fi
 
     # serving chaos smoke: `mime serve` without --listen drives 64
     # requests through its own fleet (front door + 2 replica processes)
