@@ -1,5 +1,6 @@
 //! Kernel-level benchmark with a tracked baseline: GEMM, batched conv
-//! lowering, and the parallel batch executor at paper VGG16 geometries.
+//! lowering, the sparse dispatcher, the fused epilogue and resident conv
+//! weights at paper VGG16 geometries.
 //!
 //! Writes `BENCH_kernels.json` (median-of-k wall times + GFLOP/s) so
 //! perf regressions show up in review; `scripts/bench.sh` runs it under
@@ -18,17 +19,13 @@
 //! agree on naming. The instrumentation *hooks* stay disabled while
 //! timing, so measured kernels run the one-atomic-load disabled path.
 
-use mime_core::{apply_thresholds_rescan, channel_activity_rescan, MimeNetwork};
-use mime_nn::{build_network, vgg16_arch};
-use mime_runtime::{BoundNetwork, HardwareExecutor};
-use mime_systolic::{vgg16_geometry_with, ArrayConfig, LayerGeometry};
+use mime_core::{apply_thresholds_rescan, channel_activity_rescan};
+use mime_systolic::{vgg16_geometry_with, LayerGeometry};
 use mime_tensor::{
     conv2d, matmul_fused_row_into, matmul_prepacked_a_into, matmul_scalar_ref,
     matmul_sparse_dispatch_into, threads, ConvSpec, FusedMask, PrepackedA, PrepackedB,
     SparseDispatch, Tensor,
 };
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::time::Instant;
 
 #[derive(Clone, Copy, PartialEq)]
@@ -676,68 +673,6 @@ fn bench_resident(mode: Mode) -> Vec<ResidentRow> {
         .collect()
 }
 
-struct ExecRow {
-    images: usize,
-    threads: usize,
-    serial_ms: f64,
-    parallel_ms: f64,
-    reports_identical: bool,
-}
-
-fn bench_executor(mode: Mode, threads_mt: usize) -> ExecRow {
-    let reps = match mode {
-        Mode::Full => 5,
-        Mode::Quick => 3,
-        Mode::Smoke => 1,
-    };
-    let images = match mode {
-        Mode::Full => 8,
-        Mode::Quick => 6,
-        Mode::Smoke => 2,
-    };
-    let arch = vgg16_arch(0.0625, 32, 3, 4, 16);
-    let mut rng = StdRng::seed_from_u64(6);
-    let parent = build_network(&arch, &mut rng);
-    let mime_a = MimeNetwork::from_trained(&arch, &parent, 0.03).unwrap();
-    let mime_b = MimeNetwork::from_trained(&arch, &parent, 0.30).unwrap();
-    let plans = vec![
-        BoundNetwork::from_mime(&mime_a).unwrap(),
-        BoundNetwork::from_mime(&mime_b).unwrap(),
-    ];
-    let batch: Vec<(usize, Tensor)> =
-        (0..images).map(|i| (i % 2, fill(&[3, 32, 32], i))).collect();
-    let mut exec = HardwareExecutor::new(ArrayConfig::eyeriss_65nm());
-    let serial_ms = median_ms(reps, || {
-        std::hint::black_box(exec.run_pipelined(&plans, &batch, true, true).unwrap());
-    });
-    let parallel_ms = median_ms(reps, || {
-        std::hint::black_box(
-            exec.run_batch_parallel_with_threads(&plans, &batch, true, true, threads_mt)
-                .unwrap(),
-        );
-    });
-    let serial = exec.run_pipelined(&plans, &batch, true, true).unwrap();
-    let parallel = exec
-        .run_batch_parallel_with_threads(&plans, &batch, true, true, threads_mt)
-        .unwrap();
-    let reports_identical = serial.counters == parallel.counters
-        && serial.logits == parallel.logits
-        && serial.weight_reload_words == parallel.weight_reload_words
-        && serial.threshold_reload_words == parallel.threshold_reload_words
-        && serial.task_switches == parallel.task_switches
-        && serial.degraded_tasks == parallel.degraded_tasks;
-    println!(
-        "executor n={images} serial {serial_ms:8.2} ms  parallel({threads_mt}t) \
-         {parallel_ms:8.2} ms  reports_identical={reports_identical}"
-    );
-    let reg = mime_obs::metrics::global();
-    for (kernel, ms) in [("serial", serial_ms), ("parallel", parallel_ms)] {
-        reg.gauge_with("mime_bench_executor_ms", &[("kernel", kernel)]).set(ms);
-    }
-    reg.gauge("mime_bench_executor_images").set(images as f64);
-    ExecRow { images, threads: threads_mt, serial_ms, parallel_ms, reports_identical }
-}
-
 fn gflops(macs: u64, ms: f64) -> f64 {
     // 2 FLOPs per MAC
     (2 * macs) as f64 / (ms * 1e-3) / 1e9
@@ -761,7 +696,6 @@ fn write_report(
     sparse: &[SparseRow],
     fused: &[FusedRow],
     resident: &[ResidentRow],
-    exec: &ExecRow,
 ) {
     let mut s = String::new();
     s.push_str("{\n");
@@ -923,15 +857,6 @@ fn write_report(
         ));
     }
     s.push_str("  ],\n");
-    s.push_str(&format!(
-        "  \"executor\": {{\"images\": {}, \"threads\": {}, \"serial_ms\": {}, \
-         \"parallel_ms\": {}, \"reports_identical\": {}}},\n",
-        exec.images,
-        exec.threads,
-        json_f(exec.serial_ms),
-        json_f(exec.parallel_ms),
-        exec.reports_identical
-    ));
     // The same series a live `--metrics-out` scrape would expose,
     // snapshotted from the mime-obs registry the benches record into.
     s.push_str("  \"metrics\": ");
@@ -959,14 +884,7 @@ fn main() {
     let sparse = bench_sparse(args.mode);
     let fused = bench_fused(args.mode);
     let resident = bench_resident(args.mode);
-    let exec = bench_executor(args.mode, threads_mt);
-    write_report(
-        out, args.mode, threads_mt, &gemm, &conv, &sparse, &fused, &resident, &exec,
-    );
-    if !exec.reports_identical {
-        eprintln!("FAIL: parallel executor report differs from serial");
-        std::process::exit(1);
-    }
+    write_report(out, args.mode, threads_mt, &gemm, &conv, &sparse, &fused, &resident);
     for r in &gemm {
         if r.max_rel_diff > 1e-3 {
             eprintln!(

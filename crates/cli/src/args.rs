@@ -95,9 +95,10 @@ pub enum Command {
         /// per-MAC, so keep it small).
         input_hw: usize,
     },
-    /// `mime batch`: run a small multi-task batch on the functional
-    /// array, serial and parallel, and cross-check the reports. The main
-    /// driver for `--trace-out`/`--metrics-out` smoke runs.
+    /// `mime batch`: run a small task-interleaved batch as one pipelined
+    /// pass on the sparse software path and print its counters and logits
+    /// checksum. The quickest command for `--trace-out`/`--metrics-out`
+    /// smoke runs.
     Batch {
         /// Number of images in the batch (default 6).
         images: usize,
@@ -106,9 +107,6 @@ pub enum Command {
         tasks: usize,
         /// RNG seed for the parent backbone (default 42).
         seed: u64,
-        /// Worker threads for the parallel run (default 0 = auto from
-        /// `MIME_THREADS`/cores).
-        threads: usize,
         /// Fault drill: NaN-poison this task's threshold bank before
         /// running, forcing the graceful-degradation path (and the
         /// degraded exit code 2).
@@ -702,7 +700,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, ArgError> {
             let (rest, dense_only) = strip_valueless(rest, "--dense-only");
             let (rest, no_prepack) = strip_valueless(&rest, "--no-prepack");
             let (flags, pos) = split_flags(&rest)?;
-            reject_unknown(&flags, &["images", "tasks", "seed", "threads", "poison"])?;
+            reject_unknown(&flags, &["images", "tasks", "seed", "poison"])?;
             if !pos.is_empty() {
                 return Err(err(format!("unexpected argument '{}'", pos[0])));
             }
@@ -732,7 +730,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, ArgError> {
                 images,
                 tasks,
                 seed: get_num(&flags, "seed", 42)?,
-                threads: get_num(&flags, "threads", 0)?,
                 poison,
                 dense_only,
                 no_prepack,
@@ -1107,19 +1104,17 @@ mod tests {
                 images: 6,
                 tasks: 2,
                 seed: 42,
-                threads: 0,
                 poison: None,
                 dense_only: false,
                 no_prepack: false,
             }
         );
         assert_eq!(
-            p(&["batch", "--images", "4", "--tasks", "3", "--threads", "2"]).unwrap(),
+            p(&["batch", "--images", "4", "--tasks", "3"]).unwrap(),
             Command::Batch {
                 images: 4,
                 tasks: 3,
                 seed: 42,
-                threads: 2,
                 poison: None,
                 dense_only: false,
                 no_prepack: false,
@@ -1128,6 +1123,7 @@ mod tests {
         assert!(p(&["batch", "--images", "0"]).is_err());
         assert!(p(&["batch", "--tasks", "0"]).is_err());
         assert!(p(&["batch", "extra"]).is_err());
+        assert!(p(&["batch", "--threads", "2"]).is_err(), "MIME_THREADS sets the workers");
     }
 
     #[test]
@@ -1138,7 +1134,6 @@ mod tests {
                 images: 6,
                 tasks: 3,
                 seed: 42,
-                threads: 0,
                 poison: Some(2),
                 dense_only: false,
                 no_prepack: false,
@@ -1156,19 +1151,17 @@ mod tests {
                 images: 6,
                 tasks: 2,
                 seed: 42,
-                threads: 0,
                 poison: None,
                 dense_only: true,
                 no_prepack: false,
             }
         );
         assert_eq!(
-            p(&["batch", "--dense-only", "--images", "4", "--threads", "2"]).unwrap(),
+            p(&["batch", "--dense-only", "--images", "4"]).unwrap(),
             Command::Batch {
                 images: 4,
                 tasks: 2,
                 seed: 42,
-                threads: 2,
                 poison: None,
                 dense_only: true,
                 no_prepack: false,

@@ -83,8 +83,8 @@ pub fn run(cmd: Command, out: &mut dyn Write) -> Result<(), CliError> {
         }
         Command::Sweep { input_hw, rounds } => sweep(out, input_hw, rounds),
         Command::Validate { input_hw } => validate(out, input_hw),
-        Command::Batch { images, tasks, seed, threads, poison, dense_only, no_prepack } => {
-            batch(out, images, tasks, seed, threads, poison, dense_only, no_prepack)
+        Command::Batch { images, tasks, seed, poison, dense_only, no_prepack } => {
+            batch(out, images, tasks, seed, poison, dense_only, no_prepack)
         }
         Command::Serve {
             requests,
@@ -198,10 +198,10 @@ fn write_help(out: &mut dyn Write) {
          \x20           [--count N]                            corrupt an image for fault drills\n\
          \x20 sweep     [--input-hw 224] [--rounds 6]          batch/task scaling sweeps\n\
          \x20 validate  [--input-hw 32]                        analytical vs functional counters\n\
-         \x20 batch     [--images 6] [--tasks 2] [--seed 42] [--threads 0] [--poison i]\n\
-         \x20           [--dense-only] [--no-prepack]  multi-task batch on the sparse\n\
-         \x20           software path, serial vs parallel (exit code 2 when a task\n\
-         \x20           degraded to parent)\n\
+         \x20 batch     [--images 6] [--tasks 2] [--seed 42] [--poison i]\n\
+         \x20           [--dense-only] [--no-prepack]  pipelined multi-task batch on the\n\
+         \x20           sparse software path (exit code 2 when a task degraded to\n\
+         \x20           parent)\n\
          \x20 serve     [--listen <addr> | --requests 16] [--tasks 3] [--seed 42]\n\
          \x20           [--replicas 2] [--image <file>] [--capacity 0] [--dense-only]\n\
          \x20           [--no-prepack] [--deadline-ms 5000] [--inject none|replica-abort|\n\
@@ -454,7 +454,7 @@ fn inspect(out: &mut dyn Write, path: &str) -> Result<(), CliError> {
 }
 
 fn verify_image_cmd(out: &mut dyn Write, path: &str) -> Result<(), CliError> {
-    let raw = std::fs::read(path).map_err(io_err)?;
+    let raw = Bytes::from(std::fs::read(path).map_err(io_err)?);
     let summary =
         verify_image(&raw).map_err(|e| format!("error: unreadable image header: {e}"))?;
     let _ = writeln!(
@@ -604,13 +604,11 @@ fn validate(out: &mut dyn Write, input_hw: usize) -> Result<(), CliError> {
     Ok(())
 }
 
-#[allow(clippy::too_many_arguments)]
 fn batch(
     out: &mut dyn Write,
     images: usize,
     tasks: usize,
     seed: u64,
-    threads: usize,
     poison: Option<usize>,
     dense_only: bool,
     no_prepack: bool,
@@ -635,9 +633,8 @@ fn batch(
             BoundNetwork::from_mime(&net).map_err(io_err)
         })
         .collect::<Result<_, String>>()?;
-    // Pack the weights once per process (shared read-only across the
-    // parallel workers) unless the run is pinned to the raw-weight
-    // reference path.
+    // Pack the weights once per process unless the run is pinned to the
+    // raw-weight reference path.
     if !no_prepack {
         let stats = mime_runtime::prepack_plans(&mut plans).map_err(io_err)?;
         let _ = writeln!(
@@ -664,43 +661,26 @@ fn batch(
         ComputePath::Software,
         dispatch,
     );
-    let serial = exec.run_pipelined(&plans, &batch, true, true).map_err(io_err)?;
-    let parallel = if threads == 0 {
-        exec.run_batch_parallel(&plans, &batch, true, true)
-    } else {
-        exec.run_batch_parallel_with_threads(&plans, &batch, true, true, threads)
-    }
-    .map_err(io_err)?;
-    let _ = writeln!(
-        out,
-        "ran {images} image(s) over {tasks} task(s), serial then parallel{}",
-        if threads == 0 { String::new() } else { format!(" ({threads} thread(s))") }
-    );
-    let c = &serial.counters;
+    let report = exec.run_pipelined(&plans, &batch, true, true).map_err(io_err)?;
+    let _ =
+        writeln!(out, "ran {images} image(s) over {tasks} task(s) in one pipelined pass");
+    let c = &report.counters;
     let _ = writeln!(out, "  macs executed:      {}", c.macs);
     let _ = writeln!(out, "  dram words:         {}", c.dram_reads + c.dram_writes);
-    let _ = writeln!(out, "  task switches:      {}", serial.task_switches);
-    let _ = writeln!(out, "  threshold reloads:  {} words", serial.threshold_reload_words);
-    let _ = writeln!(out, "  degraded tasks:     {:?}", serial.degraded_tasks);
+    let _ = writeln!(out, "  task switches:      {}", report.task_switches);
+    let _ = writeln!(out, "  threshold reloads:  {} words", report.threshold_reload_words);
+    let _ = writeln!(out, "  degraded tasks:     {:?}", report.degraded_tasks);
     // bit-level fingerprint of every logit: identical across dispatch
     // policies and thread counts, or something is broken
-    let _ = writeln!(out, "  logits checksum:    {:016x}", logits_checksum(&serial.logits));
-    let identical = serial.counters == parallel.counters
-        && serial.logits == parallel.logits
-        && serial.task_switches == parallel.task_switches
-        && serial.degraded_tasks == parallel.degraded_tasks;
-    let _ = writeln!(out, "  parallel == serial: {identical}");
-    if !identical {
-        return Err("error: parallel batch report diverged from serial".to_string().into());
-    }
-    if !serial.degraded_tasks.is_empty() {
+    let _ = writeln!(out, "  logits checksum:    {:016x}", logits_checksum(&report.logits));
+    if !report.degraded_tasks.is_empty() {
         // The batch completed — every image got logits — but some tasks
         // ran on the parent path. Distinct exit code so callers can
         // separate "served degraded" from hard failure.
         return Err(CliError::degraded(format!(
             "warning: batch completed with {} task(s) degraded to the parent path: {:?}",
-            serial.degraded_tasks.len(),
-            serial.degraded_tasks
+            report.degraded_tasks.len(),
+            report.degraded_tasks
         )));
     }
     Ok(())
@@ -1718,18 +1698,18 @@ mod tests {
     }
 
     #[test]
-    fn batch_reports_parity() {
+    fn batch_reports_counters_and_checksum() {
         let s = capture(Command::Batch {
             images: 3,
             tasks: 2,
             seed: 1,
-            threads: 2,
             poison: None,
             dense_only: false,
             no_prepack: false,
         });
-        assert!(s.contains("parallel == serial: true"), "{s}");
         assert!(s.contains("macs executed"), "{s}");
+        assert!(s.contains("logits checksum"), "{s}");
+        assert!(s.contains("degraded tasks:     []"), "{s}");
     }
 
     #[test]
@@ -1740,7 +1720,6 @@ mod tests {
                 images: 4,
                 tasks: 2,
                 seed: 1,
-                threads: 2,
                 poison: Some(1),
                 dense_only: false,
                 no_prepack: false,
@@ -1751,9 +1730,9 @@ mod tests {
         assert_eq!(err.code, EXIT_DEGRADED);
         assert!(err.message.contains("degraded"), "{err}");
         assert!(err.message.contains("[1]"), "{err}");
-        // the batch still completed with serial/parallel parity
+        // the batch still completed, every image with logits
         let s = String::from_utf8(buf).unwrap();
-        assert!(s.contains("parallel == serial: true"), "{s}");
+        assert!(s.contains("logits checksum"), "{s}");
         assert!(s.contains("degraded tasks:     [1]"), "{s}");
     }
 }

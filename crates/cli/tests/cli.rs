@@ -75,7 +75,7 @@ fn batch_exit_codes_distinguish_clean_and_degraded() {
         .expect("binary runs");
     assert_eq!(out.status.code(), Some(2), "{}", String::from_utf8_lossy(&out.stderr));
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("parallel == serial: true"), "{stdout}");
+    assert!(stdout.contains("degraded tasks:     [1]"), "{stdout}");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("degraded"), "{stderr}");
 }

@@ -182,7 +182,18 @@ fn truncated(section: &ImageSection, what: &'static str) -> MimeError {
     MimeError::Truncated { section: section.clone(), what }
 }
 
-fn get_tensor(buf: &mut Bytes, section: &ImageSection) -> crate::Result<Tensor> {
+/// A tensor record's header, checked against its own dims and the
+/// bytes left for its `len` big-endian i16 words.
+struct TensorHeader {
+    dims: Vec<usize>,
+    scale: f32,
+    len: usize,
+}
+
+fn get_tensor_header(
+    buf: &mut Bytes,
+    section: &ImageSection,
+) -> crate::Result<TensorHeader> {
     if buf.remaining() < 2 {
         return Err(truncated(section, "tensor header"));
     }
@@ -210,6 +221,11 @@ fn get_tensor(buf: &mut Bytes, section: &ImageSection) -> crate::Result<Tensor> 
         }
         .into());
     }
+    Ok(TensorHeader { dims, scale, len })
+}
+
+fn get_tensor(buf: &mut Bytes, section: &ImageSection) -> crate::Result<Tensor> {
+    let TensorHeader { dims, scale, len } = get_tensor_header(buf, section)?;
     // One pass from the big-endian i16 words to f32, with
     // `QuantizedTensor::dequantize`'s own arithmetic (`q as f32 * scale`)
     // so the restored weights are bit-identical to a dequantize.
@@ -463,10 +479,7 @@ fn get_header(buf: &mut Bytes) -> crate::Result<u16> {
 
 fn parse_backbone(payload: &mut Bytes) -> crate::Result<HashMap<String, Tensor>> {
     let section = ImageSection::Backbone;
-    if payload.remaining() < 4 {
-        return Err(truncated(&section, "backbone count"));
-    }
-    let n = payload.get_u32() as usize;
+    let n = get_backbone_count(payload)?;
     let mut backbone = HashMap::with_capacity(n);
     for _ in 0..n {
         let name = get_name(payload, &section)?;
@@ -474,6 +487,26 @@ fn parse_backbone(payload: &mut Bytes) -> crate::Result<HashMap<String, Tensor>>
         backbone.insert(name, tensor);
     }
     Ok(backbone)
+}
+
+/// Walks a backbone's names and tensor headers as [`parse_backbone`]
+/// does, with the same errors, but skips the weight words instead of
+/// decoding them.
+fn check_backbone(payload: &mut Bytes) -> crate::Result<()> {
+    let section = ImageSection::Backbone;
+    for _ in 0..get_backbone_count(payload)? {
+        get_name(payload, &section)?;
+        let header = get_tensor_header(payload, &section)?;
+        payload.advance(header.len * 2);
+    }
+    Ok(())
+}
+
+fn get_backbone_count(payload: &mut Bytes) -> crate::Result<usize> {
+    if payload.remaining() < 4 {
+        return Err(truncated(&ImageSection::Backbone, "backbone count"));
+    }
+    Ok(payload.get_u32() as usize)
 }
 
 /// Parses one v2 task payload into `(name, banks)`, checking every bank
@@ -655,17 +688,7 @@ pub fn unpack_checkpoint(
 /// Legacy v1 reader: no checksums, no framing — parse errors are hard,
 /// registration failures (collisions, shape mismatches) are contained.
 fn unpack_v1(buf: &mut Bytes, model: &mut MultiTaskModel) -> crate::Result<UnpackReport> {
-    if buf.remaining() < 4 {
-        return Err(truncated(&ImageSection::Backbone, "backbone count"));
-    }
-    let n_backbone = buf.get_u32() as usize;
-    let section = ImageSection::Backbone;
-    let mut backbone = HashMap::with_capacity(n_backbone);
-    for _ in 0..n_backbone {
-        let name = get_name(buf, &section)?;
-        let tensor = get_tensor(buf, &section)?;
-        backbone.insert(name, tensor);
-    }
+    let backbone = parse_backbone(buf)?;
     model.network_mut().import_backbone(&backbone)?;
     if buf.remaining() < 4 {
         return Err(truncated(&ImageSection::Header, "task count"));
@@ -729,7 +752,8 @@ impl ImageSummary {
 
 /// Verifies an image's framing and per-section checksums without a
 /// receiving model — the cheap integrity walk behind the `verify-image`
-/// CLI subcommand.
+/// CLI subcommand. The walk reads `bytes` in place and decodes no
+/// weight: backbone tensors are checked by their headers and skipped.
 ///
 /// v2 sections are CRC-checked and parsed structurally (names, tensor
 /// framing); v1 images carry no checksums, so their sections are parsed
@@ -743,9 +767,8 @@ impl ImageSummary {
 /// section in the summary. (This differs from [`unpack_model`], where a
 /// damaged backbone is a hard error because nothing can execute without
 /// it; `verify_image` is a diagnostic and keeps walking.)
-pub fn verify_image(bytes: &[u8]) -> crate::Result<ImageSummary> {
-    let image = Bytes::from(bytes.to_vec());
-    let mut buf = image.clone();
+pub fn verify_image(bytes: &Bytes) -> crate::Result<ImageSummary> {
+    let mut buf = bytes.clone();
     let version = get_header(&mut buf)?;
     let mut summary =
         ImageSummary { version, total_bytes: bytes.len(), sections: Vec::new() };
@@ -766,7 +789,7 @@ pub fn verify_image(bytes: &[u8]) -> crate::Result<ImageSummary> {
     match get_section_payload(&mut buf, &ImageSection::Backbone) {
         Ok(mut payload) => {
             let backbone_bytes = payload.remaining();
-            let error = parse_backbone(&mut payload).err();
+            let error = check_backbone(&mut payload).err();
             summary.sections.push(SectionStatus {
                 section: ImageSection::Backbone,
                 payload_bytes: backbone_bytes,
@@ -857,15 +880,7 @@ fn trailing_bytes_error(buf: &Bytes) -> Option<SectionStatus> {
 /// Structural walk of a v1 image (no checksums to check).
 fn verify_v1(buf: &mut Bytes, summary: &mut ImageSummary) -> crate::Result<()> {
     let before = buf.remaining();
-    if buf.remaining() < 4 {
-        return Err(truncated(&ImageSection::Backbone, "backbone count"));
-    }
-    let n_backbone = buf.get_u32() as usize;
-    let section = ImageSection::Backbone;
-    for _ in 0..n_backbone {
-        get_name(buf, &section)?;
-        get_tensor(buf, &section)?;
-    }
+    check_backbone(buf)?;
     summary.sections.push(SectionStatus {
         section: ImageSection::Backbone,
         payload_bytes: before - buf.remaining(),
@@ -1046,7 +1061,7 @@ mod tests {
         // verify_image, by contrast, records the damage and keeps
         // walking: the task section after the bad backbone still
         // verifies clean.
-        let summary = verify_image(&image).unwrap();
+        let summary = verify_image(&Bytes::from(image)).unwrap();
         assert!(!summary.is_clean());
         assert_eq!(summary.sections.len(), 2);
         assert!(matches!(
@@ -1083,7 +1098,7 @@ mod tests {
         assert!(receiver.activate("task0").is_err());
 
         // verify_image attributes the same fault without a receiver
-        let summary = verify_image(&bytes).unwrap();
+        let summary = verify_image(&Bytes::from(bytes)).unwrap();
         assert!(!summary.is_clean());
         let bad: Vec<_> = summary.sections.iter().filter(|s| s.error.is_some()).collect();
         assert_eq!(bad.len(), 1);
@@ -1235,7 +1250,10 @@ mod tests {
             unpack_model(&Bytes::from(image.clone()), &mut receiver),
             Err(MimeError::MalformedImage { .. })
         ));
-        assert!(matches!(verify_image(&image), Err(MimeError::MalformedImage { .. })));
+        assert!(matches!(
+            verify_image(&Bytes::from(image)),
+            Err(MimeError::MalformedImage { .. })
+        ));
         assert!(started.elapsed().as_secs() < 5, "rejection must not enumerate");
     }
 
@@ -1255,7 +1273,7 @@ mod tests {
             }
             other => panic!("expected trailing-bytes error, got {other:?}"),
         }
-        let summary = verify_image(&image).unwrap();
+        let summary = verify_image(&Bytes::from(image)).unwrap();
         assert!(!summary.is_clean());
     }
 
@@ -1333,16 +1351,22 @@ mod tests {
     fn verify_image_rejects_header_damage() {
         let model = model_with_tasks(20, 1);
         let image = pack_model(&model).unwrap().to_vec();
-        assert!(verify_image(&image).unwrap().is_clean());
+        assert!(verify_image(&Bytes::from(image.clone())).unwrap().is_clean());
         let mut bad = image.clone();
         bad[0] = b'Z';
-        assert!(matches!(verify_image(&bad), Err(MimeError::BadMagic)));
+        assert!(matches!(verify_image(&Bytes::from(bad)), Err(MimeError::BadMagic)));
         let mut skew = image.clone();
         skew[5] = 9;
-        assert!(matches!(verify_image(&skew), Err(MimeError::VersionSkew { .. })));
+        assert!(matches!(
+            verify_image(&Bytes::from(skew)),
+            Err(MimeError::VersionSkew { .. })
+        ));
         // total-len disagreeing with the byte count
         let mut short = image;
         short.pop();
-        assert!(matches!(verify_image(&short), Err(MimeError::MalformedImage { .. })));
+        assert!(matches!(
+            verify_image(&Bytes::from(short)),
+            Err(MimeError::MalformedImage { .. })
+        ));
     }
 }

@@ -1,7 +1,7 @@
 //! Threshold training (paper eqs. 3–4 and the Fig. 3a procedure),
 //! with crash-safe epoch checkpointing and resume.
 
-use crate::deploy::{pack_image, unpack_checkpoint, verify_image, write_file_atomic};
+use crate::deploy::{pack_image, unpack_checkpoint, write_file_atomic};
 use crate::{MimeError, MimeNetwork, TaskEntry};
 use bytes::Bytes;
 use mime_nn::{accuracy, softmax_cross_entropy, Adam, Optimizer};
@@ -122,11 +122,12 @@ impl Checkpointer {
     /// continue from — or `None` when the directory holds no usable
     /// checkpoint.
     ///
-    /// Every candidate is verified with [`verify_image`] before the
-    /// strict restore; a torn, corrupted, or unparseable file is skipped
-    /// in favour of the next-newest one, so a crash mid-run (or a
-    /// damaged disk) degrades to resuming one epoch earlier instead of
-    /// failing.
+    /// Every candidate goes through the strict, all-or-nothing
+    /// [`unpack_checkpoint`], which checks the framing and every section
+    /// CRC before it touches `net`; a torn, corrupted, or unparseable
+    /// file is skipped in favour of the next-newest one, so a crash
+    /// mid-run (or a damaged disk) degrades to resuming one epoch
+    /// earlier instead of failing.
     ///
     /// # Errors
     ///
@@ -159,17 +160,10 @@ impl Checkpointer {
         Ok(None)
     }
 
-    /// Verifies and strictly restores one checkpoint file.
+    /// Strictly restores one checkpoint file.
     fn restore_one(net: &mut MimeNetwork, path: &Path, epoch: usize) -> crate::Result<()> {
         let bytes = std::fs::read(path)
             .map_err(|e| MimeError::io(path.display().to_string(), &e))?;
-        let summary = verify_image(&bytes)?;
-        if !summary.is_clean() {
-            return Err(MimeError::MalformedImage {
-                section: crate::ImageSection::Header,
-                reason: "checkpoint failed section verification".into(),
-            });
-        }
         let entries = unpack_checkpoint(&Bytes::from(bytes), net)?;
         let entry = entries
             .iter()

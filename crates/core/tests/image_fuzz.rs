@@ -59,7 +59,7 @@ fn every_single_byte_flip_is_detected_by_verify() {
     for offset in 0..image.len() {
         let mut bad = image.clone();
         bad[offset] ^= 0xFF;
-        match verify_image(&bad) {
+        match verify_image(&Bytes::from(bad)) {
             Err(_) => {}
             Ok(summary) => {
                 assert!(!summary.is_clean(), "flip at byte {offset} verified clean")
@@ -89,10 +89,10 @@ fn every_truncation_length_is_detected() {
     // any model state is touched, so one receiver serves the whole sweep.
     let mut model = receiver(98);
     for len in 0..image.len() {
-        let prefix = &image[..len];
-        assert!(verify_image(prefix).is_err(), "truncation to {len} bytes verified clean");
+        let prefix = Bytes::from(image[..len].to_vec());
+        assert!(verify_image(&prefix).is_err(), "truncation to {len} bytes verified clean");
         assert!(
-            unpack_model(&Bytes::from(prefix.to_vec()), &mut model).is_err(),
+            unpack_model(&prefix, &mut model).is_err(),
             "truncation to {len} bytes unpacked clean"
         );
     }
@@ -120,7 +120,7 @@ fn seeded_compound_faults_never_panic_or_pass_silently() {
             // unchanged image legitimately verifies clean
             continue;
         }
-        match verify_image(&bad) {
+        match verify_image(&Bytes::from(bad.clone())) {
             Err(_) => {}
             Ok(summary) => {
                 assert!(!summary.is_clean(), "seed {seed}: corruption verified clean")

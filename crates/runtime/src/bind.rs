@@ -382,9 +382,8 @@ struct Resident {
 /// for them that comparison is a pointer check, not a scan.
 /// Then each distinct weight is packed once — FC weights as fused-kernel
 /// panels ([`PrepackedB`]), conv weights as GEMM `A` strips
-/// ([`PrepackedA`]) — and shared via `Arc` across plans, and from there,
-/// read-only, across `run_batch_parallel` workers and serve worker
-/// threads. Steps that already carry an operand are left as they are.
+/// ([`PrepackedA`]) — and shared read-only via `Arc` across plans.
+/// Steps that already carry an operand are left as they are.
 /// Publishes `mime_prepack_ms` / `mime_prepack_bytes` gauges and bumps
 /// the `mime_prepack_total` counter (exactly once per call, so a serve
 /// process startup shows `1` however many requests follow).

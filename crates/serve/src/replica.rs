@@ -21,8 +21,8 @@ use crate::proto::{
 use mime_core::MimeError;
 use mime_obs::flight::{self, FlightKind};
 use mime_runtime::{
-    derive_ladders, BoundLayer, BoundNetwork, BrownoutLadder, ComputePath,
-    HardwareExecutor, LadderConfig, SparseDispatch,
+    derive_ladders, BoundNetwork, BrownoutLadder, ComputePath, HardwareExecutor,
+    LadderConfig, SparseDispatch,
 };
 use mime_systolic::ArrayConfig;
 use mime_tensor::Tensor;
@@ -174,24 +174,10 @@ pub fn run_replica_worker(
         },
     )
     .map_err(|e| ProtoError::Malformed(format!("brownout ladder derivation: {e}")))?;
-    // Verified once, off the request path: batch coalescing requires
-    // every task plan to be a view over ONE backbone (the MIME
-    // invariant). A mixed-weight image — e.g. conventional per-task
-    // baselines packed together — serves each batch item as a batch of
-    // one instead.
-    let coalesce = shares_backbone(plans);
-    if !coalesce && plans.len() > 1 {
-        mime_obs::warn!(
-            "serve.replica",
-            "plans do not share one backbone; batch coalescing disabled",
-            replica = cfg.replica
-        );
-    }
     let mut worker = Worker {
         cfg: &cfg,
         parents: &parents,
         ladders: &ladders,
-        coalesce,
         exec: HardwareExecutor::with_options(hw, ComputePath::Software, cfg.dispatch),
         heartbeat_seq: 0,
     };
@@ -467,9 +453,6 @@ struct Worker<'a> {
     /// Each plan with its thresholds stripped: the exact parent path.
     parents: &'a [BoundNetwork],
     ladders: &'a [BrownoutLadder],
-    /// Whether a pass may run several items at once (see
-    /// [`shares_backbone`]).
-    coalesce: bool,
     exec: HardwareExecutor,
     heartbeat_seq: u64,
 }
@@ -579,10 +562,11 @@ impl<'a> Worker<'a> {
     /// pass stopped by that loosest budget is past every item's budget,
     /// so every item fails `DeadlineExceeded` without another pass. Any
     /// other failure of a pass over several items (malformed input,
-    /// non-finite logits), or several items with coalescing off, re-runs
-    /// each item as a batch of one. A lone item that fails that way gets
-    /// one try on the exact parent path under the same deadline, and
-    /// ends `FailedAfterRetries` if that fails too.
+    /// plans over different backbones, which the executor refuses
+    /// before any step runs, or non-finite logits) re-runs each item as
+    /// a batch of one. A lone item that fails that way gets one try on
+    /// the exact parent path under the same deadline, and ends
+    /// `FailedAfterRetries` if that fails too.
     fn run_pass(
         &mut self,
         items: &[&Item<'a>],
@@ -590,9 +574,6 @@ impl<'a> Worker<'a> {
         output: &mut impl Write,
     ) -> Result<Vec<Frame>, ProtoError> {
         let Some(lead) = items.first() else { return Ok(Vec::new()) };
-        if items.len() > 1 && !self.coalesce {
-            return self.run_each(items, fault, output);
-        }
         let started = Instant::now();
         let budget = items.iter().map(|i| i.budget).max().unwrap_or_default();
         let mut guard = layer_guard(
@@ -636,13 +617,13 @@ impl<'a> Worker<'a> {
                         error = primary_err
                     );
                     let parent = &self.parents[lead.task as usize];
-                    match self.exec.run_image_guarded(
-                        parent,
-                        &lead.image,
+                    match self.exec.run_coalesced_guarded(
+                        &[parent],
+                        &[&lead.image],
                         zero_skip,
                         &mut guard,
                     ) {
-                        Ok(logits) => (vec![logits], true),
+                        Ok(logits) => (logits, true),
                         Err(MimeError::DeadlineExceeded { .. }) => {
                             return Ok(vec![lapsed(lead, started.elapsed())]);
                         }
@@ -716,26 +697,6 @@ fn lapsed(item: &Item<'_>, elapsed: Duration) -> Frame {
             elapsed.saturating_sub(item.budget).as_millis()
         ),
     }
-}
-
-/// Whether every plan is a view over ONE backbone, bit-for-bit (weights
-/// and biases). Checked once at startup — this is what licenses running
-/// a mixed-task batch through a single coalesced pass using the lead
-/// plan's weights.
-fn shares_backbone(plans: &[BoundNetwork]) -> bool {
-    let Some((lead, rest)) = plans.split_first() else { return true };
-    rest.iter().all(|p| {
-        p.steps().len() == lead.steps().len()
-            && lead.steps().iter().zip(p.steps()).all(|(a, b)| match (a, b) {
-                (
-                    BoundLayer::Array { weight: wa, bias: ba, .. },
-                    BoundLayer::Array { weight: wb, bias: bb, .. },
-                ) => wa.bits_eq(wb) && ba.bits_eq(bb),
-                (BoundLayer::Pool, BoundLayer::Pool) => true,
-                (BoundLayer::Flatten, BoundLayer::Flatten) => true,
-                _ => false,
-            })
-    })
 }
 
 /// A spawned replica process as the supervisor holds it: piped stdin
@@ -1274,6 +1235,64 @@ mod tests {
                     i % TASKS
                 );
             }
+        }
+    }
+
+    /// Task plans over two different backbones (conventional per-task
+    /// baselines packed together, say) cannot share a pass: the executor
+    /// refuses the batch before any step runs, and the replica serves
+    /// each item alone, bit-identical to its solo run.
+    #[test]
+    fn worker_batch_over_two_backbones_matches_solo_runs() {
+        let arch = vgg16_arch(0.0625, 32, 3, 4, 8);
+        let mut plans: Vec<BoundNetwork> = [7u64, 8]
+            .iter()
+            .map(|&seed| {
+                let parent = build_network(&arch, &mut StdRng::seed_from_u64(seed));
+                let net = MimeNetwork::from_trained(&arch, &parent, 0.02).unwrap();
+                BoundNetwork::from_mime(&net).unwrap()
+            })
+            .collect();
+        mime_runtime::prepack_plans(&mut plans).unwrap();
+        let hw = ArrayConfig::default();
+        let n = 6u32;
+        let requests: Vec<Frame> = (0..n)
+            .map(|i| Frame::Request {
+                id: u64::from(i),
+                trace: 0,
+                task: i % 2,
+                deadline_ms: 0,
+                rung: 0,
+                input: RequestInput::Probe(i),
+            })
+            .collect();
+        let frames = roundtrip_worker(
+            &plans,
+            hw,
+            ReplicaWorkerConfig::default(),
+            &[Frame::BatchRequest { items: requests }],
+        );
+        let replies: Vec<&Frame> = frames
+            .iter()
+            .filter(|f| matches!(f, Frame::Reply { .. } | Frame::ErrorReply { .. }))
+            .collect();
+        assert_eq!(replies.len(), n as usize, "{frames:?}");
+        let mut solo =
+            HardwareExecutor::with_options(hw, ComputePath::Software, SparseDispatch::Auto);
+        for (i, reply) in replies.into_iter().enumerate() {
+            let Frame::Reply { id, degraded, logits, .. } = reply else {
+                panic!("request {i} did not produce logits: {reply:?}");
+            };
+            assert_eq!(*id, i as u64);
+            assert!(!degraded, "request {i}");
+            let image = crate::proto::probe_image(i);
+            let want = solo.run_image(&plans[i % 2], &image, true).unwrap();
+            assert!(
+                logits.len() == want.len()
+                    && logits.iter().zip(&want).all(|(a, b)| a.to_bits() == b.to_bits()),
+                "request {i} (task {}) diverges from its solo run",
+                i % 2
+            );
         }
     }
 

@@ -40,22 +40,6 @@ pub struct AccessCounters {
 }
 
 impl AccessCounters {
-    /// Adds another counter set onto this one, field by field. All
-    /// fields are `u64` event counts, so merging per-worker counters
-    /// from a partitioned batch is exact — the merged total is
-    /// bit-identical to counting the same events on a single array.
-    pub fn merge(&mut self, other: &AccessCounters) {
-        self.dram_reads += other.dram_reads;
-        self.dram_writes += other.dram_writes;
-        self.cache_reads += other.cache_reads;
-        self.cache_writes += other.cache_writes;
-        self.spad_reads += other.spad_reads;
-        self.spad_writes += other.spad_writes;
-        self.macs += other.macs;
-        self.cmps += other.cmps;
-        self.cycles += other.cycles;
-    }
-
     /// Event counts accumulated since an earlier snapshot (`self` must
     /// be the later reading of the same monotone counters).
     pub fn delta_since(&self, before: &AccessCounters) -> AccessCounters {

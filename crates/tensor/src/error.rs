@@ -43,34 +43,6 @@ pub enum TensorError {
     /// A convolution / pooling geometry was inconsistent (e.g. kernel larger
     /// than padded input, zero stride).
     InvalidGeometry(String),
-    /// A worker thread of a parallel kernel or trainer panicked. The
-    /// panic is caught at the join point and surfaced as an error so a
-    /// poisoned worker cannot take down the caller.
-    WorkerPanic {
-        /// The parallel operation whose worker died.
-        op: &'static str,
-        /// Best-effort rendering of the panic payload.
-        message: String,
-    },
-}
-
-impl TensorError {
-    /// Builds a [`WorkerPanic`](Self::WorkerPanic) from the payload a
-    /// panicking thread leaves behind (`std::thread::JoinHandle::join` /
-    /// `std::panic::catch_unwind`), rendering the usual `&str` / `String`
-    /// payloads best-effort. Shared by every join point that converts a
-    /// dead worker into an error instead of crashing the caller.
-    pub fn from_panic(
-        op: &'static str,
-        payload: Box<dyn std::any::Any + Send>,
-    ) -> TensorError {
-        let message = payload
-            .downcast_ref::<&str>()
-            .map(|s| (*s).to_string())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "non-string panic payload".to_string());
-        TensorError::WorkerPanic { op, message }
-    }
 }
 
 impl fmt::Display for TensorError {
@@ -90,9 +62,6 @@ impl fmt::Display for TensorError {
                 write!(f, "index {index:?} out of bounds for shape {shape:?}")
             }
             TensorError::InvalidGeometry(msg) => write!(f, "invalid geometry: {msg}"),
-            TensorError::WorkerPanic { op, message } => {
-                write!(f, "{op}: worker thread panicked: {message}")
-            }
         }
     }
 }
@@ -111,7 +80,6 @@ mod tests {
             TensorError::RankMismatch { expected: 2, actual: 1, op: "matmul" },
             TensorError::IndexOutOfBounds { index: vec![9], shape: vec![2] },
             TensorError::InvalidGeometry("kernel exceeds input".into()),
-            TensorError::WorkerPanic { op: "parallel_gradients", message: "boom".into() },
         ];
         for e in errs {
             let s = e.to_string();
