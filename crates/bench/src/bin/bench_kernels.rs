@@ -1,6 +1,6 @@
 //! Kernel-level benchmark with a tracked baseline: GEMM, batched conv
-//! lowering, the sparse dispatcher, the fused epilogue and resident conv
-//! weights at paper VGG16 geometries.
+//! lowering, the sparse dispatcher, the fused epilogue, the batched fused
+//! FC kernel and resident conv weights at paper VGG16 geometries.
 //!
 //! Writes `BENCH_kernels.json` (median-of-k wall times + GFLOP/s) so
 //! perf regressions show up in review; `scripts/bench.sh` runs it under
@@ -22,9 +22,9 @@
 use mime_core::{apply_thresholds_rescan, channel_activity_rescan};
 use mime_systolic::{vgg16_geometry_with, LayerGeometry};
 use mime_tensor::{
-    conv2d, matmul_fused_row_into, matmul_prepacked_a_into, matmul_scalar_ref,
-    matmul_sparse_dispatch_into, threads, ConvSpec, FusedMask, PrepackedA, PrepackedB,
-    SparseDispatch, Tensor,
+    conv2d, matmul_fused_batch_into, matmul_fused_row_into, matmul_prepacked_a_into,
+    matmul_scalar_ref, matmul_sparse_dispatch_into, threads, ConvSpec, FusedMask,
+    PrepackedA, PrepackedB, SparseDispatch, Tensor,
 };
 use std::time::Instant;
 
@@ -87,6 +87,15 @@ fn median_ms(reps: usize, mut f: impl FnMut()) -> f64 {
             t.elapsed().as_secs_f64() * 1e3
         })
         .collect();
+    times.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    times[times.len() / 2]
+}
+
+/// Median of `reps` runs (after one warmup) of a call that times itself
+/// and returns its ms — for calls that must do untimed work first.
+fn median_of(reps: usize, f: &mut impl FnMut() -> f64) -> f64 {
+    f(); // warmup
+    let mut times: Vec<f64> = (0..reps).map(|_| f()).collect();
     times.sort_by(|a, b| a.partial_cmp(b).unwrap());
     times[times.len() / 2]
 }
@@ -548,6 +557,175 @@ fn bench_fused(mode: Mode) -> Vec<FusedRow> {
         .collect()
 }
 
+struct FusedBatchRow {
+    name: String,
+    k: usize,
+    n: usize,
+    batch: usize,
+    threads: usize,
+    active_pct: f64,
+    batch_ms: f64,
+    single_ms: f64,
+    bits_equal: bool,
+    bitmaps_equal: bool,
+    max_abs_diff: f64,
+}
+
+/// CIFAR VGG16 FC layers `(name, k, n, B)` for the fused-batch suite: the
+/// shapes the perfbench ledger names, at the Pipelined batch of 8 and, for
+/// fc15, at batch 1.
+fn fused_batch_cases(mode: Mode) -> Vec<(String, usize, usize, usize)> {
+    if mode == Mode::Smoke {
+        // a full tile plus a lone sample, three KC windows, a ragged panel
+        return vec![("tiny_batch".into(), 900, 75, 9)];
+    }
+    vec![
+        ("fc15_b1".into(), 4096, 4096, 1),
+        ("fc15_b8".into(), 4096, 4096, 8),
+        ("fc14_b8".into(), 512, 4096, 8),
+        ("fc16_b8".into(), 4096, 10, 8),
+    ]
+}
+
+/// A buffer larger than the host's last-level cache, read in full before
+/// every timed call of the fused-batch suite, so each call streams its
+/// weight panels from DRAM as it does between the other layers of a
+/// forward pass (fc15's 64 MB of panels would otherwise stay cached).
+struct Sweep(Vec<u64>);
+
+impl Sweep {
+    fn new(mode: Mode) -> Self {
+        let bytes = if mode == Mode::Smoke { 1 << 16 } else { 192 << 20 };
+        Sweep(vec![1; bytes / 8])
+    }
+
+    fn run(&self) {
+        std::hint::black_box(self.0.iter().fold(0u64, |a, &v| a.wrapping_add(v)));
+    }
+}
+
+/// The Pipelined FC step as the executor runs it: one
+/// `matmul_fused_batch_into` call over `B` samples, with two tasks'
+/// threshold banks in turn and a given activity list per sample (~37 %
+/// of rows, drawn per sample), against the same samples as `B` separate
+/// `matmul_fused_row_into` calls, at the runtime worker count, with the
+/// caches swept before every call. `single_ms` is the mean single call,
+/// so `batch_ms / single_ms` is ~1 when the panels stream once per batch
+/// and ~`B` when every sample streams them again. `main` gates the batch
+/// outputs and bitmaps bit-identical to the single calls'.
+fn bench_fused_batch(mode: Mode) -> Vec<FusedBatchRow> {
+    let reps = mode.reps();
+    let threads = threads::worker_count();
+    let sweep = Sweep::new(mode);
+    fused_batch_cases(mode)
+        .into_iter()
+        .map(|(name, k, n, b)| {
+            let w = fill(&[n, k], 13);
+            let pb = PrepackedB::from_weight_transposed(&w, k, n).unwrap();
+            let bias = fill(&[n], 14);
+            let banks: Vec<Tensor> = (0..2)
+                .map(|t| Tensor::from_fn(&[n], |j| ((j * 7 + t * 5) % 17) as f32 * 0.05 - 0.2))
+                .collect();
+            let masks: Vec<FusedMask> =
+                (0..b).map(|s| FusedMask::Thresholds(banks[s % 2].as_slice())).collect();
+            let lists: Vec<Vec<bool>> = (0..b)
+                .map(|s| (0..k).map(|p| (p * 2654435761 + s * 40503) % 1000 < 370).collect())
+                .collect();
+            let mut xs = fill(&[b, k], 15);
+            for (x, list) in xs.as_mut_slice().chunks_exact_mut(k).zip(&lists) {
+                for (v, &on) in x.iter_mut().zip(list) {
+                    if !on {
+                        *v = 0.0;
+                    }
+                }
+            }
+            let actives: Vec<Option<&[bool]>> = lists.iter().map(|l| Some(&l[..])).collect();
+            let active_pct = 100.0 * lists.iter().flatten().filter(|&&a| a).count() as f64
+                / (b * k) as f64;
+            let mut y = Tensor::zeros(&[b, n]);
+            let mut activity = Vec::new();
+            let mut batch_call = || {
+                sweep.run();
+                let t = Instant::now();
+                matmul_fused_batch_into(
+                    &xs,
+                    &pb,
+                    &bias,
+                    &masks,
+                    &actives,
+                    SparseDispatch::Auto,
+                    &mut y,
+                    &mut activity,
+                    threads,
+                )
+                .unwrap();
+                t.elapsed().as_secs_f64() * 1e3
+            };
+            let batch_ms = median_of(reps, &mut batch_call);
+            let singles: Vec<Tensor> = (0..b)
+                .map(|s| Tensor::from_vec(xs.as_slice()[s * k..][..k].to_vec(), &[k]).unwrap())
+                .collect();
+            let mut y1 = Tensor::zeros(&[b, n]);
+            let mut activity1 = vec![false; b * n];
+            let mut single_calls = || {
+                let mut ms = 0.0;
+                for (s, x) in singles.iter().enumerate() {
+                    let mut out = Tensor::zeros(&[n]);
+                    let mut act = Vec::new();
+                    sweep.run();
+                    let t = Instant::now();
+                    matmul_fused_row_into(
+                        x,
+                        &pb,
+                        &bias,
+                        masks[s],
+                        actives[s],
+                        SparseDispatch::Auto,
+                        &mut out,
+                        &mut act,
+                        threads,
+                    )
+                    .unwrap();
+                    ms += t.elapsed().as_secs_f64() * 1e3;
+                    y1.as_mut_slice()[s * n..][..n].copy_from_slice(out.as_slice());
+                    activity1[s * n..][..n].copy_from_slice(&act);
+                }
+                ms / b as f64
+            };
+            let single_ms = median_of(reps, &mut single_calls);
+            let max_abs_diff = max_abs_diff(&y, &y1);
+            let bits_equal =
+                y.as_slice().iter().zip(y1.as_slice()).all(|(a, b)| a.to_bits() == b.to_bits());
+            let bitmaps_equal = activity == activity1;
+            println!(
+                "fused_batch {name:>8} k={k:<5} n={n:<5} B={b} threads={threads} \
+                 active {active_pct:4.1}%  batch {batch_ms:8.3} ms  single {single_ms:8.3} ms  \
+                 batch/single {:.2}  |Δ|max {max_abs_diff:.1e}  bits_equal={bits_equal}  \
+                 bitmaps_equal={bitmaps_equal}",
+                batch_ms / single_ms,
+            );
+            let reg = mime_obs::metrics::global();
+            for (kernel, ms) in [("batch", batch_ms), ("single", single_ms)] {
+                reg.gauge_with("mime_bench_fused_batch_ms", &[("case", &name), ("kernel", kernel)])
+                    .set(ms);
+            }
+            FusedBatchRow {
+                name,
+                k,
+                n,
+                batch: b,
+                threads,
+                active_pct,
+                batch_ms,
+                single_ms,
+                bits_equal,
+                bitmaps_equal,
+                max_abs_diff,
+            }
+        })
+        .collect()
+}
+
 struct ResidentRow {
     name: String,
     m: usize,
@@ -695,14 +873,16 @@ fn write_report(
     conv: &[ConvRow],
     sparse: &[SparseRow],
     fused: &[FusedRow],
+    fused_batch: &[FusedBatchRow],
     resident: &[ResidentRow],
 ) {
     let mut s = String::new();
     s.push_str("{\n");
     // v5 = v4 minus the pre-PR scalar baseline (scalar_prepr_ms,
     // speedup_mt_vs_prepr_scalar), with b_pack_ms renamed pack_ms and
-    // the conv rows' prepacked columns timing the resident A strips
-    s.push_str("  \"schema\": \"mime-bench-kernels/v5\",\n");
+    // the conv rows' prepacked columns timing the resident A strips;
+    // v6 = v5 plus the fused_batch section
+    s.push_str("  \"schema\": \"mime-bench-kernels/v6\",\n");
     s.push_str(&format!("  \"mode\": \"{}\",\n", mode.name()));
     s.push_str(&format!("  \"threads_mt\": {threads_mt},\n"));
     s.push_str(
@@ -723,7 +903,14 @@ fn write_report(
          keeps resident, so those conv-row columns do not compare across v4 and v5; \
          sparse: dispatcher vs dense packed kernel, single-threaded, gated \
          bit-identical; fused: GEMM+bias+threshold+activity epilogue vs the retired \
-         re-scan passes, gated bit-identical with equal bitmaps; resident: CIFAR VGG16 \
+         re-scan passes, gated bit-identical with equal bitmaps; fused_batch: CIFAR VGG16 \
+         FC layers, one matmul_fused_batch_into call over B samples (two tasks' threshold \
+         banks in turn, a given ~37% activity list per sample) vs the same samples as B \
+         matmul_fused_row_into calls, at the runtime worker count, with a 192 MiB buffer \
+         read before every call so the panels stream from DRAM; single_ms is the mean \
+         single call, so batch_per_single is ~1 when the panels stream once per batch and \
+         ~B when every sample streams them again; gated bitwise equal with equal \
+         bitmaps; resident: CIFAR VGG16 \
          conv GEMMs with the raw weight (A strips re-gathered every call) vs A strips \
          packed once (PrepackedA), both at the runtime worker count, dense and with a \
          given 75%-active row list, gated bit-identical; host drift: each report is one \
@@ -833,6 +1020,31 @@ fn write_report(
         ));
     }
     s.push_str("  ],\n");
+    s.push_str("  \"fused_batch\": [\n");
+    for (i, r) in fused_batch.iter().enumerate() {
+        s.push_str(&format!(
+            "    {{\"name\": \"{}\", \"k\": {}, \"n\": {}, \"batch\": {}, \"threads\": {}, \
+             \"active_pct\": {},\n",
+            r.name,
+            r.k,
+            r.n,
+            r.batch,
+            r.threads,
+            json_f(r.active_pct)
+        ));
+        s.push_str(&format!(
+            "     \"batch_ms\": {}, \"single_ms\": {}, \"batch_per_single\": {}, \
+             \"bits_equal\": {}, \"bitmaps_equal\": {}, \"max_abs_diff\": {:.3e}}}{}\n",
+            json_f(r.batch_ms),
+            json_f(r.single_ms),
+            json_f(r.batch_ms / r.single_ms),
+            r.bits_equal,
+            r.bitmaps_equal,
+            r.max_abs_diff,
+            if i + 1 < fused_batch.len() { "," } else { "" }
+        ));
+    }
+    s.push_str("  ],\n");
     s.push_str("  \"resident\": [\n");
     for (i, r) in resident.iter().enumerate() {
         s.push_str(&format!(
@@ -883,8 +1095,19 @@ fn main() {
     let conv = bench_conv(args.mode);
     let sparse = bench_sparse(args.mode);
     let fused = bench_fused(args.mode);
+    let fused_batch = bench_fused_batch(args.mode);
     let resident = bench_resident(args.mode);
-    write_report(out, args.mode, threads_mt, &gemm, &conv, &sparse, &fused, &resident);
+    write_report(
+        out,
+        args.mode,
+        threads_mt,
+        &gemm,
+        &conv,
+        &sparse,
+        &fused,
+        &fused_batch,
+        &resident,
+    );
     for r in &gemm {
         if r.max_rel_diff > 1e-3 {
             eprintln!(
@@ -918,6 +1141,16 @@ fn main() {
                 "FAIL: resident-weight gemm {} differs from the raw-weight call by {:.3e} \
                  (must be bit-identical)",
                 r.name, r.max_abs_diff
+            );
+            std::process::exit(1);
+        }
+    }
+    for r in &fused_batch {
+        if r.max_abs_diff != 0.0 || !r.bits_equal || !r.bitmaps_equal {
+            eprintln!(
+                "FAIL: fused batch {} diverges from its per-sample single calls \
+                 (|Δ|max {:.3e}, bits_equal={}, bitmaps_equal={})",
+                r.name, r.max_abs_diff, r.bits_equal, r.bitmaps_equal
             );
             std::process::exit(1);
         }

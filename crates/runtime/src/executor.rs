@@ -878,9 +878,10 @@ fn batch_accounting(
         rebate: 0,
         task_switches: 0,
         degraded_tasks: Vec::new(),
-        // MIME streams W_parent once for the whole batch
+        // MIME streams W_parent once for a batch that holds an image; an
+        // empty batch streams nothing
         weight_reload_words: match (shared_weights, effective.first()) {
-            (true, Some(plan)) => plan.weight_words() as u64,
+            (true, Some(plan)) if !batch.is_empty() => plan.weight_words() as u64,
             _ => 0,
         },
         threshold_reload_words: 0,
@@ -1120,6 +1121,9 @@ mod tests {
             .unwrap();
         assert!(empty.logits.is_empty());
         assert_eq!(empty.task_switches, 0);
+        assert_eq!(empty.weight_reload_words, 0);
+        assert_eq!(empty.threshold_reload_words, 0);
+        assert_eq!(empty.total_energy(&ArrayConfig::eyeriss_65nm()), 0.0);
     }
 
     #[test]

@@ -376,13 +376,14 @@ pub(crate) fn isa() -> Isa {
 }
 
 #[cfg(target_arch = "x86_64")]
-mod ukern_x86 {
+pub(crate) mod ukern_x86 {
     //! Explicit-SIMD microkernels. Both kernels compute the same
     //! `M×NR` register tile as the portable [`super::microkernel`], with
     //! the same sequential `p`-order per output element, so all three
     //! implementations agree to within one rounding (fused vs unfused
     //! multiply-add) and each is individually bit-identical at every
-    //! thread count.
+    //! thread count. The `fused_*` pair does the same for the fused FC
+    //! tile of `crate::prepack`.
     use super::NR;
     use std::arch::x86_64::*;
 
@@ -468,6 +469,94 @@ mod ukern_x86 {
                 let v =
                     if accumulate { _mm256_add_ps(_mm256_loadu_ps(dst), av) } else { av };
                 _mm256_storeu_ps(dst, v);
+            }
+        }
+    }
+
+    /// AVX-512F fused FC tile: `M` samples × `P` panels of one `KC`
+    /// window, `M·P` zmm accumulators. Each listed row's `P` panel rows
+    /// are loaded once and feed all `M` samples, whose inputs (sample
+    /// `i`'s on window row `r` at `x[i·ldx + r]`) are folded in as
+    /// embedded broadcasts. Sums land in `acc[i·P + t]` (sample `i`,
+    /// panel `t`).
+    ///
+    /// # Safety
+    ///
+    /// Caller must have verified `avx512f` at runtime and guarantee
+    /// every `rows[q] < kb`, `w.len() ≥ P·kb·NR` (panel `t`'s window
+    /// slice at `t·kb·NR`), `x.len() ≥ (M-1)·ldx + kb` and
+    /// `acc.len() ≥ M·P`.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn fused_avx512<const M: usize, const P: usize>(
+        rows: &[u16],
+        (x, ldx): (&[f32], usize),
+        w: &[f32],
+        kb: usize,
+        acc: &mut [[f32; NR]],
+    ) {
+        debug_assert!(w.len() >= P * kb * NR && x.len() >= (M - 1) * ldx + kb);
+        debug_assert!(acc.len() >= M * P && rows.iter().all(|&r| usize::from(r) < kb));
+        let mut sums = [[_mm512_setzero_ps(); P]; M];
+        let (xp, wp) = (x.as_ptr(), w.as_ptr());
+        for &r in rows {
+            let r = usize::from(r);
+            let mut wv = [_mm512_setzero_ps(); P];
+            for (t, v) in wv.iter_mut().enumerate() {
+                *v = _mm512_loadu_ps(wp.add(t * kb * NR + r * NR));
+            }
+            for (i, si) in sums.iter_mut().enumerate() {
+                let xb = _mm512_set1_ps(*xp.add(i * ldx + r));
+                for (s, &v) in si.iter_mut().zip(&wv) {
+                    *s = _mm512_fmadd_ps(xb, v, *s);
+                }
+            }
+        }
+        for (i, si) in sums.iter().enumerate() {
+            for (t, &s) in si.iter().enumerate() {
+                _mm512_storeu_ps(acc[i * P + t].as_mut_ptr(), s);
+            }
+        }
+    }
+
+    /// AVX2+FMA fused FC tile: as [`fused_avx512`], with the 16 columns
+    /// taken as two 8-lane halves (two passes over the rows) so the
+    /// `M·P ≤ 8` accumulators fit the 16 ymm registers.
+    ///
+    /// # Safety
+    ///
+    /// Caller must have verified `avx2` and `fma` at runtime; otherwise
+    /// as [`fused_avx512`].
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn fused_avx2<const M: usize, const P: usize>(
+        rows: &[u16],
+        (x, ldx): (&[f32], usize),
+        w: &[f32],
+        kb: usize,
+        acc: &mut [[f32; NR]],
+    ) {
+        debug_assert!(w.len() >= P * kb * NR && x.len() >= (M - 1) * ldx + kb);
+        debug_assert!(acc.len() >= M * P && rows.iter().all(|&r| usize::from(r) < kb));
+        let (xp, wp) = (x.as_ptr(), w.as_ptr());
+        for half in 0..2 {
+            let off = half * (NR / 2);
+            let mut sums = [[_mm256_setzero_ps(); P]; M];
+            for &r in rows {
+                let r = usize::from(r);
+                let mut wv = [_mm256_setzero_ps(); P];
+                for (t, v) in wv.iter_mut().enumerate() {
+                    *v = _mm256_loadu_ps(wp.add(t * kb * NR + r * NR + off));
+                }
+                for (i, si) in sums.iter_mut().enumerate() {
+                    let xb = _mm256_set1_ps(*xp.add(i * ldx + r));
+                    for (s, &v) in si.iter_mut().zip(&wv) {
+                        *s = _mm256_fmadd_ps(xb, v, *s);
+                    }
+                }
+            }
+            for (i, si) in sums.iter().enumerate() {
+                for (t, &s) in si.iter().enumerate() {
+                    _mm256_storeu_ps(acc[i * P + t].as_mut_ptr().add(off), s);
+                }
             }
         }
     }

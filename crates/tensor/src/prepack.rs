@@ -34,16 +34,25 @@
 //!   and per-element `p`-order, so the flipped product is bit-identical
 //!   to the unflipped one.
 //!
-//! The fused kernel is the portable (autovectorized) implementation in
-//! both its dense and row-skipping forms, with the same
-//! compile-time-FMA gating as the GEMM's portable microkernel.
-//! Under the repo's committed build flags (`-C target-cpu=native`) the
-//! compile-time FMA feature matches the runtime CPU, so all kernel arms
-//! perform the same correctly-rounded fused multiply-adds and the
-//! fused path stays bit-identical to the dispatched unfused path.
+//! The fused kernel is a register tile driven by active-row lists, not
+//! a branch per input row. For each `KC` window it walks the union of a
+//! tile's active rows: up to `MR` samples × one `NR` panel, so each
+//! resident weight row is loaded once per tile and feeds one FMA chain
+//! per sample, or one sample × `ROW_PANELS` panels when a sample runs
+//! alone. The lists are built once per call, before the column split.
+//! Like the GEMM microkernel, the tile has explicit AVX-512 and AVX2+FMA
+//! arms (`ukern_x86::fused_*`, chosen by the same runtime detection) and
+//! a portable arm with the same compile-time-FMA gating, which is the
+//! reference and the fallback on other hosts. Under the repo's committed
+//! build flags (`-C target-cpu=native`) the compile-time FMA feature
+//! matches the runtime CPU, so all arms perform the same
+//! correctly-rounded fused multiply-adds in the same order and the fused
+//! path stays bit-identical to the dispatched unfused path.
 
+#[cfg(target_arch = "x86_64")]
+use crate::matmul::ukern_x86;
 use crate::matmul::{
-    isa, pack_a, pack_b_chunk, sparse_dispatch, ALayout, AOperand, BLayout, KC,
+    isa, pack_a, pack_b_chunk, sparse_dispatch, ALayout, AOperand, BLayout, Isa, KC,
     THREAD_MIN_MACS,
 };
 use crate::{
@@ -134,15 +143,16 @@ impl PrepackedB {
         self.panels.len() * std::mem::size_of::<f32>()
     }
 
-    /// The depth window `p0..p0+kb` of panel `jp`, contiguous `kb·NR`
-    /// floats — bit-identical to what `pack_b_chunk` would produce for
-    /// that window. `p0`/`kb` must name a whole `KC` window (`p0` a
-    /// multiple of [`KC`], `kb = KC.min(k - p0)`), which is the only
-    /// granularity the drivers iterate at.
+    /// The depth window `p0..p0+kb` of panels `jp..jp+np`, contiguous
+    /// `np·kb·NR` floats — each panel's `kb·NR` slice bit-identical to
+    /// what `pack_b_chunk` would produce for that window. `p0`/`kb` must
+    /// name a whole `KC` window (`p0` a multiple of [`KC`],
+    /// `kb = KC.min(k - p0)`), which is the only granularity the drivers
+    /// iterate at.
     #[inline]
-    fn window(&self, jp: usize, p0: usize, kb: usize) -> &[f32] {
+    fn window(&self, jp: usize, np: usize, p0: usize, kb: usize) -> &[f32] {
         let npanels = self.n.div_ceil(NR).max(1);
-        &self.panels[p0 * npanels * NR + jp * kb * NR..][..kb * NR]
+        &self.panels[p0 * npanels * NR + jp * kb * NR..][..np * kb * NR]
     }
 }
 
@@ -331,78 +341,124 @@ fn fmadd(a: f32, b: f32, acc: f32) -> f32 {
     }
 }
 
-/// The fused `1×n` compute over one contiguous panel range: columns
-/// `jp0·NR .. jp0·NR + out.len()`. Per depth window a window accumulator
-/// is summed in the same per-element `p`-order as the microkernels, then
-/// copied (first window) or added (later windows) into `out` — the exact
-/// memory-accumulation order of the blocked driver. With a row bitmap,
-/// inactive rows are skipped and fully-inactive windows never touch
-/// `out`, mirroring the compacting sparse path (skipped rows contribute
-/// exact `±0.0` terms, which never change an accumulator's bits).
-fn fused_stripe(
-    x: &[f32],
-    pb: &PrepackedB,
-    rows: Option<&[bool]>,
-    jp0: usize,
-    out: &mut [f32],
+/// Panels a one-sample tile spans. A tile of several samples gets its
+/// independent FMA chains from the samples; a lone sample (`B = 1`, or
+/// the last tile of a batch one past a multiple of `MR`) gets them from
+/// this many panels side by side instead.
+const ROW_PANELS: usize = 4;
+const _: () = assert!(ROW_PANELS <= MR && KC <= u16::MAX as usize);
+
+/// Portable fused FC tile: `M` samples × `P` panels over the listed rows
+/// of one `KC` window, the reference the explicit-SIMD arms
+/// (`ukern_x86::fused_*`) reproduce bit for bit. `rows` are offsets into
+/// the window, `x` holds sample `i`'s input on window row `r` at
+/// `x[i·ldx + r]`, and `w` the window slices of the `P` panels (`kb·NR`
+/// floats apart). Each sum runs in `rows` order from `+0.0` and lands in
+/// `acc[i·P + t]`.
+#[inline(always)]
+fn tile_portable<const M: usize, const P: usize>(
+    rows: &[u16],
+    (x, ldx): (&[f32], usize),
+    w: &[f32],
+    kb: usize,
+    acc: &mut [[f32; NR]],
 ) {
-    let k = pb.k;
-    let nb = out.len();
-    // Panel-outer order: each panel's `k·NR` floats stream sequentially
-    // (one hardware-prefetchable stream at a time), while `x` — tiny by
-    // comparison — is re-read per panel from cache. Output elements are
-    // arithmetically independent, so relative to a depth-outer loop this
-    // changes only the order *across* columns, never the bits of any one
-    // column: per element it is still active windows in increasing `p0`,
-    // `p`-ascending register accumulation within a window, first active
-    // window copied and later ones added.
-    let mut j = 0;
-    let mut jp = jp0;
-    while j < nb {
-        let nv = NR.min(nb - j);
-        let o = &mut out[j..j + nv];
-        let mut first = true;
-        let mut p0 = 0;
-        while p0 < k {
-            let kb = KC.min(k - p0);
-            let window_active = rows.is_none_or(|r| r[p0..p0 + kb].iter().any(|&a| a));
-            if window_active {
-                let wslice = pb.window(jp, p0, kb);
-                // Full-NR accumulator even for the ragged last panel: its
-                // padding lanes multiply the panel's zero fill and are
-                // never stored.
-                let mut wacc = [0.0f32; NR];
-                for (p, &a) in x.iter().enumerate().take(p0 + kb).skip(p0) {
-                    if rows.is_some_and(|r| !r[p]) {
-                        continue;
-                    }
-                    // Fixed-size views keep the lane loop free of bounds
-                    // checks so it vectorizes cleanly.
-                    let brow: &[f32; NR] =
-                        wslice[(p - p0) * NR..][..NR].try_into().unwrap();
-                    for l in 0..NR {
-                        wacc[l] = fmadd(a, brow[l], wacc[l]);
-                    }
+    let mut sums = [[[0.0f32; NR]; P]; M];
+    for &r in rows {
+        let r = usize::from(r);
+        for t in 0..P {
+            // Fixed-size views keep the lane loop free of bounds checks.
+            let wrow: &[f32; NR] =
+                w[t * kb * NR + r * NR..][..NR].try_into().expect("an NR-float row");
+            for (i, si) in sums.iter_mut().enumerate() {
+                let xi = x[i * ldx + r];
+                for (s, &wl) in si[t].iter_mut().zip(wrow) {
+                    *s = fmadd(xi, wl, *s);
                 }
-                if first {
-                    // Copy, don't add onto a zero-initialised buffer: a
-                    // `-0.0` window sum must land as `-0.0`, exactly as
-                    // the microkernel's overwrite store does.
-                    o.copy_from_slice(&wacc[..nv]);
-                } else {
-                    for (ov, w) in o.iter_mut().zip(&wacc) {
-                        *ov += *w;
-                    }
-                }
-                first = false;
             }
-            p0 += kb;
         }
-        if first {
-            o.fill(0.0);
+    }
+    for (i, si) in sums.iter().enumerate() {
+        acc[i * P..(i + 1) * P].copy_from_slice(si);
+    }
+}
+
+/// One fused FC tile on the chosen arm: `m ≤ MR` samples × `np` panels,
+/// `np` being [`ROW_PANELS`] or 1 for a lone sample and 1 otherwise. See
+/// [`tile_portable`] for the operands; every arm performs the same
+/// fused multiply-adds in the same order.
+///
+/// # Safety
+///
+/// Every `rows[q]` must be `< kb`, as [`TileRows::new`] builds them: the
+/// SIMD arms index the panels and inputs with them unchecked. The other
+/// operand bounds they rely on are asserted here.
+unsafe fn tile_sums(
+    kernel_isa: Isa,
+    (m, np): (usize, usize),
+    rows: &[u16],
+    (x, ldx): (&[f32], usize),
+    w: &[f32],
+    kb: usize,
+    acc: &mut [[f32; NR]; MR],
+) {
+    debug_assert!(rows.iter().all(|&r| usize::from(r) < kb));
+    assert!(
+        (1..=MR).contains(&m)
+            && (np == 1 || (m == 1 && np == ROW_PANELS))
+            && x.len() >= (m - 1) * ldx + kb
+            && w.len() >= np * kb * NR
+    );
+    /// Monomorphizes the tile shape so each arm's accumulators have a
+    /// const count (kept in registers).
+    macro_rules! dispatch_tile {
+        ($f:ident) => {
+            match (m, np) {
+                (1, ROW_PANELS) => $f!(1, ROW_PANELS),
+                (1, _) => $f!(1, 1),
+                (2, _) => $f!(2, 1),
+                (3, _) => $f!(3, 1),
+                (4, _) => $f!(4, 1),
+                (5, _) => $f!(5, 1),
+                (6, _) => $f!(6, 1),
+                (7, _) => $f!(7, 1),
+                _ => $f!(8, 1),
+            }
+        };
+    }
+    match kernel_isa {
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 => {
+            macro_rules! k512 {
+                ($m:literal, $p:expr) => {
+                    // SAFETY: `Isa::Avx512` is only chosen when avx512f was
+                    // detected; the caller keeps the row offsets `< kb`
+                    // and the assert above bounds the other operands.
+                    unsafe { ukern_x86::fused_avx512::<$m, $p>(rows, (x, ldx), w, kb, acc) }
+                };
+            }
+            dispatch_tile!(k512)
         }
-        j += nv;
-        jp += 1;
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2Fma => {
+            macro_rules! k256 {
+                ($m:literal, $p:expr) => {
+                    // SAFETY: `Isa::Avx2Fma` is only chosen when avx2 and
+                    // fma were detected; the caller keeps the row offsets
+                    // `< kb` and the assert above bounds the other operands.
+                    unsafe { ukern_x86::fused_avx2::<$m, $p>(rows, (x, ldx), w, kb, acc) }
+                };
+            }
+            dispatch_tile!(k256)
+        }
+        Isa::Portable => {
+            macro_rules! kport {
+                ($m:literal, $p:expr) => {
+                    tile_portable::<$m, $p>(rows, (x, ldx), w, kb, acc)
+                };
+            }
+            dispatch_tile!(kport)
+        }
     }
 }
 
@@ -480,6 +536,7 @@ pub fn matmul_fused_row_into(
         out.as_mut_slice(),
         activity,
         threads,
+        isa(),
     )?;
     Ok(stats[0])
 }
@@ -507,19 +564,109 @@ impl RowSel<'_> {
     }
 }
 
+/// How one sample's sum over one `KC` window lands in its output row —
+/// the blocked driver's memory-accumulation order.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Land {
+    /// None of the sample's rows lie in the window: its output is not
+    /// touched, even when a tile-mate's rows are summed.
+    Skip,
+    /// The sample's first active window: copied, never added onto a
+    /// zeroed buffer, so a `-0.0` sum lands as `-0.0` exactly as the
+    /// microkernel's overwrite store leaves it.
+    Copy,
+    /// A later active window: added.
+    Add,
+}
+
+/// The batched fused kernel's row lists, built once per call before the
+/// column split and shared read-only by every worker. Samples are taken
+/// in tiles of up to `MR`; for each tile and `KC` window this holds the
+/// union of the tile's samples' active rows, as offsets into the window,
+/// and for each sample and window how that window's sum lands.
+struct TileRows {
+    /// Depth windows, `⌈k/KC⌉`.
+    windows: usize,
+    /// Per tile and window (tile-major): the cell's range in `rows`.
+    cells: Vec<std::ops::Range<usize>>,
+    /// Union row offsets, every cell's list in turn.
+    rows: Vec<u16>,
+    /// Per sample and window (sample-major): how the window sum lands.
+    land: Vec<Land>,
+}
+
+impl TileRows {
+    /// Resolves the lists from each sample's row selection.
+    fn new(k: usize, sels: &[RowSel<'_>]) -> Self {
+        let b = sels.len();
+        let windows = k.div_ceil(KC);
+        let mut tr = TileRows {
+            windows,
+            cells: Vec::with_capacity(b.div_ceil(MR) * windows),
+            rows: Vec::with_capacity(b.div_ceil(MR) * k),
+            land: vec![Land::Skip; b * windows],
+        };
+        for s0 in (0..b).step_by(MR) {
+            let tile = &sels[s0..b.min(s0 + MR)];
+            let mut seen = [false; MR];
+            for w in 0..windows {
+                let (p0, kb) = (w * KC, KC.min(k - w * KC));
+                let mut any = [false; KC];
+                for (i, sel) in tile.iter().enumerate() {
+                    let hit = match sel.rows() {
+                        None => {
+                            any.fill(true);
+                            true
+                        }
+                        Some(on) => {
+                            let on = &on[p0..p0 + kb];
+                            for (a, &o) in any.iter_mut().zip(on) {
+                                *a |= o;
+                            }
+                            on.contains(&true)
+                        }
+                    };
+                    tr.land[(s0 + i) * windows + w] = match (hit, seen[i]) {
+                        (false, _) => Land::Skip,
+                        (true, false) => Land::Copy,
+                        (true, true) => Land::Add,
+                    };
+                    seen[i] |= hit;
+                }
+                let r0 = tr.rows.len();
+                tr.rows.extend((0..kb).filter(|&r| any[r]).map(|r| r as u16));
+                tr.cells.push(r0..tr.rows.len());
+            }
+        }
+        tr
+    }
+}
+
 /// Batched [`matmul_fused_row_into`]: `B` stacked input rows against one
 /// prepacked operand, each sample with its *own* activation mask (the
 /// per-task threshold bank — MIME's Pipelined mode) and its own input
 /// activity bitmap. Each packed weight panel is streamed from memory
-/// once per **batch** instead of once per request — inside a column
-/// stripe the loop is panel-outer, sample-inner, so the `k·NR` panel
-/// stays cache-hot while every sample consumes it.
+/// once per **batch** instead of once per request: samples run in
+/// register tiles of up to `MR`, and each tile walks the union of its
+/// samples' active rows in each `KC` window, so every resident weight
+/// row it loads feeds one independent FMA chain per sample. A lone
+/// sample spans several panels instead, for the same independence.
 ///
-/// Per sample the arithmetic does not depend on the batch: same
-/// per-panel window grouping, same `p`-ascending accumulation, same
-/// probe/crossover dispatch decision, same fused epilogue. Sample `s`'s
-/// output row and activity bits are therefore **bit-identical** to
-/// calling [`matmul_fused_row_into`] on it alone, at every thread count.
+/// Per sample the arithmetic does not depend on the batch: same `KC`
+/// windows in increasing `p0`, same `p`-ascending accumulation within a
+/// window, a window none of the sample's own rows lie in skipped for
+/// that sample (whatever its tile-mates sum there), same probe/crossover
+/// dispatch decision, same fused epilogue. A union row that is not one
+/// of the sample's own holds `±0.0` in that sample by the activity
+/// contract below, so it adds a `±0.0·w` term, and adding `±0.0` to a
+/// sum that starts at `+0.0` never changes its bits — it could only turn
+/// a `-0.0` sum into `+0.0`, and a sum reaches `-0.0` only through a
+/// product below the smallest subnormal, the caveat the sparse GEMM's
+/// compaction carries too. This needs **finite weights** (`0·∞` is NaN);
+/// the image load path builds them as `q as f32 · scale` from a scale
+/// it checks finite. Sample `s`'s output row and activity bits are
+/// therefore **bit-identical** to calling [`matmul_fused_row_into`] on it
+/// alone, at every thread count and on every ISA arm.
 ///
 /// `xs` is `[B, k]`, `out` is `[B, n]`, `activity` is resized to `B·n`
 /// (row-major like `out`); `masks` and `actives` give one entry per
@@ -569,11 +716,13 @@ pub fn matmul_fused_batch_into(
         out.as_mut_slice(),
         activity,
         threads,
+        isa(),
     )
 }
 
 /// The fused-row kernel behind both public entry points: `B =
-/// masks.len()` rows of `xv` (`B·k` floats) into `ov` (`B·n` floats).
+/// masks.len()` rows of `xv` (`B·k` floats) into `ov` (`B·n` floats),
+/// with the tiles run on `kernel_isa`.
 #[allow(clippy::too_many_arguments)] // flat kernel-entry plumbing
 fn fused_rows_into(
     xv: &[f32],
@@ -585,6 +734,7 @@ fn fused_rows_into(
     ov: &mut [f32],
     activity: &mut Vec<bool>,
     threads: usize,
+    kernel_isa: Isa,
 ) -> Result<Vec<SparseStats>> {
     let (k, n, b) = (pb.k, pb.n, masks.len());
     if xv.len() != b * k {
@@ -638,33 +788,82 @@ fn fused_rows_into(
     if b == 0 || n == 0 {
         return Ok(stats);
     }
+    let tiles = TileRows::new(k, &sels);
     let bv = bias.as_slice();
     let macs: u128 = stats.iter().map(|s| s.k_active as u128 * n as u128).sum();
     let col_panels = n.div_ceil(NR);
     let workers = if macs < THREAD_MIN_MACS { 1 } else { threads.max(1).min(col_panels) };
 
-    // Panel-outer, sample-inner compute over one worker's column stripe,
-    // which starts at panel `jp0`. `outs[s]` is sample `s`'s chunk of the
-    // stripe's columns.
+    // Window-outer compute over one worker's column stripe, which starts
+    // at panel `jp0`: each window's slices of the stripe's panels stream
+    // contiguously, and each tile's rows and inputs stay cache-hot across
+    // them. `outs[s]` is sample `s`'s chunk of the stripe's columns.
     let run_stripe = |outs: &mut [&mut [f32]], acts: &mut [&mut [bool]], jp0: usize| {
         let (j_lo, width) = (jp0 * NR, outs[0].len());
-        let mut j = 0;
-        let mut jp = jp0;
-        while j < width {
-            let nv = NR.min(width - j);
-            for (s, o) in outs.iter_mut().enumerate() {
-                fused_stripe(
-                    &xv[s * k..(s + 1) * k],
-                    pb,
-                    sels[s].rows(),
-                    jp,
-                    &mut o[j..j + nv],
-                );
+        let panels = width.div_ceil(NR);
+        let mut acc = [[0.0f32; NR]; MR];
+        for w in 0..tiles.windows {
+            let (p0, kb) = (w * KC, KC.min(k - w * KC));
+            let mut jp = 0;
+            while jp < panels {
+                let group = ROW_PANELS.min(panels - jp);
+                for (t, s0) in (0..b).step_by(MR).enumerate() {
+                    let rows = &tiles.rows[tiles.cells[t * tiles.windows + w].clone()];
+                    if rows.is_empty() {
+                        continue;
+                    }
+                    let m = MR.min(b - s0);
+                    let xs = &xv[s0 * k + p0..];
+                    // a lone sample spans the group's panels at once, a
+                    // tile of several takes them one by one
+                    let np = if m == 1 && group == ROW_PANELS { ROW_PANELS } else { 1 };
+                    for first in (jp..jp + group).step_by(np) {
+                        let wslice = pb.window(jp0 + first, np, p0, kb);
+                        // SAFETY: `TileRows::new` lists offsets `0..kb` of
+                        // this window only.
+                        unsafe {
+                            tile_sums(
+                                kernel_isa,
+                                (m, np),
+                                rows,
+                                (xs, k),
+                                wslice,
+                                kb,
+                                &mut acc,
+                            )
+                        };
+                        for (i, o) in outs[s0..s0 + m].iter_mut().enumerate() {
+                            let land = tiles.land[(s0 + i) * tiles.windows + w];
+                            if land == Land::Skip {
+                                continue;
+                            }
+                            for (c, sum) in acc[i * np..(i + 1) * np].iter().enumerate() {
+                                let j = (first + c) * NR;
+                                let o = &mut o[j..(j + NR).min(width)];
+                                // Full-NR sums even for the ragged last
+                                // panel: its padding lanes multiply the
+                                // panel's zero fill and are never stored.
+                                if land == Land::Copy {
+                                    o.copy_from_slice(&sum[..o.len()]);
+                                } else {
+                                    for (ov, sv) in o.iter_mut().zip(sum) {
+                                        *ov += *sv;
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+                jp += group;
             }
-            j += nv;
-            jp += 1;
         }
         for (s, (o, a)) in outs.iter_mut().zip(acts.iter_mut()).enumerate() {
+            if tiles.land[s * tiles.windows..][..tiles.windows]
+                .iter()
+                .all(|&l| l == Land::Skip)
+            {
+                o.fill(0.0);
+            }
             fused_epilogue(o, a, &bv[j_lo..j_lo + width], &masks[s], j_lo);
         }
     };
@@ -711,7 +910,6 @@ fn fused_rows_into(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matmul::Isa;
     use crate::matmul_sparse_dispatch_into;
 
     /// The dense raw-`A` product at one worker: the reference every
@@ -1094,6 +1292,126 @@ mod tests {
                 for (got, want) in stats.iter().zip(&want_stats) {
                     assert_eq!(got.k_active, want.k_active);
                     assert_eq!(got.used_sparse, want.used_sparse);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fused_tile_matches_the_dense_reference_on_every_arm_and_edge() {
+        // Every ISA arm through the kernel's internal entry, against each
+        // sample's unflipped dense product (the raw-`A` GEMM, one worker)
+        // plus a scalar epilogue — a reference that shares no code with
+        // the tile. Batches cover a lone sample, partial tiles, a full
+        // tile and tiles one past it; depths three and four `KC` windows;
+        // widths a ragged panel and a single panel.
+        let t0 = Tensor::from_fn(&[75], |i| det(29, i, 7).abs() * 0.2);
+        let t1 = Tensor::from_fn(&[75], |i| det(31, i, 5).abs() * 0.4);
+        for (k, n) in [(900, 75), (1200, 75), (900, 10), (1200, 10)] {
+            let w = mat(&[n, k], 11, 21);
+            let pb = PrepackedB::from_weight_transposed(&w, k, n).unwrap();
+            let bias = mat(&[n], 23, 9);
+            let masks = [
+                FusedMask::Thresholds(&t0.as_slice()[..n]),
+                FusedMask::Relu,
+                FusedMask::Thresholds(&t1.as_slice()[..n]),
+                FusedMask::None,
+            ];
+            for b in [1usize, 2, 7, 8, 9, 17] {
+                // each tile of eight holds: two samples with disjoint rows
+                // (0, 1), a sample whose second window is wholly inactive
+                // while its tile-mates use it (2), a sample with no active
+                // row (3), a dense sample above SPARSE_ACTIVE_MAX (4), and
+                // ~37 % random rows (5–7); unlisted rows are ±0
+                let lists: Vec<Vec<bool>> = (0..b)
+                    .map(|s| {
+                        (0..k)
+                            .map(|p| match s % 8 {
+                                0 => p % 3 == 0,
+                                1 => p % 3 == 1,
+                                2 => {
+                                    !(KC..2 * KC).contains(&p) && det(s as u64, p, 8) < 0.0
+                                }
+                                3 => false,
+                                4 => true,
+                                _ => (p * 2654435761 + s * 40503) % 1000 < 370,
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let mut xs = mat(&[b, k], 13, 15);
+                for (i, v) in xs.as_mut_slice().iter_mut().enumerate() {
+                    if !lists[i / k][i % k] {
+                        *v = if i % 5 == 0 { -0.0 } else { 0.0 };
+                    }
+                }
+                let actives: Vec<Option<&[bool]>> =
+                    lists.iter().map(|l| Some(&l[..])).collect();
+                let sample_masks: Vec<FusedMask> = (0..b).map(|s| masks[s % 4]).collect();
+                let mut want = Vec::with_capacity(b * n);
+                for (x, mask) in xs.as_slice().chunks_exact(k).zip(&sample_masks) {
+                    let x_col = Tensor::from_vec(x.to_vec(), &[k, 1]).unwrap();
+                    let mut col = Tensor::zeros(&[n, 1]);
+                    dense_reference(&w, &x_col, &mut col);
+                    want.extend(col.as_slice().iter().enumerate().map(|(j, &v)| {
+                        let y = v + bias.as_slice()[j];
+                        match mask {
+                            FusedMask::None => y,
+                            FusedMask::Relu => y.max(0.0),
+                            FusedMask::Thresholds(t) => {
+                                if y - t[j] >= 0.0 {
+                                    y
+                                } else {
+                                    0.0
+                                }
+                            }
+                        }
+                    }));
+                }
+                let want_bits: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
+                let want_act: Vec<bool> = want.iter().map(|&v| v != 0.0).collect();
+                for dispatch in [SparseDispatch::Auto, SparseDispatch::DenseOnly] {
+                    for kernel_isa in available_isas() {
+                        for threads in [1usize, 2, 5] {
+                            let what = format!(
+                                "k={k} n={n} B={b} {dispatch:?} isa={kernel_isa:?} \
+                                 threads={threads}"
+                            );
+                            let mut out = vec![f32::NAN; b * n];
+                            let mut act = Vec::new();
+                            let stats = fused_rows_into(
+                                xs.as_slice(),
+                                &pb,
+                                &bias,
+                                &sample_masks,
+                                &actives,
+                                dispatch,
+                                &mut out,
+                                &mut act,
+                                threads,
+                                kernel_isa,
+                            )
+                            .unwrap();
+                            let bits: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+                            assert_eq!(bits, want_bits, "{what}");
+                            assert_eq!(act, want_act, "{what}");
+                            for (s, st) in stats.iter().enumerate() {
+                                let listed = lists[s].iter().filter(|&&a| a).count();
+                                let sparse = dispatch == SparseDispatch::Auto
+                                    && listed as f64 <= SPARSE_ACTIVE_MAX * k as f64;
+                                let k_active = if dispatch == SparseDispatch::Auto {
+                                    listed
+                                } else {
+                                    k
+                                };
+                                assert_eq!(
+                                    (st.k_total, st.k_active, st.used_sparse),
+                                    (k, k_active, sparse),
+                                    "{what} sample {s}"
+                                );
+                            }
+                        }
+                    }
                 }
             }
         }

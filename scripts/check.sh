@@ -44,6 +44,12 @@ if [[ "$run_tests" == 1 ]]; then
     echo "==> cargo test --workspace"
     cargo test --workspace -q
 
+    # the kernels' bit-identity claims (every ISA arm, the fused FC tile)
+    # rest on optimized codegen — FMA contraction and how the portable arm
+    # vectorizes — which the debug-profile run above does not exercise
+    echo "==> cargo test --release -p mime-tensor"
+    cargo test --release -q -p mime-tensor
+
     # the vendored `bytes` shim sits outside the workspace; its tests pin
     # the zero-copy views (`From<Vec<u8>>`, `copy_to_bytes`) the image
     # loader relies on
