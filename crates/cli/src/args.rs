@@ -111,13 +111,6 @@ pub enum Command {
         /// running, forcing the graceful-degradation path (and the
         /// degraded exit code 2).
         poison: Option<usize>,
-        /// Pin the software compute path to the dense packed kernels
-        /// (`--dense-only`), bypassing the sparsity-aware dispatcher.
-        dense_only: bool,
-        /// Skip the startup weight-panel prepack (`--no-prepack`),
-        /// forcing the unfused re-scan path — the reference side of the
-        /// fused-epilogue parity checks.
-        no_prepack: bool,
     },
     /// `mime serve`: the multi-process TCP front door supervising
     /// replica worker processes, with optional fault injection. With
@@ -137,9 +130,6 @@ pub enum Command {
         /// Admission-queue capacity (default 0 = 64); beyond it
         /// requests shed `Overloaded`.
         capacity: usize,
-        /// Pin worker replicas to the dense packed kernels
-        /// (`--dense-only`), bypassing the sparsity-aware dispatcher.
-        dense_only: bool,
         /// TCP bind address (e.g. `127.0.0.1:0`) to serve clients on;
         /// absent, the self-driven run binds `127.0.0.1:0` itself.
         listen: Option<String>,
@@ -153,9 +143,6 @@ pub enum Command {
         /// Inject the process-level fault on every n-th dispatch per
         /// replica; a batch counts once (default 4).
         inject_every: usize,
-        /// Skip the startup weight-panel prepack (`--no-prepack`);
-        /// forwarded to replica workers.
-        no_prepack: bool,
         /// Disable fleet observability (`--no-obs`): no trace
         /// stitching, clock probes, flight events, or per-request
         /// metrics — the overhead baseline for BENCH_serve.json.
@@ -196,10 +183,6 @@ pub enum Command {
         inject_every: usize,
         /// Heartbeat interval in milliseconds.
         heartbeat_ms: u64,
-        /// Pin the executor to the dense packed kernels.
-        dense_only: bool,
-        /// Skip the startup weight-panel prepack.
-        no_prepack: bool,
         /// Disable observability shipping (`--no-obs`).
         no_obs: bool,
         /// Record spans and ship them to the front door as
@@ -697,9 +680,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, ArgError> {
             Ok(Command::Validate { input_hw })
         }
         "batch" => {
-            let (rest, dense_only) = strip_valueless(rest, "--dense-only");
-            let (rest, no_prepack) = strip_valueless(&rest, "--no-prepack");
-            let (flags, pos) = split_flags(&rest)?;
+            let (flags, pos) = split_flags(rest)?;
             reject_unknown(&flags, &["images", "tasks", "seed", "poison"])?;
             if !pos.is_empty() {
                 return Err(err(format!("unexpected argument '{}'", pos[0])));
@@ -726,19 +707,10 @@ pub fn parse_args(args: &[String]) -> Result<Command, ArgError> {
                     )));
                 }
             }
-            Ok(Command::Batch {
-                images,
-                tasks,
-                seed: get_num(&flags, "seed", 42)?,
-                poison,
-                dense_only,
-                no_prepack,
-            })
+            Ok(Command::Batch { images, tasks, seed: get_num(&flags, "seed", 42)?, poison })
         }
         "serve" => {
-            let (rest, dense_only) = strip_valueless(rest, "--dense-only");
-            let (rest, no_prepack) = strip_valueless(&rest, "--no-prepack");
-            let (rest, no_obs) = strip_valueless(&rest, "--no-obs");
+            let (rest, no_obs) = strip_valueless(rest, "--no-obs");
             let (rest, no_brownout) = strip_valueless(&rest, "--no-brownout");
             let (rest, no_batch) = strip_valueless(&rest, "--no-batch");
             let (flags, pos) = split_flags(&rest)?;
@@ -800,13 +772,11 @@ pub fn parse_args(args: &[String]) -> Result<Command, ArgError> {
                 seed: get_num(&flags, "seed", 42)?,
                 inject,
                 capacity: get_num(&flags, "capacity", 0)?,
-                dense_only,
                 listen,
                 replicas,
                 image: flags.get("image").cloned(),
                 deadline_ms: get_num(&flags, "deadline-ms", 5000)?,
                 inject_every,
-                no_prepack,
                 no_obs,
                 flight_dir: flags.get("flight-dir").cloned(),
                 no_brownout,
@@ -817,9 +787,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, ArgError> {
             })
         }
         "replica-worker" => {
-            let (rest, dense_only) = strip_valueless(rest, "--dense-only");
-            let (rest, no_prepack) = strip_valueless(&rest, "--no-prepack");
-            let (rest, no_obs) = strip_valueless(&rest, "--no-obs");
+            let (rest, no_obs) = strip_valueless(rest, "--no-obs");
             let (rest, trace) = strip_valueless(&rest, "--trace");
             let (flags, pos) = split_flags(&rest)?;
             reject_unknown(
@@ -872,8 +840,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, ArgError> {
                 inject,
                 inject_every,
                 heartbeat_ms,
-                dense_only,
-                no_prepack,
                 no_obs,
                 trace,
                 flight_dir: flags.get("flight-dir").cloned(),
@@ -1100,25 +1066,11 @@ mod tests {
     fn batch_defaults_and_validation() {
         assert_eq!(
             p(&["batch"]).unwrap(),
-            Command::Batch {
-                images: 6,
-                tasks: 2,
-                seed: 42,
-                poison: None,
-                dense_only: false,
-                no_prepack: false,
-            }
+            Command::Batch { images: 6, tasks: 2, seed: 42, poison: None }
         );
         assert_eq!(
             p(&["batch", "--images", "4", "--tasks", "3"]).unwrap(),
-            Command::Batch {
-                images: 4,
-                tasks: 3,
-                seed: 42,
-                poison: None,
-                dense_only: false,
-                no_prepack: false,
-            }
+            Command::Batch { images: 4, tasks: 3, seed: 42, poison: None }
         );
         assert!(p(&["batch", "--images", "0"]).is_err());
         assert!(p(&["batch", "--tasks", "0"]).is_err());
@@ -1130,97 +1082,27 @@ mod tests {
     fn batch_poison_drill_flag() {
         assert_eq!(
             p(&["batch", "--tasks", "3", "--poison", "2"]).unwrap(),
-            Command::Batch {
-                images: 6,
-                tasks: 3,
-                seed: 42,
-                poison: Some(2),
-                dense_only: false,
-                no_prepack: false,
-            }
+            Command::Batch { images: 6, tasks: 3, seed: 42, poison: Some(2) }
         );
         assert!(p(&["batch", "--poison", "2"]).is_err(), "out of range for 2 tasks");
         assert!(p(&["batch", "--poison", "nope"]).is_err());
     }
 
     #[test]
-    fn dense_only_is_valueless_and_position_independent() {
-        assert_eq!(
-            p(&["batch", "--dense-only"]).unwrap(),
-            Command::Batch {
-                images: 6,
-                tasks: 2,
-                seed: 42,
-                poison: None,
-                dense_only: true,
-                no_prepack: false,
+    fn dense_only_and_no_prepack_are_rejected() {
+        // the software path always runs prepacked operands through the
+        // sparsity-aware dispatcher: neither knob parses, in any position
+        for flag in ["--dense-only", "--no-prepack"] {
+            for args in [
+                &["batch", flag][..],
+                &["batch", flag, "--images", "4"],
+                &["serve", "--replicas", "3", flag],
+                &["serve", flag, "--listen", "127.0.0.1:0"],
+                &["replica-worker", "--image", "a.mime", flag],
+            ] {
+                assert!(p(args).is_err(), "{args:?}");
             }
-        );
-        assert_eq!(
-            p(&["batch", "--dense-only", "--images", "4"]).unwrap(),
-            Command::Batch {
-                images: 4,
-                tasks: 2,
-                seed: 42,
-                poison: None,
-                dense_only: true,
-                no_prepack: false,
-            }
-        );
-        assert_eq!(
-            p(&["serve", "--replicas", "3", "--dense-only"]).unwrap(),
-            Command::Serve {
-                requests: 16,
-                tasks: 3,
-                seed: 42,
-                inject: ServeFault::None,
-                capacity: 0,
-                dense_only: true,
-                listen: None,
-                replicas: 3,
-                image: None,
-                deadline_ms: 5000,
-                inject_every: 4,
-                no_prepack: false,
-                no_obs: false,
-                flight_dir: None,
-                no_brownout: false,
-                brownout_rungs: 4,
-                critical_tasks: 0,
-                max_batch: 8,
-                linger_ms: 0,
-            }
-        );
-        // only batch and serve accept it
-        assert!(p(&["simulate", "--dense-only"]).is_err());
-    }
-
-    #[test]
-    fn no_prepack_is_valueless_and_position_independent() {
-        match p(&["batch", "--no-prepack"]).unwrap() {
-            Command::Batch { no_prepack, dense_only, .. } => {
-                assert!(no_prepack);
-                assert!(!dense_only);
-            }
-            other => panic!("{other:?}"),
         }
-        match p(&["batch", "--no-prepack", "--dense-only", "--images", "4"]).unwrap() {
-            Command::Batch { no_prepack, dense_only, images, .. } => {
-                assert!(no_prepack);
-                assert!(dense_only);
-                assert_eq!(images, 4);
-            }
-            other => panic!("{other:?}"),
-        }
-        match p(&["serve", "--no-prepack"]).unwrap() {
-            Command::Serve { no_prepack, .. } => assert!(no_prepack),
-            other => panic!("{other:?}"),
-        }
-        match p(&["replica-worker", "--image", "a.mime", "--no-prepack"]).unwrap() {
-            Command::ReplicaWorker { no_prepack, .. } => assert!(no_prepack),
-            other => panic!("{other:?}"),
-        }
-        assert!(p(&["simulate", "--no-prepack"]).is_err());
     }
 
     #[test]
@@ -1269,13 +1151,11 @@ mod tests {
                 seed: 42,
                 inject: ServeFault::None,
                 capacity: 0,
-                dense_only: false,
                 listen: None,
                 replicas: 2,
                 image: None,
                 deadline_ms: 5000,
                 inject_every: 4,
-                no_prepack: false,
                 no_obs: false,
                 flight_dir: None,
                 no_brownout: false,
@@ -1313,13 +1193,11 @@ mod tests {
                 seed: 42,
                 inject: ServeFault::None,
                 capacity: 8,
-                dense_only: false,
                 listen: None,
                 replicas: 2,
                 image: None,
                 deadline_ms: 5000,
                 inject_every: 4,
-                no_prepack: false,
                 no_obs: false,
                 flight_dir: None,
                 no_brownout: false,
@@ -1387,8 +1265,6 @@ mod tests {
                 inject: ServeFault::None,
                 inject_every: 4,
                 heartbeat_ms: 250,
-                dense_only: false,
-                no_prepack: false,
                 no_obs: false,
                 trace: false,
                 flight_dir: None,
@@ -1405,21 +1281,13 @@ mod tests {
             "3",
             "--heartbeat-ms",
             "100",
-            "--dense-only",
         ])
         .unwrap()
         {
-            Command::ReplicaWorker {
-                inject,
-                inject_every,
-                heartbeat_ms,
-                dense_only,
-                ..
-            } => {
+            Command::ReplicaWorker { inject, inject_every, heartbeat_ms, .. } => {
                 assert_eq!(inject, ServeFault::ReplicaHang);
                 assert_eq!(inject_every, 3);
                 assert_eq!(heartbeat_ms, 100);
-                assert!(dense_only);
             }
             other => panic!("{other:?}"),
         }

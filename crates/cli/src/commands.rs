@@ -83,8 +83,8 @@ pub fn run(cmd: Command, out: &mut dyn Write) -> Result<(), CliError> {
         }
         Command::Sweep { input_hw, rounds } => sweep(out, input_hw, rounds),
         Command::Validate { input_hw } => validate(out, input_hw),
-        Command::Batch { images, tasks, seed, poison, dense_only, no_prepack } => {
-            batch(out, images, tasks, seed, poison, dense_only, no_prepack)
+        Command::Batch { images, tasks, seed, poison } => {
+            batch(out, images, tasks, seed, poison)
         }
         Command::Serve {
             requests,
@@ -92,13 +92,11 @@ pub fn run(cmd: Command, out: &mut dyn Write) -> Result<(), CliError> {
             seed,
             inject,
             capacity,
-            dense_only,
             listen,
             replicas,
             image,
             deadline_ms,
             inject_every,
-            no_prepack,
             no_obs,
             flight_dir,
             no_brownout,
@@ -114,12 +112,10 @@ pub fn run(cmd: Command, out: &mut dyn Write) -> Result<(), CliError> {
             seed,
             inject,
             capacity,
-            dense_only,
             replicas,
             image.as_deref(),
             deadline_ms,
             inject_every,
-            no_prepack,
             no_obs,
             flight_dir.as_deref(),
             no_brownout,
@@ -134,8 +130,6 @@ pub fn run(cmd: Command, out: &mut dyn Write) -> Result<(), CliError> {
             inject,
             inject_every,
             heartbeat_ms,
-            dense_only,
-            no_prepack,
             no_obs,
             trace,
             flight_dir,
@@ -146,8 +140,6 @@ pub fn run(cmd: Command, out: &mut dyn Write) -> Result<(), CliError> {
             inject,
             inject_every,
             heartbeat_ms,
-            dense_only,
-            no_prepack,
             no_obs,
             trace,
             flight_dir.as_deref(),
@@ -199,12 +191,11 @@ fn write_help(out: &mut dyn Write) {
          \x20 sweep     [--input-hw 224] [--rounds 6]          batch/task scaling sweeps\n\
          \x20 validate  [--input-hw 32]                        analytical vs functional counters\n\
          \x20 batch     [--images 6] [--tasks 2] [--seed 42] [--poison i]\n\
-         \x20           [--dense-only] [--no-prepack]  pipelined multi-task batch on the\n\
-         \x20           sparse software path (exit code 2 when a task degraded to\n\
-         \x20           parent)\n\
+         \x20           pipelined multi-task batch on the sparse software path\n\
+         \x20           (exit code 2 when a task degraded to parent)\n\
          \x20 serve     [--listen <addr> | --requests 16] [--tasks 3] [--seed 42]\n\
-         \x20           [--replicas 2] [--image <file>] [--capacity 0] [--dense-only]\n\
-         \x20           [--no-prepack] [--deadline-ms 5000] [--inject none|replica-abort|\n\
+         \x20           [--replicas 2] [--image <file>] [--capacity 0]\n\
+         \x20           [--deadline-ms 5000] [--inject none|replica-abort|\n\
          \x20           replica-hang|replica-slow|conn-garbage|conn-truncate]\n\
          \x20           [--inject-every 4] [--no-obs] [--flight-dir <dir>] [--no-brownout]\n\
          \x20           [--brownout-rungs 4] [--critical-tasks 0]\n\
@@ -610,8 +601,6 @@ fn batch(
     tasks: usize,
     seed: u64,
     poison: Option<usize>,
-    dense_only: bool,
-    no_prepack: bool,
 ) -> Result<(), CliError> {
     use mime_runtime::{ComputePath, HardwareExecutor, SparseDispatch};
 
@@ -633,16 +622,14 @@ fn batch(
             BoundNetwork::from_mime(&net).map_err(io_err)
         })
         .collect::<Result<_, String>>()?;
-    // Pack the weights once per process unless the run is pinned to the
-    // raw-weight reference path.
-    if !no_prepack {
-        let stats = mime_runtime::prepack_plans(&mut plans).map_err(io_err)?;
-        let _ = writeln!(
-            out,
-            "prepacked {} weighted layer(s) ({} shared, {} bytes) in {:.2} ms",
-            stats.layers, stats.shared, stats.bytes, stats.ms
-        );
-    }
+    // Pack the weights once per process: the software path runs the
+    // resident operands.
+    let stats = mime_runtime::prepack_plans(&mut plans).map_err(io_err)?;
+    let _ = writeln!(
+        out,
+        "prepacked {} weighted layer(s) ({} shared, {} bytes) in {:.2} ms",
+        stats.layers, stats.shared, stats.bytes, stats.ms
+    );
     let batch: Vec<(usize, Tensor)> = (0..images)
         .map(|i| {
             let image = Tensor::from_fn(&[3, 32, 32], move |j| {
@@ -651,15 +638,11 @@ fn batch(
             (i % tasks, image)
         })
         .collect();
-    // Software compute path: the sparsity-aware fast path by default,
-    // pinned to the dense packed kernels under --dense-only. Logits are
-    // bit-identical either way (the checksum below proves it).
-    let dispatch =
-        if dense_only { SparseDispatch::DenseOnly } else { SparseDispatch::Auto };
+    // Software compute path: the sparsity-aware fast path.
     let mut exec = HardwareExecutor::with_options(
         ArrayConfig::eyeriss_65nm(),
         ComputePath::Software,
-        dispatch,
+        SparseDispatch::Auto,
     );
     let report = exec.run_pipelined(&plans, &batch, true, true).map_err(io_err)?;
     let _ =
@@ -805,12 +788,10 @@ fn serve(
     seed: u64,
     inject: ServeFault,
     capacity: usize,
-    dense_only: bool,
     replicas: usize,
     image: Option<&str>,
     deadline_ms: u64,
     inject_every: usize,
-    no_prepack: bool,
     no_obs: bool,
     flight_dir: Option<&str>,
     no_brownout: bool,
@@ -848,12 +829,6 @@ fn serve(
         "--image".to_string(),
         image_path.clone(),
     ];
-    if dense_only {
-        replica_cmd.push("--dense-only".to_string());
-    }
-    if no_prepack {
-        replica_cmd.push("--no-prepack".to_string());
-    }
     // A brownout-disabled fleet only ever dispatches rung 0, so its
     // replicas skip ladder derivation entirely (depth 1 = rung 0 only).
     let ladder_depth = if no_brownout { 1 } else { brownout_rungs };
@@ -982,8 +957,6 @@ fn replica_worker(
     inject: ServeFault,
     inject_every: usize,
     heartbeat_ms: u64,
-    dense_only: bool,
-    no_prepack: bool,
     no_obs: bool,
     trace: bool,
     flight_dir: Option<&str>,
@@ -1012,9 +985,7 @@ fn replica_worker(
     }
     // Prepack once at replica startup, never per request: the
     // `mime_prepack_total` gauge-asserted invariant in check.sh.
-    if !no_prepack {
-        mime_runtime::prepack_plans(&mut plans).map_err(io_err)?;
-    }
+    mime_runtime::prepack_plans(&mut plans).map_err(io_err)?;
     let fault = match inject {
         ServeFault::ReplicaAbort => ReplicaFault::Abort,
         ServeFault::ReplicaHang => ReplicaFault::Hang,
@@ -1026,11 +997,6 @@ fn replica_worker(
         fault,
         fault_every: if fault == ReplicaFault::None { 0 } else { inject_every },
         heartbeat: Duration::from_millis(heartbeat_ms),
-        dispatch: if dense_only {
-            mime_runtime::SparseDispatch::DenseOnly
-        } else {
-            mime_runtime::SparseDispatch::Auto
-        },
         obs: !no_obs,
         brownout_rungs,
         ..ReplicaWorkerConfig::default()
@@ -1699,14 +1665,7 @@ mod tests {
 
     #[test]
     fn batch_reports_counters_and_checksum() {
-        let s = capture(Command::Batch {
-            images: 3,
-            tasks: 2,
-            seed: 1,
-            poison: None,
-            dense_only: false,
-            no_prepack: false,
-        });
+        let s = capture(Command::Batch { images: 3, tasks: 2, seed: 1, poison: None });
         assert!(s.contains("macs executed"), "{s}");
         assert!(s.contains("logits checksum"), "{s}");
         assert!(s.contains("degraded tasks:     []"), "{s}");
@@ -1715,18 +1674,9 @@ mod tests {
     #[test]
     fn batch_poison_drill_degrades_with_exit_code_2() {
         let mut buf = Vec::new();
-        let err = run(
-            Command::Batch {
-                images: 4,
-                tasks: 2,
-                seed: 1,
-                poison: Some(1),
-                dense_only: false,
-                no_prepack: false,
-            },
-            &mut buf,
-        )
-        .unwrap_err();
+        let err =
+            run(Command::Batch { images: 4, tasks: 2, seed: 1, poison: Some(1) }, &mut buf)
+                .unwrap_err();
         assert_eq!(err.code, EXIT_DEGRADED);
         assert!(err.message.contains("degraded"), "{err}");
         assert!(err.message.contains("[1]"), "{err}");

@@ -14,7 +14,7 @@
 //! mime verify-image  <file>
 //! mime inject-faults <file> --out <file> [--seed 42] [--mode bitflip|truncate|garble] [--count N]
 //! mime validate  [--input-hw 32]
-//! mime batch     [--images 6] [--tasks 2] [--seed 42] [--poison i] [--dense-only] [--no-prepack]
+//! mime batch     [--images 6] [--tasks 2] [--seed 42] [--poison i]
 //! mime serve     [--listen <addr> | --requests 16] [--tasks 3] [--seed 42]
 //!                [--replicas 2] [--image <file>] [--capacity 0] [--deadline-ms 5000]
 //!                [--inject none|replica-abort|replica-hang|replica-slow|

@@ -42,20 +42,8 @@
 //! are then rejected (never silently mis-parsed, because the CRC over a
 //! mis-framed range fails).
 //!
-//! ## Wire format v1 (legacy, read-only)
-//!
-//! ```text
-//! magic "MIME" | version u16 (=1) | backbone-count u32 |
-//!   { name-len u16, name, tensor }…
-//! task-count u32 |
-//!   { name-len u16, name, bank-count u32, { tensor }… }…
-//! ```
-//!
-//! v1 images carry no checksums and no section framing: [`unpack_model`]
-//! still reads them, but any parse failure beyond a task-registration
-//! collision is a hard error, and corruption that happens to decode
-//! cannot be detected. [`verify_image`] reports v1 sections as
-//! unverifiable.
+//! The readers accept only this version; any other is
+//! [`MimeError::VersionSkew`].
 
 use crate::{ImageSection, MimeError, MimeNetwork, MultiTaskModel, TaskEntry};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -65,9 +53,8 @@ use std::collections::HashMap;
 use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"MIME";
-/// Oldest image version [`unpack_model`] accepts.
-pub const VERSION_MIN: u16 = 1;
-/// Version written by [`pack_model`] (and newest accepted).
+/// Version written by [`pack_model`], and the only one the readers
+/// accept.
 pub const VERSION: u16 = 2;
 
 // ---------------------------------------------------------------------
@@ -361,7 +348,7 @@ pub fn write_file_atomic(path: &Path, bytes: &[u8]) -> crate::Result<()> {
 }
 
 // ---------------------------------------------------------------------
-// Unpacking (v1 + v2 reader)
+// Unpacking
 // ---------------------------------------------------------------------
 
 /// One task section that failed to load, with the reason.
@@ -433,7 +420,7 @@ fn get_section_payload(buf: &mut Bytes, section: &ImageSection) -> crate::Result
     Ok(payload)
 }
 
-/// Reads the v2 task count, rejecting values the remaining bytes could
+/// Reads the task count, rejecting values the remaining bytes could
 /// not possibly frame (each task section needs at least an 8-byte
 /// header). Without this plausibility check a corrupted count drives
 /// the per-task rejection walk through billions of phantom sections.
@@ -455,8 +442,8 @@ fn checked_task_count(buf: &mut Bytes) -> crate::Result<usize> {
     Ok(n_tasks)
 }
 
-/// Reads `magic | version`, returning the version.
-fn get_header(buf: &mut Bytes) -> crate::Result<u16> {
+/// Reads `magic | version`, accepting only [`VERSION`].
+fn get_header(buf: &mut Bytes) -> crate::Result<()> {
     let section = ImageSection::Header;
     if buf.remaining() < 6 {
         return Err(truncated(&section, "magic/version"));
@@ -467,14 +454,14 @@ fn get_header(buf: &mut Bytes) -> crate::Result<u16> {
         return Err(MimeError::BadMagic);
     }
     let version = buf.get_u16();
-    if !(VERSION_MIN..=VERSION).contains(&version) {
+    if version != VERSION {
         return Err(MimeError::VersionSkew {
             found: version,
-            min_supported: VERSION_MIN,
+            min_supported: VERSION,
             max_supported: VERSION,
         });
     }
-    Ok(version)
+    Ok(())
 }
 
 fn parse_backbone(payload: &mut Bytes) -> crate::Result<HashMap<String, Tensor>> {
@@ -509,7 +496,7 @@ fn get_backbone_count(payload: &mut Bytes) -> crate::Result<usize> {
     Ok(payload.get_u32() as usize)
 }
 
-/// Parses one v2 task payload into `(name, banks)`, checking every bank
+/// Parses one task payload into `(name, banks)`, checking every bank
 /// for non-finite values (a corrupted-but-CRC-valid bank cannot occur,
 /// but a bank poisoned *before* packing can).
 fn parse_task(payload: &mut Bytes, index: usize) -> crate::Result<(String, Vec<Tensor>)> {
@@ -535,11 +522,11 @@ fn parse_task(payload: &mut Bytes, index: usize) -> crate::Result<(String, Vec<T
     Ok((name, banks))
 }
 
-/// Restores a packed image (v1 or v2) into a model built over the
-/// **same architecture**: backbone values are overwritten and every
-/// intact packed task is registered.
+/// Restores a packed image into a model built over the **same
+/// architecture**: backbone values are overwritten and every intact
+/// packed task is registered.
 ///
-/// v2 images load resiliently: a task section that fails its checksum,
+/// Images load resiliently: a task section that fails its checksum,
 /// fails to parse, or fails registration (shape mismatch, name
 /// collision) is skipped and reported in [`UnpackReport::rejected`];
 /// the backbone and the remaining tasks still load. Backbone corruption
@@ -547,18 +534,14 @@ fn parse_task(payload: &mut Bytes, index: usize) -> crate::Result<(String, Vec<T
 ///
 /// # Errors
 ///
-/// Returns an error for a bad magic, an unsupported version, a
-/// truncated or checksum-failing header/backbone, or (v1 only) any
-/// parse failure.
+/// Returns an error for a bad magic, an unsupported version, or a
+/// truncated or checksum-failing header/backbone.
 pub fn unpack_model(
     bytes: &Bytes,
     model: &mut MultiTaskModel,
 ) -> crate::Result<UnpackReport> {
     let mut buf = bytes.clone();
-    let version = get_header(&mut buf)?;
-    if version == 1 {
-        return unpack_v1(&mut buf, model);
-    }
+    get_header(&mut buf)?;
     if buf.remaining() < 4 {
         return Err(truncated(&ImageSection::Header, "total length"));
     }
@@ -573,7 +556,7 @@ pub fn unpack_model(
     let backbone = parse_backbone(&mut backbone_payload)?;
     model.network_mut().import_backbone(&backbone)?;
     let n_tasks = checked_task_count(&mut buf)?;
-    let mut report = UnpackReport { version, ..Default::default() };
+    let mut report = UnpackReport { version: VERSION, ..Default::default() };
     let mut framing_lost = false;
     for index in 0..n_tasks {
         let unnamed = ImageSection::task_unnamed(index);
@@ -626,7 +609,7 @@ pub fn unpack_model(
     Ok(report)
 }
 
-/// Strict checkpoint reader: restores a v2 image produced by
+/// Strict checkpoint reader: restores an image produced by
 /// [`pack_image`] into a bare network, returning the task entries it
 /// carried instead of registering them anywhere.
 ///
@@ -643,14 +626,7 @@ pub fn unpack_checkpoint(
     net: &mut MimeNetwork,
 ) -> crate::Result<Vec<TaskEntry>> {
     let mut buf = bytes.clone();
-    let version = get_header(&mut buf)?;
-    if version != VERSION {
-        return Err(MimeError::VersionSkew {
-            found: version,
-            min_supported: VERSION,
-            max_supported: VERSION,
-        });
-    }
+    get_header(&mut buf)?;
     if buf.remaining() < 4 {
         return Err(truncated(&ImageSection::Header, "total length"));
     }
@@ -683,37 +659,6 @@ pub fn unpack_checkpoint(
     // Everything parsed: only now mutate the receiving network.
     net.import_backbone(&backbone)?;
     Ok(entries)
-}
-
-/// Legacy v1 reader: no checksums, no framing — parse errors are hard,
-/// registration failures (collisions, shape mismatches) are contained.
-fn unpack_v1(buf: &mut Bytes, model: &mut MultiTaskModel) -> crate::Result<UnpackReport> {
-    let backbone = parse_backbone(buf)?;
-    model.network_mut().import_backbone(&backbone)?;
-    if buf.remaining() < 4 {
-        return Err(truncated(&ImageSection::Header, "task count"));
-    }
-    let n_tasks = buf.get_u32() as usize;
-    let mut report = UnpackReport { version: 1, ..Default::default() };
-    for index in 0..n_tasks {
-        let (name, banks) = parse_task(buf, index)?;
-        match model.register_task(name.clone(), banks) {
-            Ok(()) => report.loaded.push(name),
-            Err(e) => {
-                report.rejected.push(RejectedTask { index, name: Some(name), error: e })
-            }
-        }
-    }
-    if buf.remaining() > 0 {
-        return Err(MimeError::MalformedImage {
-            section: ImageSection::Header,
-            reason: format!(
-                "{} trailing bytes after the last task section",
-                buf.remaining()
-            ),
-        });
-    }
-    Ok(report)
 }
 
 // ---------------------------------------------------------------------
@@ -755,9 +700,8 @@ impl ImageSummary {
 /// CLI subcommand. The walk reads `bytes` in place and decodes no
 /// weight: backbone tensors are checked by their headers and skipped.
 ///
-/// v2 sections are CRC-checked and parsed structurally (names, tensor
-/// framing); v1 images carry no checksums, so their sections are parsed
-/// structurally only.
+/// Sections are CRC-checked and parsed structurally (names, tensor
+/// framing).
 ///
 /// # Errors
 ///
@@ -769,13 +713,9 @@ impl ImageSummary {
 /// it; `verify_image` is a diagnostic and keeps walking.)
 pub fn verify_image(bytes: &Bytes) -> crate::Result<ImageSummary> {
     let mut buf = bytes.clone();
-    let version = get_header(&mut buf)?;
+    get_header(&mut buf)?;
     let mut summary =
-        ImageSummary { version, total_bytes: bytes.len(), sections: Vec::new() };
-    if version == 1 {
-        verify_v1(&mut buf, &mut summary)?;
-        return Ok(summary);
-    }
+        ImageSummary { version: VERSION, total_bytes: bytes.len(), sections: Vec::new() };
     if buf.remaining() < 4 {
         return Err(truncated(&ImageSection::Header, "total length"));
     }
@@ -877,34 +817,6 @@ fn trailing_bytes_error(buf: &Bytes) -> Option<SectionStatus> {
     })
 }
 
-/// Structural walk of a v1 image (no checksums to check).
-fn verify_v1(buf: &mut Bytes, summary: &mut ImageSummary) -> crate::Result<()> {
-    let before = buf.remaining();
-    check_backbone(buf)?;
-    summary.sections.push(SectionStatus {
-        section: ImageSection::Backbone,
-        payload_bytes: before - buf.remaining(),
-        error: None,
-    });
-    if buf.remaining() < 4 {
-        return Err(truncated(&ImageSection::Header, "task count"));
-    }
-    let n_tasks = buf.get_u32() as usize;
-    for index in 0..n_tasks {
-        let before = buf.remaining();
-        let (name, _) = parse_task(buf, index)?;
-        summary.sections.push(SectionStatus {
-            section: ImageSection::task(index, name),
-            payload_bytes: before - buf.remaining(),
-            error: None,
-        });
-    }
-    if let Some(rest) = trailing_bytes_error(buf) {
-        summary.sections.push(rest);
-    }
-    Ok(())
-}
-
 /// Parameter-payload bytes of a packed model (16-bit values only,
 /// excluding names and framing) — directly comparable to the Fig. 4
 /// storage model.
@@ -937,28 +849,6 @@ mod tests {
             model.register_task(format!("task{i}"), banks).unwrap();
         }
         model
-    }
-
-    /// Writes the legacy v1 format, for reader-compat tests.
-    fn pack_model_v1(model: &MultiTaskModel) -> Bytes {
-        let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC);
-        buf.put_u16(1);
-        let backbone = model.network().backbone_params();
-        buf.put_u32(backbone.len() as u32);
-        for p in backbone {
-            put_name(&mut buf, p.name()).unwrap();
-            put_tensor(&mut buf, &p.value).unwrap();
-        }
-        buf.put_u32(model.tasks().len() as u32);
-        for TaskEntry { name, thresholds } in model.tasks() {
-            put_name(&mut buf, name).unwrap();
-            buf.put_u32(thresholds.len() as u32);
-            for bank in thresholds {
-                put_tensor(&mut buf, bank).unwrap();
-            }
-        }
-        buf.freeze()
     }
 
     /// Byte offset where the first task's section begins (after magic,
@@ -998,21 +888,6 @@ mod tests {
     }
 
     #[test]
-    fn reads_legacy_v1_images() {
-        let model = model_with_tasks(1, 2);
-        let image = pack_model_v1(&model);
-        let mut receiver = model_with_tasks(98, 0);
-        let report = unpack_model(&image, &mut receiver).unwrap();
-        assert_eq!(report.version, 1);
-        assert!(report.is_clean());
-        assert_eq!(receiver.tasks().len(), 2);
-        let summary = verify_image(&image).unwrap();
-        assert_eq!(summary.version, 1);
-        assert!(summary.is_clean());
-        assert_eq!(summary.sections.len(), 3);
-    }
-
-    #[test]
     fn rejects_bad_magic_and_truncation() {
         let model = model_with_tasks(2, 1);
         let image = pack_model(&model).unwrap();
@@ -1038,9 +913,19 @@ mod tests {
         image[4] = 0xFF;
         let mut receiver = model_with_tasks(5, 0);
         assert!(matches!(
-            unpack_model(&Bytes::from(image), &mut receiver),
+            unpack_model(&Bytes::from(image.clone()), &mut receiver),
             Err(MimeError::VersionSkew { .. })
         ));
+        // v1 (no checksums, no framing) is retired: every reader refuses
+        // it at the header, whatever follows
+        image[4..6].copy_from_slice(&1u16.to_be_bytes());
+        let v1 = Bytes::from(image);
+        let skew = |r: crate::Result<()>| {
+            matches!(r, Err(MimeError::VersionSkew { found: 1, .. }))
+        };
+        assert!(skew(unpack_model(&v1, &mut receiver).map(drop)));
+        assert!(skew(unpack_checkpoint(&v1, receiver.network_mut()).map(drop)));
+        assert!(skew(verify_image(&v1).map(drop)));
     }
 
     #[test]

@@ -6,11 +6,9 @@ use mime_core::faults::first_non_finite;
 use mime_core::{channel_activity_rescan, MimeError};
 use mime_systolic::{AccessCounters, ArrayConfig, FunctionalArray, LayerGeometry, Mapper};
 use mime_tensor::{
-    conv2d_sparse_prepacked_with_scratch, conv2d_sparse_with_scratch,
-    matmul_fused_batch_into, max_pool2d, ConvScratch, ConvSpec, FusedMask, PoolSpec,
-    PrepackedA, PrepackedB, SparseDispatch, SparseStats, Tensor, TensorError,
+    conv2d_sparse_prepacked_with_scratch, matmul_fused_batch_into, max_pool2d, ConvScratch,
+    ConvSpec, FusedMask, PoolSpec, SparseDispatch, Tensor, TensorError,
 };
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Which backend executes a plan's array steps.
@@ -24,16 +22,19 @@ use std::time::Instant;
 ///   [`FunctionalArray`] model and reports exact per-access counters.
 /// * [`Software`](ComputePath::Software) runs the host CPU GEMMs through
 ///   the sparsity-aware fast path (row compaction + packed microkernels)
-///   for wall-clock speed. MAC and comparison counts are reconstructed
-///   analytically (they match the array's tap-level accounting exactly);
-///   memory-hierarchy counters stay zero, which the batch accounting
-///   tolerates.
+///   for wall-clock speed, over the resident operands
+///   [`prepack_plans`](crate::prepack_plans) builds: a plan must be
+///   prepacked before it runs here. MAC and comparison counts are
+///   reconstructed analytically (they match the array's tap-level
+///   accounting exactly); memory-hierarchy counters stay zero, which the
+///   batch accounting tolerates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ComputePath {
     /// Functional systolic-array simulation (exact access counters).
     #[default]
     Simulate,
-    /// Host CPU sparse fast path (compaction + packed GEMM dispatch).
+    /// Host CPU sparse fast path over prepacked plans (compaction +
+    /// resident-operand GEMM dispatch).
     Software,
 }
 
@@ -147,8 +148,9 @@ impl HardwareExecutor {
     /// # Errors
     ///
     /// Returns [`MimeError::PlanMismatch`] when the image does not match
-    /// the plan, [`MimeError::NonFinite`] when the logits contain a NaN
-    /// or ±Inf, or a tensor error when a step fails on the array.
+    /// the plan (or, on the software path, the plan is not prepacked),
+    /// [`MimeError::NonFinite`] when the logits contain a NaN or ±Inf, or
+    /// a tensor error when a step fails on the array.
     pub fn run_image(
         &mut self,
         plan: &BoundNetwork,
@@ -157,29 +159,6 @@ impl HardwareExecutor {
     ) -> crate::Result<Vec<f32>> {
         let mut logits = self.run_coalesced(&[plan], &[image], zero_skip)?;
         Ok(logits.pop().expect("a batch of one yields one logits row"))
-    }
-
-    /// The §9 im2col lowering of one step over `x4: [B, C, H, W]`: over the
-    /// resident `A` strips when the plan carries them, else over the raw
-    /// weight (the `--no-prepack` reference). Bit-identical either way.
-    fn conv_step(
-        &mut self,
-        x4: &Tensor,
-        weight: &Tensor,
-        packed_a: Option<&PrepackedA>,
-        bias: &Tensor,
-        spec: &ConvSpec,
-        active: Option<&[bool]>,
-    ) -> crate::Result<(Tensor, SparseStats)> {
-        let (scratch, dispatch) = (&mut self.scratch, self.dispatch);
-        Ok(match packed_a {
-            Some(pa) => conv2d_sparse_prepacked_with_scratch(
-                x4, pa, bias, spec, scratch, active, dispatch,
-            )?,
-            None => conv2d_sparse_with_scratch(
-                x4, weight, bias, spec, scratch, active, dispatch,
-            )?,
-        })
     }
 
     /// Executes a coalesced batch — one image per plan reference — as a
@@ -225,6 +204,12 @@ impl HardwareExecutor {
     /// comparison. Per-sample thresholds may differ arbitrarily,
     /// including being absent entirely (degraded or baseline samples).
     ///
+    /// On the software path every weighted step runs over the lead plan's
+    /// resident operand — conv strips or FC panels, built by
+    /// [`prepack_plans`](crate::prepack_plans) from the weight every plan
+    /// shares — and a lead plan missing one is refused, also before any
+    /// step (or the guard) runs.
+    ///
     /// ## Bit-identity
     ///
     /// Each sample's logits are bit-identical to running that sample
@@ -232,19 +217,20 @@ impl HardwareExecutor {
     /// [`mime_core::MimeNetwork::forward`]:
     ///
     /// * conv steps stack the batch as `[B, C, H, W]` and lower through
-    ///   the same im2col GEMM; each sample's output columns depend only
-    ///   on its own im2col columns, and the depth-window accumulation
-    ///   order per column is independent of how many columns ride along;
+    ///   the same im2col GEMM over the resident `A` strips; each sample's
+    ///   output columns depend only on its own im2col columns, and the
+    ///   depth-window accumulation order per column is independent of
+    ///   how many columns ride along;
     /// * the channel compactor runs on the *union* of the per-sample
     ///   activity bitmaps — a channel skipped for the batch is exactly
     ///   zero in every sample, and the sparse row-compacted GEMM is
     ///   bit-identical to dense for any valid promise list;
     /// * threshold/ReLU epilogues and activity rescans run per sample
     ///   with that sample's own bank, on that sample's output slice;
-    /// * FC steps with the Arc-shared panel set run the fused batch
-    ///   kernel at any `B`; its per-sample arithmetic does not depend on
-    ///   the batch (gated by its own bitwise test), while each weight
-    ///   panel streams once per batch;
+    /// * FC steps run the fused batch kernel over the resident panels at
+    ///   any `B`; its per-sample arithmetic does not depend on the batch
+    ///   (gated by its own bitwise test), while each weight panel streams
+    ///   once per batch;
     /// * pooling is per-sample independent, and the analytic MAC/compare
     ///   counters are tallied per sample with the same formula.
     ///
@@ -256,7 +242,9 @@ impl HardwareExecutor {
     /// # Errors
     ///
     /// [`MimeError::PlanMismatch`] when the batch is malformed (length
-    /// mismatch, divergent plan structure or backbone, wrong image shape);
+    /// mismatch, divergent plan structure or backbone, wrong image shape)
+    /// or, on the software path, the lead plan lacks a step's resident
+    /// operand (the first such step is named);
     /// [`MimeError::NonFinite`] when a sample's logits contain a NaN or
     /// ±Inf (the earliest failing sample is reported); a tensor error
     /// when a step fails; or whatever error the guard returns.
@@ -315,6 +303,20 @@ impl HardwareExecutor {
                 });
             }
         }
+        if self.path == ComputePath::Software {
+            // the software path runs only the operands prepack_plans
+            // builds: FC panels or conv strips, one per weighted step
+            let unpacked = |step: &BoundLayer| {
+                matches!(step, BoundLayer::Array { packed: None, packed_a: None, .. })
+            };
+            if let Some(step) = lead.steps().iter().position(unpacked) {
+                return Err(MimeError::PlanMismatch {
+                    what: "software plan without a prepacked operand (first such step)",
+                    expected: Vec::new(),
+                    actual: vec![step],
+                });
+            }
+        }
         let profiling = mime_obs::profiling();
         let mut batch_span =
             profiling.then(|| mime_obs::trace::span_cat("run_coalesced", "runtime.batch"));
@@ -336,24 +338,21 @@ impl HardwareExecutor {
         for index in 0..steps {
             guard(index)?;
             match &lead.steps()[index] {
-                BoundLayer::Array { geom, weight, bias, packed_a, .. } => {
+                BoundLayer::Array { geom, weight, bias, packed, packed_a, .. } => {
                     let start = profiling.then(Instant::now);
                     let sites = geom.sites();
                     let (per_in, per_out) = (geom.input_count(), geom.output_count());
                     // each sample swaps in its own plan's threshold bank
                     let banks = step_banks(plans, index, per_out)?;
-                    let fused = match self.path {
-                        ComputePath::Software if geom.r == 1 => shared_packed(plans, index),
-                        _ => None,
-                    };
+                    let software = self.path == ComputePath::Software;
                     // the fused FC kernel reads [B, C] rows, everything
                     // else [B, C, H, W]; either view shares the buffer
-                    let x_in = if fused.is_some() {
+                    let x_in = if software && packed.is_some() {
                         x.reshape(&[b, geom.c])?
                     } else {
                         x.reshape(&[b, geom.c, geom.in_hw, geom.in_hw])?
                     };
-                    if self.path == ComputePath::Software {
+                    if software {
                         // analytic MACs per sample, on the pre-GEMM input
                         // (they match the array's tap count)
                         for staged in x_in.as_slice().chunks_exact(per_in) {
@@ -361,8 +360,11 @@ impl HardwareExecutor {
                                 analytic_taps(staged, geom, zero_skip) * geom.k as u64;
                         }
                     }
-                    let out = match (self.path, fused) {
-                        (ComputePath::Simulate, _) => {
+                    // the software arms read the lead plan's resident
+                    // operands, packed from the weight every plan shares
+                    // (see the contract)
+                    let out = match (self.path, packed, packed_a) {
+                        (ComputePath::Simulate, ..) => {
                             // the array models one image at a time: each
                             // sample's [C, H, W] slice runs on its own bank
                             let mapping =
@@ -386,12 +388,11 @@ impl HardwareExecutor {
                             }
                             Tensor::from_vec(out, &[b, geom.k, geom.out_hw, geom.out_hw])?
                         }
-                        (ComputePath::Software, Some(pb)) => {
-                            // fused prepacked FC fast path: all samples share
-                            // one Arc'd panel set, so each weight panel
-                            // streams once for the batch, and the eq. (2)
-                            // compare/ReLU plus the activity bitmap come out
-                            // of the kernel epilogue
+                        (ComputePath::Software, Some(pb), _) => {
+                            // fused FC: each weight panel streams once for
+                            // the batch, and the eq. (2) compare/ReLU plus
+                            // the activity bitmap come out of the kernel
+                            // epilogue
                             let masks: Vec<FusedMask> = banks
                                 .iter()
                                 .map(|t| match t {
@@ -434,22 +435,20 @@ impl HardwareExecutor {
                             }
                             out
                         }
-                        (ComputePath::Software, None) => {
-                            // im2col lowering (also FC steps without shared
-                            // panels): one GEMM over [B, C, H, W]; a channel
-                            // may only be skipped for the batch if it is
-                            // promised zero in every sample
+                        (ComputePath::Software, None, Some(pa)) => {
+                            // im2col lowering: one GEMM over [B, C, H, W];
+                            // a channel may only be skipped for the batch
+                            // if it is promised zero in every sample
                             let spec = ConvSpec::new(geom.r, 1, (geom.r - 1) / 2)?;
                             let union = union_activity(&pending, geom.c);
-                            // the lead plan's strips were packed from the
-                            // weight every plan shares (see the contract)
-                            let (mut out4, stats) = self.conv_step(
+                            let (mut out4, stats) = conv2d_sparse_prepacked_with_scratch(
                                 &x_in,
-                                weight,
-                                packed_a.as_deref(),
+                                pa,
                                 bias,
                                 &spec,
+                                &mut self.scratch,
                                 union.as_deref(),
+                                self.dispatch,
                             )?;
                             publish_sparse_step(&stats, geom);
                             let ov = out4.as_mut_slice();
@@ -469,6 +468,9 @@ impl HardwareExecutor {
                                     Some(channel_activity_rescan(slice, geom.k, sites));
                             }
                             out4
+                        }
+                        (ComputePath::Software, ..) => {
+                            unreachable!("unpacked plans are refused before the loop")
                         }
                     };
                     if let Some(start) = start {
@@ -785,25 +787,6 @@ fn coalescible(plans: &[&BoundNetwork]) -> crate::Result<()> {
     Ok(())
 }
 
-/// The panel set shared by every sample's step `index`, if all are
-/// present and literally the same `Arc` (plan variants share panels by
-/// construction; `--no-prepack` leaves them absent). `None` sends the
-/// step down the batched conv lowering instead.
-fn shared_packed<'a>(plans: &[&'a BoundNetwork], index: usize) -> Option<&'a PrepackedB> {
-    let mut first: Option<&'a Arc<PrepackedB>> = None;
-    for plan in plans {
-        let BoundLayer::Array { packed: Some(p), .. } = &plan.steps()[index] else {
-            return None;
-        };
-        match first {
-            None => first = Some(p),
-            Some(f) if Arc::ptr_eq(f, p) => {}
-            Some(_) => return None,
-        }
-    }
-    first.map(|a| a.as_ref())
-}
-
 /// Graceful degradation: a task whose threshold bank fails validation
 /// runs on the thresholds-stripped parent path.
 fn compute_fallbacks(plans: &[BoundNetwork]) -> Vec<Option<BoundNetwork>> {
@@ -1052,72 +1035,69 @@ mod tests {
         let switched_to = [0usize, 1, 2, 1, 0];
         let batch: Vec<(usize, Tensor)> =
             tasks.iter().enumerate().map(|(i, &t)| (t, salted_probe(i))).collect();
-        let raw = three_plans();
-        let mut prepacked = three_plans();
-        crate::prepack_plans(&mut prepacked).unwrap();
+        let mut plans = three_plans();
+        crate::prepack_plans(&mut plans).unwrap();
+        // the poisoned task runs on its thresholds-stripped parent
+        let stripped = plans[2].strip_thresholds();
+        let view = |t: usize| if t == 2 { &stripped } else { &plans[t] };
         for path in [ComputePath::Software, ComputePath::Simulate] {
-            for plans in [&raw, &prepacked] {
-                // the poisoned task runs on its thresholds-stripped parent
-                let stripped = plans[2].strip_thresholds();
-                let view = |t: usize| if t == 2 { &stripped } else { &plans[t] };
-                let mut exec = HardwareExecutor::with_options(
-                    ArrayConfig::eyeriss_65nm(),
-                    path,
-                    SparseDispatch::Auto,
-                );
-                let solo: Vec<Vec<f32>> = batch
-                    .iter()
-                    .map(|(t, image)| exec.run_image(view(*t), image, true).unwrap())
-                    .collect();
-                let solo_counters = exec.batch_counters();
-                for shared_weights in [true, false] {
-                    let what = format!("{path:?}, shared_weights={shared_weights}");
-                    let report =
-                        exec.run_pipelined(plans, &batch, shared_weights, true).unwrap();
-                    assert_eq!(report.logits.len(), solo.len(), "{what}");
-                    for (s, (a, b)) in report.logits.iter().zip(&solo).enumerate() {
-                        assert!(
-                            a.len() == b.len()
-                                && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits()),
-                            "sample {s} diverged ({what})"
-                        );
-                    }
-                    assert_eq!(report.task_switches, switched_to.len(), "{what}");
-                    assert_eq!(report.degraded_tasks, vec![2], "{what}");
-                    // a switch reloads the incoming task's banks (none on
-                    // the stripped parent); conventional execution also
-                    // its weights, MIME streams W_parent once
-                    let words = |t: usize| view(t).weight_words() as u64;
-                    let bank_words = |t: usize| plan_threshold_words(view(t));
-                    let banks: u64 = switched_to.iter().map(|&t| bank_words(t)).sum();
-                    assert_eq!(report.threshold_reload_words, banks, "{what}");
-                    let weights = if shared_weights {
-                        words(0)
-                    } else {
-                        switched_to.iter().map(|&t| words(t)).sum()
-                    };
-                    assert_eq!(report.weight_reload_words, weights, "{what}");
-                    // every counter is the per-image runs' sum, except that
-                    // the DRAM reads rebate what residency keeps loaded —
-                    // W_parent after the first image (MIME), a repeated
-                    // task's banks and, conventionally, its weights — and
-                    // carve out the reload charges above
-                    let repeats = tasks.windows(2).filter(|w| w[0] == w[1]).map(|w| w[1]);
-                    let rebate: u64 = if shared_weights {
-                        (tasks.len() as u64 - 1) * words(0)
-                            + repeats.map(bank_words).sum::<u64>()
-                    } else {
-                        repeats.map(|t| words(t) + bank_words(t)).sum()
-                    };
-                    let dram_reads =
-                        solo_counters.dram_reads.saturating_sub(rebate + weights + banks);
-                    let expected = AccessCounters { dram_reads, ..solo_counters };
-                    assert_eq!(report.counters, expected, "{what}");
+            let mut exec = HardwareExecutor::with_options(
+                ArrayConfig::eyeriss_65nm(),
+                path,
+                SparseDispatch::Auto,
+            );
+            let solo: Vec<Vec<f32>> = batch
+                .iter()
+                .map(|(t, image)| exec.run_image(view(*t), image, true).unwrap())
+                .collect();
+            let solo_counters = exec.batch_counters();
+            for shared_weights in [true, false] {
+                let what = format!("{path:?}, shared_weights={shared_weights}");
+                let report =
+                    exec.run_pipelined(&plans, &batch, shared_weights, true).unwrap();
+                assert_eq!(report.logits.len(), solo.len(), "{what}");
+                for (s, (a, b)) in report.logits.iter().zip(&solo).enumerate() {
+                    assert!(
+                        a.len() == b.len()
+                            && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits()),
+                        "sample {s} diverged ({what})"
+                    );
                 }
+                assert_eq!(report.task_switches, switched_to.len(), "{what}");
+                assert_eq!(report.degraded_tasks, vec![2], "{what}");
+                // a switch reloads the incoming task's banks (none on the
+                // stripped parent); conventional execution also its
+                // weights, MIME streams W_parent once
+                let words = |t: usize| view(t).weight_words() as u64;
+                let bank_words = |t: usize| plan_threshold_words(view(t));
+                let banks: u64 = switched_to.iter().map(|&t| bank_words(t)).sum();
+                assert_eq!(report.threshold_reload_words, banks, "{what}");
+                let weights = if shared_weights {
+                    words(0)
+                } else {
+                    switched_to.iter().map(|&t| words(t)).sum()
+                };
+                assert_eq!(report.weight_reload_words, weights, "{what}");
+                // every counter is the per-image runs' sum, except that the
+                // DRAM reads rebate what residency keeps loaded — W_parent
+                // after the first image (MIME), a repeated task's banks
+                // and, conventionally, its weights — and carve out the
+                // reload charges above
+                let repeats = tasks.windows(2).filter(|w| w[0] == w[1]).map(|w| w[1]);
+                let rebate: u64 = if shared_weights {
+                    (tasks.len() as u64 - 1) * words(0)
+                        + repeats.map(bank_words).sum::<u64>()
+                } else {
+                    repeats.map(|t| words(t) + bank_words(t)).sum()
+                };
+                let dram_reads =
+                    solo_counters.dram_reads.saturating_sub(rebate + weights + banks);
+                let expected = AccessCounters { dram_reads, ..solo_counters };
+                assert_eq!(report.counters, expected, "{what}");
             }
         }
         let empty = HardwareExecutor::new(ArrayConfig::eyeriss_65nm())
-            .run_pipelined(&raw, &[], true, true)
+            .run_pipelined(&plans, &[], true, true)
             .unwrap();
         assert!(empty.logits.is_empty());
         assert_eq!(empty.task_switches, 0);
@@ -1133,31 +1113,28 @@ mod tests {
         // sample 1 with sample 0's backbone
         let (arch, net) = mini();
         let other = build_network(&arch, &mut StdRng::seed_from_u64(77));
-        let raw = vec![
+        let mut plans = vec![
             BoundNetwork::from_baseline(&arch, &net).unwrap(),
             BoundNetwork::from_baseline(&arch, &other).unwrap(),
         ];
-        let mut prepacked = raw.clone();
-        crate::prepack_plans(&mut prepacked).unwrap();
+        crate::prepack_plans(&mut plans).unwrap();
         let batch = vec![(0usize, probe()), (1, probe())];
         let mut exec = HardwareExecutor::with_options(
             ArrayConfig::eyeriss_65nm(),
             ComputePath::Software,
             SparseDispatch::Auto,
         );
-        for plans in [&raw, &prepacked] {
-            let err = exec
-                .run_coalesced(&[&plans[0], &plans[1]], &[&batch[0].1, &batch[1].1], true)
-                .unwrap_err();
-            assert!(matches!(err, MimeError::PlanMismatch { .. }), "{err}");
-            // MIME residency claims one backbone too; conventional
-            // execution runs each task on its own weights
-            let err = exec.run_pipelined(plans, &batch, true, true).unwrap_err();
-            assert!(matches!(err, MimeError::PlanMismatch { .. }), "{err}");
-            let report = exec.run_pipelined(plans, &batch, false, true).unwrap();
-            for (logits, (task, image)) in report.logits.iter().zip(&batch) {
-                assert_eq!(*logits, exec.run_image(&plans[*task], image, true).unwrap());
-            }
+        let err = exec
+            .run_coalesced(&[&plans[0], &plans[1]], &[&batch[0].1, &batch[1].1], true)
+            .unwrap_err();
+        assert!(matches!(err, MimeError::PlanMismatch { .. }), "{err}");
+        // MIME residency claims one backbone too; conventional execution
+        // runs each task on its own weights
+        let err = exec.run_pipelined(&plans, &batch, true, true).unwrap_err();
+        assert!(matches!(err, MimeError::PlanMismatch { .. }), "{err}");
+        let report = exec.run_pipelined(&plans, &batch, false, true).unwrap();
+        for (logits, (task, image)) in report.logits.iter().zip(&batch) {
+            assert_eq!(*logits, exec.run_image(&plans[*task], image, true).unwrap());
         }
     }
 
@@ -1165,7 +1142,8 @@ mod tests {
     fn software_path_logits_are_bit_identical_to_host_forward() {
         let (arch, parent) = mini();
         let mut net = MimeNetwork::from_trained(&arch, &parent, 0.05).unwrap();
-        let plan = BoundNetwork::from_mime(&net).unwrap();
+        let mut plan = BoundNetwork::from_mime(&net).unwrap();
+        crate::prepack_plans(std::slice::from_mut(&mut plan)).unwrap();
         let sw = net.forward(&probe().reshape(&[1, 3, 32, 32]).unwrap()).unwrap();
         for dispatch in
             [SparseDispatch::Auto, SparseDispatch::SparseOnly, SparseDispatch::DenseOnly]
@@ -1189,7 +1167,8 @@ mod tests {
     #[test]
     fn software_path_baseline_matches_host_forward() {
         let (arch, mut net) = mini();
-        let plan = BoundNetwork::from_baseline(&arch, &net).unwrap();
+        let mut plan = BoundNetwork::from_baseline(&arch, &net).unwrap();
+        crate::prepack_plans(std::slice::from_mut(&mut plan)).unwrap();
         let mut exec = HardwareExecutor::with_options(
             ArrayConfig::eyeriss_65nm(),
             ComputePath::Software,
@@ -1204,7 +1183,8 @@ mod tests {
     fn software_macs_match_simulated_array() {
         let (arch, parent) = mini();
         let net = MimeNetwork::from_trained(&arch, &parent, 0.05).unwrap();
-        let plans = [BoundNetwork::from_mime(&net).unwrap()];
+        let mut plans = [BoundNetwork::from_mime(&net).unwrap()];
+        crate::prepack_plans(&mut plans).unwrap();
         let batch: Vec<(usize, Tensor)> = (0..2).map(|i| (0, salted_probe(i))).collect();
         for zero_skip in [true, false] {
             let mut sim = HardwareExecutor::new(ArrayConfig::eyeriss_65nm());
@@ -1291,32 +1271,47 @@ mod tests {
     }
 
     #[test]
-    fn coalesced_without_prepacked_panels_matches_serial() {
-        // --no-prepack serving: FC steps fall back to the batched conv
-        // lowering; still bit-identical per sample
-        let plans = three_plans();
-        let views: Vec<&BoundNetwork> = vec![&plans[0], &plans[1], &plans[0], &plans[1]];
-        let images: Vec<Tensor> = (0..views.len()).map(salted_probe).collect();
+    fn software_path_refuses_unpacked_plans_before_any_step() {
+        let raw = three_plans();
+        let mut plans = three_plans();
+        crate::prepack_plans(&mut plans).unwrap();
+        let images: Vec<Tensor> = (0..2).map(salted_probe).collect();
         let image_refs: Vec<&Tensor> = images.iter().collect();
         let mut exec = HardwareExecutor::with_options(
             ArrayConfig::eyeriss_65nm(),
             ComputePath::Software,
             SparseDispatch::Auto,
         );
-        let serial: Vec<Vec<f32>> = views
-            .iter()
-            .zip(&images)
-            .map(|(plan, image)| exec.run_image(plan, image, true).unwrap())
-            .collect();
-        let coalesced = exec.run_coalesced(&views, &image_refs, true).unwrap();
-        for (a, b) in coalesced.iter().zip(&serial) {
-            assert!(a.iter().zip(b.iter()).all(|(x, y)| x.to_bits() == y.to_bits()));
+        // an unpacked lead plan: refused, naming conv1 (step 0), before
+        // the guard is first called
+        let mut guarded = 0usize;
+        let err = exec
+            .run_coalesced_guarded(&[&raw[0], &plans[1]], &image_refs, true, &mut |_| {
+                guarded += 1;
+                Ok(())
+            })
+            .unwrap_err();
+        match err {
+            MimeError::PlanMismatch { actual, .. } => assert_eq!(actual, vec![0]),
+            other => panic!("expected PlanMismatch, got {other}"),
         }
+        assert_eq!(guarded, 0, "the guard ran before the refusal");
+        let batch = vec![(0usize, images[0].clone())];
+        let err = exec.run_pipelined(&raw, &batch, true, true).unwrap_err();
+        assert!(matches!(err, MimeError::PlanMismatch { .. }), "{err}");
+        // every sample reads the lead plan's operands, so a packed lead
+        // serves an unpacked sample over the same backbone
+        let mixed = exec.run_coalesced(&[&plans[0], &raw[1]], &image_refs, true).unwrap();
+        assert_eq!(mixed[1], exec.run_image(&plans[1], &images[1], true).unwrap());
+        // the simulated array runs the raw weights and needs no operands
+        let mut sim = HardwareExecutor::new(ArrayConfig::eyeriss_65nm());
+        assert!(sim.run_image(&raw[0], &images[0], true).is_ok());
     }
 
     #[test]
     fn coalesced_rejects_malformed_batches() {
-        let plans = three_plans();
+        let mut plans = three_plans();
+        crate::prepack_plans(&mut plans).unwrap();
         let images: Vec<Tensor> = (0..2).map(salted_probe).collect();
         let mut exec = HardwareExecutor::with_options(
             ArrayConfig::eyeriss_65nm(),

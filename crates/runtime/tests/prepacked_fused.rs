@@ -1,111 +1,225 @@
-//! Fused-epilogue parity: with FC weight panels prepacked once per
-//! process ([`mime_runtime::prepack_plans`]) the executor runs the
-//! GEMM + eq. (2) threshold compare + activity bitmap as one fused
-//! kernel. Every observable — logits, analytic counters, degraded-task
-//! bookkeeping — must be bit-identical to the unfused re-scan path.
-//! Debug builds additionally `debug_assert` the fused activity bitmap
-//! against the mime-core re-scan reference on every step, so running
-//! this test at all re-proves the bitmap equivalence.
+//! Forward-oracle parity for the resident software path: with the conv
+//! strips and FC panels prepacked once per process
+//! ([`mime_runtime::prepack_plans`]), every executor entry point must
+//! return logits bit-identical to the host [`MimeNetwork::forward`] with
+//! the same (brownout-scaled) banks, or to the parent network's forward
+//! for a task degraded to its thresholds-stripped plan. Debug builds also
+//! `debug_assert` the fused FC epilogue's activity bitmap against the
+//! mime-core re-scan reference on every step.
 
 use mime_core::faults::FaultInjector;
-use mime_core::MimeNetwork;
-use mime_nn::{build_network, vgg16_arch};
+use mime_core::{MimeNetwork, ThresholdGranularity};
+use mime_nn::{build_network, vgg16_arch, Sequential, VggArch};
 use mime_runtime::{
-    prepack_plans, BatchReport, BoundLayer, BoundNetwork, ComputePath, HardwareExecutor,
-    SparseDispatch,
+    prepack_plans, BoundLayer, BoundNetwork, ComputePath, HardwareExecutor, SparseDispatch,
 };
 use mime_systolic::ArrayConfig;
 use mime_tensor::Tensor;
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 
 /// Weighted steps of a VGG16 plan: 13 convs and 3 FC layers.
 const WEIGHTED_STEPS: usize = 16;
+const TASKS: usize = 3;
+/// Brownout rungs drawn per item (rung 0 is the task's own plan).
+const RUNGS: usize = 4;
 
-/// Two healthy MIME tasks plus one with a poisoned threshold bank
-/// (exercises the thresholds-stripped degradation route, which must keep
-/// sharing the parent's prepacked panels).
-fn three_plans() -> Vec<BoundNetwork> {
-    let arch = vgg16_arch(0.0625, 32, 3, 4, 16);
-    let mut rng = StdRng::seed_from_u64(6);
-    let parent = build_network(&arch, &mut rng);
-    let mime_a = MimeNetwork::from_trained(&arch, &parent, 0.05).unwrap();
-    let mime_b = MimeNetwork::from_trained(&arch, &parent, 0.30).unwrap();
-    let mut poisoned = MimeNetwork::from_trained(&arch, &parent, 0.25).unwrap();
-    let mut banks = poisoned.export_thresholds();
-    mime_core::faults::FaultInjector::new(11).poison_tensor(&mut banks[0], 2);
-    poisoned.import_thresholds(&banks).unwrap();
-    vec![
-        BoundNetwork::from_mime(&mime_a).unwrap(),
-        BoundNetwork::from_mime(&mime_b).unwrap(),
-        BoundNetwork::from_mime(&poisoned).unwrap(),
-    ]
+fn bits(logits: &[f32]) -> Vec<u32> {
+    logits.iter().map(|v| v.to_bits()).collect()
 }
 
-fn batch() -> Vec<(usize, Tensor)> {
-    (0..7)
-        .map(|i| {
-            (
-                i % 3,
-                Tensor::from_fn(&[3, 32, 32], move |j| {
-                    (((j + i * 97) % 17) as f32 - 8.0) * 0.09
-                }),
-            )
+fn image(salt: usize) -> Tensor {
+    Tensor::from_fn(&[3, 32, 32], move |j| (((j + salt * 97) % 17) as f32 - 8.0) * 0.09)
+}
+
+/// The factor brownout rung `rung` scales a task's banks by.
+fn rung_factor(rung: usize) -> f32 {
+    4f32.powi(rung as i32)
+}
+
+/// One task over the shared parent: every threshold in `0..t`, spread
+/// per element so neurons (or channels) of a layer differ; NaN-poisoned
+/// when `poisoned`.
+fn task_network(
+    arch: &VggArch,
+    parent: &Sequential,
+    task: usize,
+    t: f32,
+    granularity: ThresholdGranularity,
+    poisoned: bool,
+) -> MimeNetwork {
+    let mut net =
+        MimeNetwork::from_trained_with_options(arch, parent, t, false, granularity)
+            .unwrap();
+    let mut banks: Vec<Tensor> = net
+        .export_thresholds()
+        .iter()
+        .map(|b| {
+            Tensor::from_fn(b.dims(), |i| t * ((i * 7919 + task * 131) % 13) as f32 / 12.0)
         })
-        .collect()
+        .collect();
+    if poisoned {
+        FaultInjector::new(11).poison_tensor(&mut banks[0], 2);
+    }
+    net.import_thresholds(&banks).unwrap();
+    net
 }
 
-fn assert_reports_identical(a: &BatchReport, b: &BatchReport, what: &str) {
-    assert_eq!(a.counters, b.counters, "{what}: counters diverge");
-    assert_eq!(a.degraded_tasks, b.degraded_tasks, "{what}");
-    assert_eq!(a.logits, b.logits, "{what}: logits diverge");
-}
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
-#[test]
-fn fused_prepacked_path_is_bit_identical() {
-    let batch = batch();
-    let mut exec = HardwareExecutor::with_options(
-        ArrayConfig::eyeriss_65nm(),
-        ComputePath::Software,
-        SparseDispatch::Auto,
-    );
+    #[test]
+    fn every_software_entry_point_matches_the_host_forward(
+        tasks in prop::collection::vec(
+            (
+                0.0f32..0.3,
+                prop::sample::select(vec![
+                    ThresholdGranularity::PerNeuron,
+                    ThresholdGranularity::PerChannel,
+                ]),
+            ),
+            TASKS,
+        ),
+        poisoned in prop::sample::select(vec![None, Some(0usize), Some(1), Some(2)]),
+        items in prop::collection::vec((0..TASKS, 0..RUNGS), 1..10),
+        dispatch in prop::sample::select(vec![
+            SparseDispatch::Auto,
+            SparseDispatch::SparseOnly,
+            SparseDispatch::DenseOnly,
+        ]),
+        threads in prop::sample::select(vec![1usize, 2, 5]),
+    ) {
+        let arch = vgg16_arch(0.0625, 32, 3, 4, 16);
+        let mut parent = build_network(&arch, &mut StdRng::seed_from_u64(6));
+        let mut nets: Vec<MimeNetwork> = tasks
+            .iter()
+            .enumerate()
+            .map(|(task, &(t, g))| {
+                task_network(&arch, &parent, task, t, g, poisoned == Some(task))
+            })
+            .collect();
+        let mut plans: Vec<BoundNetwork> =
+            nets.iter().map(|n| BoundNetwork::from_mime(n).unwrap()).collect();
+        let banks: Vec<Vec<Tensor>> = nets.iter().map(|n| n.export_thresholds()).collect();
 
-    // reference: the unfused re-scan path (no plan carries panels)
-    let unfused_plans = three_plans();
-    let reference = exec.run_pipelined(&unfused_plans, &batch, true, true).unwrap();
-    assert_eq!(reference.degraded_tasks, vec![2]);
+        // prepack once per process; the tasks share one frozen backbone,
+        // so its conv strips and FC panels are packed once and Arc-shared
+        let stats = prepack_plans(&mut plans).unwrap();
+        prop_assert_eq!(
+            stats.layers,
+            TASKS * WEIGHTED_STEPS,
+            "every weighted step gets packed"
+        );
+        prop_assert_eq!(
+            stats.shared,
+            (TASKS - 1) * WEIGHTED_STEPS,
+            "the other plans reuse the first plan's operands instead of repacking"
+        );
+        prop_assert!(stats.bytes > 0);
+        prop_assert!(stats.ms >= 0.0);
+        // prepacking twice is a no-op (steps already carrying operands skip)
+        let again = prepack_plans(&mut plans).unwrap();
+        prop_assert_eq!(again.layers, 0, "second prepack pass must find nothing to do");
+        prop_assert_eq!(again.bytes, 0);
 
-    // prepack once per process; the three tasks share one frozen
-    // backbone, so its conv strips and FC panels must be packed once and
-    // Arc-shared
-    let mut plans = three_plans();
-    let stats = prepack_plans(&mut plans).unwrap();
-    assert_eq!(stats.layers, 3 * WEIGHTED_STEPS, "every weighted step gets packed");
-    assert_eq!(
-        stats.shared,
-        2 * WEIGHTED_STEPS,
-        "two plans reuse the first plan's operands instead of repacking"
-    );
-    assert!(stats.bytes > 0);
-    assert!(stats.ms >= 0.0);
+        // plan index task * RUNGS + rung; a poisoned task's rungs serve on
+        // the thresholds-stripped parent plan, as the replica resolves them
+        let rungs: Vec<BoundNetwork> = plans
+            .iter()
+            .flat_map(|p| (0..RUNGS).map(move |r| p.brownout_rung(rung_factor(r))))
+            .collect();
+        let stripped: Vec<BoundNetwork> =
+            plans.iter().map(|p| p.strip_thresholds()).collect();
+        let view = |(task, rung): (usize, usize)| {
+            if poisoned == Some(task) {
+                &stripped[task]
+            } else {
+                &rungs[task * RUNGS + rung]
+            }
+        };
+        let images: Vec<Tensor> = (0..items.len()).map(image).collect();
+        let want: Vec<Vec<u32>> = items
+            .iter()
+            .zip(&images)
+            .map(|(&(task, rung), image)| {
+                let x = image.reshape(&[1, 3, 32, 32]).unwrap();
+                let host = if poisoned == Some(task) {
+                    parent.forward(&x).unwrap()
+                } else {
+                    // the rung's banks: every (non-negative) threshold
+                    // scaled by its factor
+                    let f = rung_factor(rung);
+                    let scaled: Vec<Tensor> =
+                        banks[task].iter().map(|b| b.map(|v| v * f)).collect();
+                    nets[task].import_thresholds(&scaled).unwrap();
+                    nets[task].forward(&x).unwrap()
+                };
+                bits(host.as_slice())
+            })
+            .collect();
 
-    // prepacking twice is a no-op (steps already carrying panels skip)
-    let again = prepack_plans(&mut plans).unwrap();
-    assert_eq!(again.layers, 0, "second prepack pass must find nothing to do");
-    assert_eq!(again.bytes, 0);
-
-    let fused = exec.run_pipelined(&plans, &batch, true, true).unwrap();
-    assert_reports_identical(&reference, &fused, "fused vs unfused");
-
-    // dense-pinned dispatch through the fused kernel: same logit bits
-    let mut dense = HardwareExecutor::with_options(
-        ArrayConfig::eyeriss_65nm(),
-        ComputePath::Software,
-        SparseDispatch::DenseOnly,
-    );
-    let dense_fused = dense.run_pipelined(&plans, &batch, true, true).unwrap();
-    assert_eq!(dense_fused.logits, reference.logits, "dense-only fused logits");
+        let mut exec = HardwareExecutor::with_options(
+            ArrayConfig::eyeriss_65nm(),
+            ComputePath::Software,
+            dispatch,
+        );
+        for (s, (&item, image)) in items.iter().zip(&images).enumerate() {
+            let single = exec.run_image(view(item), image, true).unwrap();
+            prop_assert_eq!(
+                bits(&single),
+                want[s].clone(),
+                "item {} {:?}: run_image",
+                s,
+                item
+            );
+        }
+        let views: Vec<&BoundNetwork> = items.iter().map(|&item| view(item)).collect();
+        let coalesced = exec
+            .run_coalesced_guarded_with_threads(
+                &views,
+                &images.iter().collect::<Vec<_>>(),
+                true,
+                &mut |_| Ok(()),
+                threads,
+            )
+            .unwrap();
+        for (s, logits) in coalesced.iter().enumerate() {
+            prop_assert_eq!(
+                bits(logits),
+                want[s].clone(),
+                "item {} {:?}: run_coalesced ({} threads)",
+                s,
+                items[s],
+                threads
+            );
+        }
+        // run_pipelined degrades the poisoned task's plans by itself
+        let batch: Vec<(usize, Tensor)> = items
+            .iter()
+            .zip(&images)
+            .map(|(&(task, rung), image)| (task * RUNGS + rung, image.clone()))
+            .collect();
+        let report = exec.run_pipelined(&rungs, &batch, true, true).unwrap();
+        for (s, logits) in report.logits.iter().enumerate() {
+            prop_assert_eq!(
+                bits(logits),
+                want[s].clone(),
+                "item {} {:?}: run_pipelined",
+                s,
+                items[s]
+            );
+        }
+        let mut degraded: Vec<usize> = batch
+            .iter()
+            .map(|(index, _)| *index)
+            .filter(|index| poisoned == Some(index / RUNGS))
+            .collect();
+        degraded.sort_unstable();
+        degraded.dedup();
+        prop_assert_eq!(report.degraded_tasks, degraded);
+    }
 }
 
 fn weights(plan: &BoundNetwork) -> Vec<Arc<Tensor>> {
@@ -116,10 +230,6 @@ fn weights(plan: &BoundNetwork) -> Vec<Arc<Tensor>> {
             _ => None,
         })
         .collect()
-}
-
-fn bits(logits: &[f32]) -> Vec<u32> {
-    logits.iter().map(|v| v.to_bits()).collect()
 }
 
 #[test]
@@ -137,9 +247,8 @@ fn resident_conv_weights_are_bit_identical_on_every_path() {
     let mut banks = nets[2].export_thresholds();
     FaultInjector::new(11).poison_tensor(&mut banks[0], 2);
     nets[2].import_thresholds(&banks).unwrap();
-    let raw: Vec<BoundNetwork> =
+    let mut plans: Vec<BoundNetwork> =
         nets.iter().map(|n| BoundNetwork::from_mime(n).unwrap()).collect();
-    let mut plans = raw.clone();
     let stats = prepack_plans(&mut plans).unwrap();
     assert_eq!((stats.layers, stats.shared), (3 * WEIGHTED_STEPS, 2 * WEIGHTED_STEPS));
     for step in plans[0].steps() {
@@ -161,16 +270,8 @@ fn resident_conv_weights_are_bit_identical_on_every_path() {
 
     // a mixed batch of 8, the poisoned task on its stripped parent
     let tasks = [0usize, 1, 2, 0, 2, 1, 1, 0];
-    let raw_stripped = raw[2].strip_thresholds();
     let view = |t: usize| if t == 2 { &stripped } else { &plans[t] };
-    let raw_view = |t: usize| if t == 2 { &raw_stripped } else { &raw[t] };
-    let images: Vec<Tensor> = (0..tasks.len())
-        .map(|i| {
-            Tensor::from_fn(&[3, 32, 32], move |j| {
-                (((j + i * 97) % 17) as f32 - 8.0) * 0.09
-            })
-        })
-        .collect();
+    let images: Vec<Tensor> = (0..tasks.len()).map(image).collect();
     let mut exec = HardwareExecutor::with_options(
         ArrayConfig::eyeriss_65nm(),
         ComputePath::Software,
@@ -185,7 +286,6 @@ fn resident_conv_weights_are_bit_identical_on_every_path() {
         .unwrap();
     for (s, (&t, image)) in tasks.iter().zip(&images).enumerate() {
         let single = exec.run_image(view(t), image, true).unwrap();
-        let no_prepack = exec.run_image(raw_view(t), image, true).unwrap();
         let batch = image.reshape(&[1, 3, 32, 32]).unwrap();
         // the stripped parent plan is the parent network's ReLU forward
         let host = if t == 2 {
@@ -196,6 +296,5 @@ fn resident_conv_weights_are_bit_identical_on_every_path() {
         let want = bits(host.as_slice());
         assert_eq!(bits(&single), want, "sample {s}: run_image");
         assert_eq!(bits(&coalesced[s]), want, "sample {s}: run_coalesced");
-        assert_eq!(bits(&no_prepack), want, "sample {s}: --no-prepack");
     }
 }

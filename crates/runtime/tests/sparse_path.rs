@@ -11,7 +11,9 @@
 
 use mime_core::MimeNetwork;
 use mime_nn::{build_network, vgg16_arch};
-use mime_runtime::{BoundNetwork, ComputePath, HardwareExecutor, SparseDispatch};
+use mime_runtime::{
+    prepack_plans, BoundNetwork, ComputePath, HardwareExecutor, SparseDispatch,
+};
 use mime_systolic::ArrayConfig;
 use mime_tensor::Tensor;
 use rand::rngs::StdRng;
@@ -55,7 +57,8 @@ fn counter_delta(f: impl FnOnce()) -> BTreeMap<String, u64> {
 #[test]
 fn sparse_path_skips_rows_and_matches_dense_dispatch() {
     mime_obs::set_metrics_enabled(true);
-    let plans = three_plans();
+    let mut plans = three_plans();
+    prepack_plans(&mut plans).unwrap();
     let batch: Vec<(usize, Tensor)> = (0..7)
         .map(|i| {
             (

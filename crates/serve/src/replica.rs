@@ -104,10 +104,6 @@ pub struct ReplicaWorkerConfig {
     pub default_deadline: Duration,
     /// Per-layer sleep under [`ReplicaFault::Slow`].
     pub slow_layer: Duration,
-    /// Zero-gating on the functional array.
-    pub zero_skip: bool,
-    /// Sparse GEMM dispatch policy.
-    pub dispatch: SparseDispatch,
     /// Ship observability frames back to the supervisor: a
     /// `MetricsChunk` per request (plus one at startup) and, when span
     /// tracing is enabled, `TraceChunk`s for stitching. Off by default
@@ -115,7 +111,7 @@ pub struct ReplicaWorkerConfig {
     pub obs: bool,
     /// Brownout ladder depth derived at startup (rung 0 included; see
     /// [`mime_runtime::BrownoutLadder`]). 1 disables brownout serving —
-    /// every rung request falls through to the parent path.
+    /// every request is served at rung 0.
     pub brownout_rungs: usize,
 }
 
@@ -128,8 +124,6 @@ impl Default for ReplicaWorkerConfig {
             heartbeat: Duration::from_millis(250),
             default_deadline: Duration::from_millis(5000),
             slow_layer: Duration::from_millis(150),
-            zero_skip: true,
-            dispatch: SparseDispatch::Auto,
             obs: false,
             brownout_rungs: 4,
         }
@@ -166,19 +160,19 @@ pub fn run_replica_worker(
         plans,
         hw,
         ComputePath::Software,
-        cfg.dispatch,
-        &LadderConfig {
-            rungs: cfg.brownout_rungs.max(1),
-            zero_skip: cfg.zero_skip,
-            ..LadderConfig::default()
-        },
+        SparseDispatch::Auto,
+        &LadderConfig { rungs: cfg.brownout_rungs.max(1), ..LadderConfig::default() },
     )
     .map_err(|e| ProtoError::Malformed(format!("brownout ladder derivation: {e}")))?;
     let mut worker = Worker {
         cfg: &cfg,
         parents: &parents,
         ladders: &ladders,
-        exec: HardwareExecutor::with_options(hw, ComputePath::Software, cfg.dispatch),
+        exec: HardwareExecutor::with_options(
+            hw,
+            ComputePath::Software,
+            SparseDispatch::Auto,
+        ),
         heartbeat_seq: 0,
     };
     let mut served = 0usize;
@@ -463,9 +457,10 @@ impl<'a> Worker<'a> {
     ///
     /// Each item gets its own `replica_request` span and resolves its
     /// plan view: unknown task → typed error; a rung beyond the
-    /// validated ladder or an invalid threshold bank → the
-    /// thresholds-stripped parent, marked degraded. The runnable items
-    /// then run as one pass ([`Worker::run_pass`]).
+    /// validated ladder → the deepest validated rung; an invalid
+    /// threshold bank → the thresholds-stripped parent, marked
+    /// degraded. The runnable items then run as one pass
+    /// ([`Worker::run_pass`]).
     fn serve_batch(
         &mut self,
         requests: Vec<Request>,
@@ -506,10 +501,12 @@ impl<'a> Worker<'a> {
     /// The plan view, input image and budget `r` runs with, or its
     /// terminal frame when it cannot run. Degradation order (DESIGN.md
     /// §13): rungs validated at startup serve their browned threshold
-    /// banks; a rung beyond the validated ladder depth serves the
-    /// thresholds-stripped parent path and is marked degraded —
-    /// quality-unknown territory the ladder refused to certify. Rung 0
-    /// is the ladder's bit-identical clone of the plan.
+    /// banks, and a rung beyond the task's validated ladder serves its
+    /// deepest validated rung (the controller's rung is fleet-wide;
+    /// each task's ladder stops where its validation did), echoed as
+    /// the rung served. Only an invalid threshold bank falls back to
+    /// the thresholds-stripped parent path, marked degraded. Rung 0 is
+    /// the ladder's bit-identical clone of the plan.
     fn resolve(&self, r: Request) -> Result<Item<'a>, Frame> {
         let Some(ladder) = self.ladders.get(r.task as usize) else {
             return Err(Frame::ErrorReply {
@@ -521,22 +518,18 @@ impl<'a> Worker<'a> {
                 message: format!("task {} of {}", r.task, self.ladders.len()),
             });
         };
-        let parent = &self.parents[r.task as usize];
-        let (plan, degraded) = if (r.rung as usize) < ladder.len() {
-            (ladder.plan(r.rung as usize), false)
+        let rung = ladder.clamp(usize::from(r.rung));
+        let (plan, degraded) = if ladder.plan(rung).validate_thresholds().is_ok() {
+            (ladder.plan(rung), false)
         } else {
-            (parent, true)
-        };
-        let (plan, degraded) = if plan.validate_thresholds().is_ok() {
-            (plan, degraded)
-        } else {
-            (parent, true)
+            (&self.parents[r.task as usize], true)
         };
         Ok(Item {
             id: r.id,
             trace: r.trace,
             task: r.task,
-            rung: r.rung,
+            // at most the requested rung, which fits its u8
+            rung: rung as u8,
             plan,
             degraded,
             image: match r.input {
@@ -587,9 +580,9 @@ impl<'a> Worker<'a> {
         );
         let views: Vec<&BoundNetwork> = items.iter().map(|i| i.plan).collect();
         let images: Vec<&Tensor> = items.iter().map(|i| &i.image).collect();
-        let zero_skip = self.cfg.zero_skip;
+        // zero-gated MAC accounting, as the brownout ladders were validated
         let (all_logits, on_parent) =
-            match self.exec.run_coalesced_guarded(&views, &images, zero_skip, &mut guard) {
+            match self.exec.run_coalesced_guarded(&views, &images, true, &mut guard) {
                 Ok(all_logits) => (all_logits, false),
                 Err(MimeError::DeadlineExceeded { .. }) => {
                     let elapsed = started.elapsed();
@@ -620,7 +613,7 @@ impl<'a> Worker<'a> {
                     match self.exec.run_coalesced_guarded(
                         &[parent],
                         &[&lead.image],
-                        zero_skip,
+                        true,
                         &mut guard,
                     ) {
                         Ok(logits) => (logits, true),
@@ -912,16 +905,18 @@ mod tests {
                 .collect();
             model.register_task(format!("task{i}"), banks).unwrap();
         }
-        let plans = (0..tasks)
+        let mut plans: Vec<BoundNetwork> = (0..tasks)
             .map(|i| {
                 model.activate(&format!("task{i}")).unwrap();
                 BoundNetwork::from_mime(model.network()).unwrap()
             })
             .collect();
+        mime_runtime::prepack_plans(&mut plans).unwrap();
         (plans, ArrayConfig::default())
     }
 
-    /// A plan whose threshold bank fails validation (NaN-poisoned).
+    /// A plan whose threshold bank fails validation (NaN-poisoned), not
+    /// yet prepacked.
     fn poisoned_plan() -> (BoundNetwork, ArrayConfig) {
         let arch = vgg16_arch(0.0625, 32, 3, 4, 8);
         let mut rng = StdRng::seed_from_u64(7);
@@ -1074,12 +1069,49 @@ mod tests {
         assert!(matches!(err, ProtoError::Malformed(_)), "{err}");
     }
 
+    /// The controller's rung is fleet-wide: a task whose ladder is
+    /// shallower serves its deepest validated rung, not the parent path
+    /// (which keeps more activations than rung 0, so costs more).
+    #[test]
+    fn rung_beyond_the_ladder_serves_the_deepest_validated_rung() {
+        let (plans, hw) = tiny_plans(1);
+        let cfg =
+            ReplicaWorkerConfig { brownout_rungs: 1, ..ReplicaWorkerConfig::default() };
+        let mk = |id: u64, rung: u8| Frame::Request {
+            id,
+            trace: 0,
+            task: 0,
+            deadline_ms: 0,
+            rung,
+            input: RequestInput::Probe(4),
+        };
+        let frames = roundtrip_worker(&plans, hw, cfg, &[mk(1, 0), mk(2, 3)]);
+        let replies: Vec<(u8, bool, &Vec<f32>)> = frames
+            .iter()
+            .filter_map(|f| match f {
+                Frame::Reply { rung, degraded, logits, .. } => {
+                    Some((*rung, *degraded, logits))
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(replies.len(), 2, "{frames:?}");
+        assert_eq!(
+            (replies[1].0, replies[1].1),
+            (0, false),
+            "served at rung 0, not degraded"
+        );
+        assert_eq!(replies[1].2, replies[0].2, "rung 0's logits");
+    }
+
     #[test]
     fn worker_poisoned_bank_degrades_to_parent() {
         let (plan, hw) = poisoned_plan();
+        let mut plans = [plan];
+        mime_runtime::prepack_plans(&mut plans).unwrap();
         let cfg = ReplicaWorkerConfig::default();
         let frames = roundtrip_worker(
-            &[plan],
+            &plans,
             hw,
             cfg,
             &[Frame::Request {
@@ -1164,40 +1196,44 @@ mod tests {
         ));
     }
 
-    /// Plans prepacked once at startup (backbone panels shared across
+    /// Plans prepacked once at startup (backbone operands shared across
     /// tasks, task 2's bank NaN-poisoned) must reply bit-identically to
-    /// an unfused serial `run_image`, one request at a time and as one
-    /// batch. The poisoned task is served degraded on its
-    /// thresholds-stripped parent, which keeps the shared panels.
+    /// the host forward, one request at a time and as one batch: each
+    /// task's `MimeNetwork::forward`, and the parent network's for the
+    /// poisoned task, served degraded on its thresholds-stripped parent
+    /// plan (which keeps the shared operands).
     #[test]
-    fn worker_on_prepacked_plans_matches_unfused_serial_logits() {
+    fn worker_on_prepacked_plans_matches_host_forward() {
         const TASKS: usize = 3;
-        let fleet = || {
-            let (mut plans, hw) = tiny_plans(TASKS);
-            plans[TASKS - 1] = poisoned_plan().0;
-            (plans, hw)
-        };
-        let (reference_plans, hw) = fleet();
-        let mut reference =
-            HardwareExecutor::with_options(hw, ComputePath::Software, SparseDispatch::Auto);
+        let (mut plans, hw) = tiny_plans(TASKS - 1);
+        plans.push(poisoned_plan().0);
+        // the host forward: tiny_plans' constant banks over the parent
+        // every plan was bound from
+        let arch = vgg16_arch(0.0625, 32, 3, 4, 8);
+        let mut parent = build_network(&arch, &mut StdRng::seed_from_u64(7));
         let n = 9u32;
         let expected: Vec<Vec<f32>> = (0..n)
             .map(|i| {
                 let task = i as usize % TASKS;
-                let plan = if task == TASKS - 1 {
-                    reference_plans[task].strip_thresholds()
+                let x =
+                    crate::proto::probe_image(i as usize).reshape(&[1, 3, 32, 32]).unwrap();
+                let host = if task == TASKS - 1 {
+                    parent.forward(&x).unwrap()
                 } else {
-                    reference_plans[task].clone()
+                    let t = 0.02 + 0.05 * task as f32;
+                    MimeNetwork::from_trained(&arch, &parent, t)
+                        .unwrap()
+                        .forward(&x)
+                        .unwrap()
                 };
-                let image = crate::proto::probe_image(i as usize);
-                reference.run_image(&plan, &image, true).unwrap()
+                host.as_slice().to_vec()
             })
             .collect();
 
-        let (mut plans, hw) = fleet();
+        // the poisoned plan's steps join the fleet's resident operands
         let stats = mime_runtime::prepack_plans(&mut plans).unwrap();
-        assert!(stats.layers > 0, "fleet FC steps must be prepacked");
-        assert!(stats.shared > 0, "shared backbone panels must dedup across tasks");
+        assert!(stats.layers > 0, "the poisoned plan's steps must be prepacked");
+        assert!(stats.shared > 0, "shared backbone operands must dedup across tasks");
         let requests: Vec<Frame> = (0..n)
             .map(|i| Frame::Request {
                 id: u64::from(i),
@@ -1231,7 +1267,7 @@ mod tests {
                             .zip(&expected[i])
                             .all(|(a, b)| a.to_bits() == b.to_bits()),
                     "request {i} (task {}): prepacked replica logits diverge from the \
-                     unfused serial reference",
+                     host forward",
                     i % TASKS
                 );
             }

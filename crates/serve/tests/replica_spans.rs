@@ -5,7 +5,7 @@
 
 use mime_core::{MimeNetwork, MultiTaskModel};
 use mime_nn::{build_network, vgg16_arch};
-use mime_runtime::BoundNetwork;
+use mime_runtime::{prepack_plans, BoundNetwork};
 use mime_serve::proto::{read_frame, write_frame, Frame, ProtoError, RequestInput};
 use mime_serve::replica::run_replica_worker;
 use mime_serve::ReplicaWorkerConfig;
@@ -28,12 +28,14 @@ fn plans(tasks: usize) -> Vec<BoundNetwork> {
             .collect();
         model.register_task(format!("task{i}"), banks).unwrap();
     }
-    (0..tasks)
+    let mut plans: Vec<BoundNetwork> = (0..tasks)
         .map(|i| {
             model.activate(&format!("task{i}")).unwrap();
             BoundNetwork::from_mime(model.network()).unwrap()
         })
-        .collect()
+        .collect();
+    prepack_plans(&mut plans).unwrap();
+    plans
 }
 
 #[test]

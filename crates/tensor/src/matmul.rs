@@ -1154,8 +1154,9 @@ pub enum SparseDispatch {
     /// below [`SPARSE_ACTIVE_MAX`]; otherwise run dense.
     #[default]
     Auto,
-    /// Always run the dense packed kernel (the `--dense-only` pin, for
-    /// A/B runs and bisection). The probe is skipped entirely.
+    /// Always run the dense packed kernel (for A/B runs, bisection and
+    /// the bitwise tests that pin each policy). The probe is skipped
+    /// entirely.
     DenseOnly,
     /// Always run the compacted kernel, even on fully dense operands.
     /// For property tests and benchmarks; never faster than `Auto`.
