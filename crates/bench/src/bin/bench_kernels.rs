@@ -893,8 +893,7 @@ fn write_report(
          are median-of-k wall clock; threads_mt is clamped to the host's available \
          parallelism (when it clamps to 1 the mt configuration is the serial kernel and \
          dense_mt_ms records the dense_1t_ms measurement); dense_1t_ms/dense_mt_ms pack \
-         both operands inside every call (the raw-weight path, which the runtime no \
-         longer runs); pack_ms is the one-time \
+         both operands inside every call (the raw-weight form); pack_ms is the one-time \
          cost of packing the weight operand the runtime keeps resident and \
          prepacked_1t_ms the single-thread compute over it, gated bit-identical: conv \
          rows pack the A strips (PrepackedA::from_weight) and run matmul_prepacked_a_into \

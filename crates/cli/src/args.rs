@@ -384,9 +384,12 @@ fn strip_valueless(args: &[String], flag: &str) -> (Vec<String>, bool) {
     (rest, present)
 }
 
-/// Splits `--key value` pairs and positionals from raw args.
+/// Splits `--key value` pairs and positionals from raw args. A key not
+/// in `allowed` is an unknown flag, reported before its value is looked
+/// for.
 fn split_flags(
     args: &[String],
+    allowed: &[&str],
 ) -> Result<(HashMap<String, String>, Vec<String>), ArgError> {
     let mut flags = HashMap::new();
     let mut positional = Vec::new();
@@ -394,6 +397,9 @@ fn split_flags(
     while i < args.len() {
         let a = &args[i];
         if let Some(key) = a.strip_prefix("--") {
+            if !allowed.contains(&key) {
+                return Err(err(format!("unknown flag --{key}")));
+            }
             let value = args
                 .get(i + 1)
                 .ok_or_else(|| err(format!("flag --{key} needs a value")))?;
@@ -433,18 +439,6 @@ fn parse_serve_fault(spelling: Option<&str>) -> Result<ServeFault, ArgError> {
              replica-slow|conn-garbage|conn-truncate)"
         ))),
     }
-}
-
-fn reject_unknown(
-    flags: &HashMap<String, String>,
-    allowed: &[&str],
-) -> Result<(), ArgError> {
-    for key in flags.keys() {
-        if !allowed.contains(&key.as_str()) {
-            return Err(err(format!("unknown flag --{key}")));
-        }
-    }
-    Ok(())
 }
 
 /// Parses a full argv (excluding the program name) into the global
@@ -505,8 +499,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, ArgError> {
     match cmd.as_str() {
         "help" | "--help" | "-h" => Ok(Command::Help),
         "storage" => {
-            let (flags, pos) = split_flags(rest)?;
-            reject_unknown(&flags, &["input-hw", "children"])?;
+            let (flags, pos) = split_flags(rest, &["input-hw", "children"])?;
             if !pos.is_empty() {
                 return Err(err(format!("unexpected argument '{}'", pos[0])));
             }
@@ -517,9 +510,8 @@ pub fn parse_args(args: &[String]) -> Result<Command, ArgError> {
             Ok(Command::Storage { input_hw, children: get_num(&flags, "children", 8)? })
         }
         "simulate" => {
-            let (flags, pos) = split_flags(rest)?;
-            reject_unknown(
-                &flags,
+            let (flags, pos) = split_flags(
+                rest,
                 &["mode", "approach", "pe", "cache-kb", "input-hw", "format"],
             )?;
             if !pos.is_empty() {
@@ -559,8 +551,8 @@ pub fn parse_args(args: &[String]) -> Result<Command, ArgError> {
             // valueless flag: strip before `split_flags`, which pairs
             // every `--flag` with the next token
             let (rest, resume) = strip_valueless(rest, "--resume");
-            let (flags, pos) = split_flags(&rest)?;
-            reject_unknown(&flags, &["task", "epochs", "seed", "checkpoint-dir"])?;
+            let (flags, pos) =
+                split_flags(&rest, &["task", "epochs", "seed", "checkpoint-dir"])?;
             if !pos.is_empty() {
                 return Err(err(format!("unexpected argument '{}'", pos[0])));
             }
@@ -583,8 +575,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, ArgError> {
             })
         }
         "pack" => {
-            let (flags, pos) = split_flags(rest)?;
-            reject_unknown(&flags, &["out", "tasks", "seed"])?;
+            let (flags, pos) = split_flags(rest, &["out", "tasks", "seed"])?;
             if !pos.is_empty() {
                 return Err(err(format!("unexpected argument '{}'", pos[0])));
             }
@@ -599,15 +590,13 @@ pub fn parse_args(args: &[String]) -> Result<Command, ArgError> {
             Ok(Command::Pack { out, tasks, seed: get_num(&flags, "seed", 42)? })
         }
         "inspect" => {
-            let (flags, pos) = split_flags(rest)?;
-            reject_unknown(&flags, &[])?;
+            let (_, pos) = split_flags(rest, &[])?;
             let path =
                 pos.first().cloned().ok_or_else(|| err("inspect requires a file path"))?;
             Ok(Command::Inspect { path })
         }
         "verify-image" => {
-            let (flags, pos) = split_flags(rest)?;
-            reject_unknown(&flags, &[])?;
+            let (_, pos) = split_flags(rest, &[])?;
             let path = pos
                 .first()
                 .cloned()
@@ -615,8 +604,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, ArgError> {
             Ok(Command::VerifyImage { path })
         }
         "inject-faults" => {
-            let (flags, pos) = split_flags(rest)?;
-            reject_unknown(&flags, &["out", "seed", "mode", "count"])?;
+            let (flags, pos) = split_flags(rest, &["out", "seed", "mode", "count"])?;
             let path = pos
                 .first()
                 .cloned()
@@ -652,8 +640,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, ArgError> {
             })
         }
         "sweep" => {
-            let (flags, pos) = split_flags(rest)?;
-            reject_unknown(&flags, &["input-hw", "rounds"])?;
+            let (flags, pos) = split_flags(rest, &["input-hw", "rounds"])?;
             if !pos.is_empty() {
                 return Err(err(format!("unexpected argument '{}'", pos[0])));
             }
@@ -668,8 +655,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, ArgError> {
             Ok(Command::Sweep { input_hw, rounds })
         }
         "validate" => {
-            let (flags, pos) = split_flags(rest)?;
-            reject_unknown(&flags, &["input-hw"])?;
+            let (flags, pos) = split_flags(rest, &["input-hw"])?;
             if !pos.is_empty() {
                 return Err(err(format!("unexpected argument '{}'", pos[0])));
             }
@@ -680,8 +666,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, ArgError> {
             Ok(Command::Validate { input_hw })
         }
         "batch" => {
-            let (flags, pos) = split_flags(rest)?;
-            reject_unknown(&flags, &["images", "tasks", "seed", "poison"])?;
+            let (flags, pos) = split_flags(rest, &["images", "tasks", "seed", "poison"])?;
             if !pos.is_empty() {
                 return Err(err(format!("unexpected argument '{}'", pos[0])));
             }
@@ -713,9 +698,8 @@ pub fn parse_args(args: &[String]) -> Result<Command, ArgError> {
             let (rest, no_obs) = strip_valueless(rest, "--no-obs");
             let (rest, no_brownout) = strip_valueless(&rest, "--no-brownout");
             let (rest, no_batch) = strip_valueless(&rest, "--no-batch");
-            let (flags, pos) = split_flags(&rest)?;
-            reject_unknown(
-                &flags,
+            let (flags, pos) = split_flags(
+                &rest,
                 &[
                     "requests",
                     "tasks",
@@ -789,9 +773,8 @@ pub fn parse_args(args: &[String]) -> Result<Command, ArgError> {
         "replica-worker" => {
             let (rest, no_obs) = strip_valueless(rest, "--no-obs");
             let (rest, trace) = strip_valueless(&rest, "--trace");
-            let (flags, pos) = split_flags(&rest)?;
-            reject_unknown(
-                &flags,
+            let (flags, pos) = split_flags(
+                &rest,
                 &[
                     "image",
                     "replica",
@@ -848,9 +831,8 @@ pub fn parse_args(args: &[String]) -> Result<Command, ArgError> {
         }
         "loadgen" => {
             let (rest, drain) = strip_valueless(rest, "--drain");
-            let (flags, pos) = split_flags(&rest)?;
-            reject_unknown(
-                &flags,
+            let (flags, pos) = split_flags(
+                &rest,
                 &[
                     "connect",
                     "requests",
@@ -1100,7 +1082,8 @@ mod tests {
                 &["serve", flag, "--listen", "127.0.0.1:0"],
                 &["replica-worker", "--image", "a.mime", flag],
             ] {
-                assert!(p(args).is_err(), "{args:?}");
+                let msg = p(args).unwrap_err().to_string();
+                assert_eq!(msg, format!("unknown flag {flag}"), "{args:?}");
             }
         }
     }

@@ -916,8 +916,8 @@ mod tests {
             unpack_model(&Bytes::from(image.clone()), &mut receiver),
             Err(MimeError::VersionSkew { .. })
         ));
-        // v1 (no checksums, no framing) is retired: every reader refuses
-        // it at the header, whatever follows
+        // every reader refuses v1 (no checksums, no framing) at the
+        // header, whatever follows
         image[4..6].copy_from_slice(&1u16.to_be_bytes());
         let v1 = Bytes::from(image);
         let skew = |r: crate::Result<()>| {

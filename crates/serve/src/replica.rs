@@ -111,7 +111,7 @@ pub struct ReplicaWorkerConfig {
     pub obs: bool,
     /// Brownout ladder depth derived at startup (rung 0 included; see
     /// [`mime_runtime::BrownoutLadder`]). 1 disables brownout serving —
-    /// every request is served at rung 0.
+    /// every rung request falls through to the parent path.
     pub brownout_rungs: usize,
 }
 
@@ -457,10 +457,9 @@ impl<'a> Worker<'a> {
     ///
     /// Each item gets its own `replica_request` span and resolves its
     /// plan view: unknown task → typed error; a rung beyond the
-    /// validated ladder → the deepest validated rung; an invalid
-    /// threshold bank → the thresholds-stripped parent, marked
-    /// degraded. The runnable items then run as one pass
-    /// ([`Worker::run_pass`]).
+    /// validated ladder or an invalid threshold bank → the
+    /// thresholds-stripped parent, marked degraded. The runnable items
+    /// then run as one pass ([`Worker::run_pass`]).
     fn serve_batch(
         &mut self,
         requests: Vec<Request>,
@@ -501,12 +500,10 @@ impl<'a> Worker<'a> {
     /// The plan view, input image and budget `r` runs with, or its
     /// terminal frame when it cannot run. Degradation order (DESIGN.md
     /// §13): rungs validated at startup serve their browned threshold
-    /// banks, and a rung beyond the task's validated ladder serves its
-    /// deepest validated rung (the controller's rung is fleet-wide;
-    /// each task's ladder stops where its validation did), echoed as
-    /// the rung served. Only an invalid threshold bank falls back to
-    /// the thresholds-stripped parent path, marked degraded. Rung 0 is
-    /// the ladder's bit-identical clone of the plan.
+    /// banks; a rung beyond the validated ladder depth serves the
+    /// thresholds-stripped parent path and is marked degraded —
+    /// quality-unknown territory the ladder refused to certify. Rung 0
+    /// is the ladder's bit-identical clone of the plan.
     fn resolve(&self, r: Request) -> Result<Item<'a>, Frame> {
         let Some(ladder) = self.ladders.get(r.task as usize) else {
             return Err(Frame::ErrorReply {
@@ -518,18 +515,22 @@ impl<'a> Worker<'a> {
                 message: format!("task {} of {}", r.task, self.ladders.len()),
             });
         };
-        let rung = ladder.clamp(usize::from(r.rung));
-        let (plan, degraded) = if ladder.plan(rung).validate_thresholds().is_ok() {
-            (ladder.plan(rung), false)
+        let parent = &self.parents[r.task as usize];
+        let (plan, degraded) = if (r.rung as usize) < ladder.len() {
+            (ladder.plan(r.rung as usize), false)
         } else {
-            (&self.parents[r.task as usize], true)
+            (parent, true)
+        };
+        let (plan, degraded) = if plan.validate_thresholds().is_ok() {
+            (plan, degraded)
+        } else {
+            (parent, true)
         };
         Ok(Item {
             id: r.id,
             trace: r.trace,
             task: r.task,
-            // at most the requested rung, which fits its u8
-            rung: rung as u8,
+            rung: r.rung,
             plan,
             degraded,
             image: match r.input {
@@ -1067,41 +1068,6 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, ProtoError::Malformed(_)), "{err}");
-    }
-
-    /// The controller's rung is fleet-wide: a task whose ladder is
-    /// shallower serves its deepest validated rung, not the parent path
-    /// (which keeps more activations than rung 0, so costs more).
-    #[test]
-    fn rung_beyond_the_ladder_serves_the_deepest_validated_rung() {
-        let (plans, hw) = tiny_plans(1);
-        let cfg =
-            ReplicaWorkerConfig { brownout_rungs: 1, ..ReplicaWorkerConfig::default() };
-        let mk = |id: u64, rung: u8| Frame::Request {
-            id,
-            trace: 0,
-            task: 0,
-            deadline_ms: 0,
-            rung,
-            input: RequestInput::Probe(4),
-        };
-        let frames = roundtrip_worker(&plans, hw, cfg, &[mk(1, 0), mk(2, 3)]);
-        let replies: Vec<(u8, bool, &Vec<f32>)> = frames
-            .iter()
-            .filter_map(|f| match f {
-                Frame::Reply { rung, degraded, logits, .. } => {
-                    Some((*rung, *degraded, logits))
-                }
-                _ => None,
-            })
-            .collect();
-        assert_eq!(replies.len(), 2, "{frames:?}");
-        assert_eq!(
-            (replies[1].0, replies[1].1),
-            (0, false),
-            "served at rung 0, not degraded"
-        );
-        assert_eq!(replies[1].2, replies[0].2, "rung 0's logits");
     }
 
     #[test]
