@@ -195,39 +195,42 @@ fn brownout_beats_shed_only_goodput_under_2x_overload() {
     let brown = start_fleet(&dir, "brownout", true);
     let control = start_fleet(&dir, "control", false);
 
-    // Calibrate: unloaded round-trip time on the brownout fleet (idle
-    // fleet stays at rung 0, so this is the rung-0 service time both
-    // fleets share).
+    // An idle fleet serves rung 0.
     let mut cal = Tally::default();
     let mut s = TcpStream::connect(&brown.door.addr).expect("calibration connects");
     s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    let mut rtt = Duration::MAX;
     for i in 0..32u64 {
-        let t0 = Instant::now();
         send_one(&mut s, 1_000_000 + i, 30_000, &mut cal);
-        rtt = rtt.min(t0.elapsed());
     }
     drop(s);
     assert_eq!(cal.success, 32, "calibration must succeed unloaded");
     assert_eq!(cal.rungs[0], 32, "an unloaded fleet serves rung 0");
 
+    // Calibrate the rung-0 service time both fleets share as the control
+    // fleet's time per request under a saturating closed-loop burst (it
+    // never leaves rung 0). An unloaded round trip overstates it: a
+    // backlog runs as pipelined batches, several requests per pass.
+    let total = (CONNS * PER_CONN) as u64;
+    let (burst, burst_wall) = drive(&control.door.addr, 30_000, Duration::ZERO);
+    assert_eq!(burst.success, total, "calibration burst must succeed");
+    let service = burst_wall / total as u32;
+
     // With CONNS closed-loop clients, a request dequeues behind roughly
-    // CONNS-1 others, so its queue wait is ~CONNS × rtt at rung 0 and
+    // CONNS-1 others, so its queue wait is ~CONNS × service at rung 0 and
     // ~35% less at the validated top rung. A deadline of 0.8 × CONNS ×
-    // rtt sits between the two: the shed-only control must blow it for
-    // a large fraction of requests, the browned-out fleet for few.
+    // service sits between the two: the shed-only control must blow it
+    // for a large fraction of requests, the browned-out fleet for few.
     let deadline =
-        (rtt.as_secs_f64() * 1000.0 * CONNS as f64 * 0.8).clamp(20.0, 2000.0) as u32;
-    // Aggregate offered rate 2 / rtt = 2× sustained rung-0 capacity,
+        (service.as_secs_f64() * 1000.0 * CONNS as f64 * 0.8).clamp(20.0, 2000.0) as u32;
+    // Aggregate offered rate 2 / service = 2× sustained rung-0 capacity,
     // split evenly across the connections.
-    let period = Duration::from_secs_f64(rtt.as_secs_f64() * CONNS as f64 / 2.0);
+    let period = Duration::from_secs_f64(service.as_secs_f64() * CONNS as f64 / 2.0);
 
     let (brown_tally, brown_wall) = drive(&brown.door.addr, deadline, period);
     let brown_stats = fetch_stats(&brown.door.addr);
     let (control_tally, control_wall) = drive(&control.door.addr, deadline, period);
     let control_stats = fetch_stats(&control.door.addr);
 
-    let total = (CONNS * PER_CONN) as u64;
     assert_eq!(brown_tally.terminal(), total, "brownout run: every request terminal");
     assert_eq!(control_tally.terminal(), total, "control run: every request terminal");
 

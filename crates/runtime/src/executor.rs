@@ -6,8 +6,8 @@ use mime_core::faults::first_non_finite;
 use mime_core::{channel_activity_rescan, MimeError};
 use mime_systolic::{AccessCounters, ArrayConfig, FunctionalArray, LayerGeometry, Mapper};
 use mime_tensor::{
-    conv2d_sparse_prepacked_with_scratch, matmul_fused_batch_into, max_pool2d, ConvScratch,
-    ConvSpec, FusedMask, PoolSpec, SparseDispatch, Tensor, TensorError,
+    conv2d_sparse_prepacked_with_scratch, matmul_fused_batch_into, max_pool2d_values,
+    ConvScratch, ConvSpec, FusedMask, PoolSpec, SparseDispatch, Tensor, TensorError,
 };
 use std::time::Instant;
 
@@ -489,7 +489,7 @@ impl HardwareExecutor {
                 BoundLayer::Pool => {
                     // [B, C, H, W] pools natively; per-sample channel
                     // bitmaps stay valid (all-zero channels pool to zero)
-                    x = max_pool2d(&x, &PoolSpec::vgg2x2())?.output;
+                    x = max_pool2d_values(&x, &PoolSpec::vgg2x2())?;
                 }
                 BoundLayer::Flatten => {
                     let sites: usize = x.dims()[2..].iter().product();

@@ -1,20 +1,23 @@
 //! `im2col`-based 2-D convolution (forward and backward), batched.
 //!
 //! Layouts: inputs `[N, C, H, W]`, weights `[K, C, R, S]`, outputs
-//! `[N, K, Ho, Wo]`. The convolution is lowered to one GEMM per **batch
-//! chunk** rather than one per image: a chunk of images is flattened into
-//! a single column matrix `[C·R·S, N_chunk·Ho·Wo]` and multiplied in one
-//! sparse-dispatch GEMM call, which keeps the threaded GEMM saturated on
-//! large `n` instead of issuing `N` small products. Chunks bound the
-//! column buffer (see [`ConvScratch`]); all buffers are caller-reusable
-//! so a training step performs no per-image allocation. There is one
-//! forward chunk loop: the dense [`conv2d_with_scratch`] is the
-//! [`SparseDispatch::DenseOnly`] call of [`conv2d_sparse_with_scratch`].
+//! `[N, K, Ho, Wo]`. The forward convolution is **one** sparse-dispatch
+//! GEMM over the whole batch, `W[K, C·R·S] · B[C·R·S, N·Ho·Wo]`, which
+//! keeps the threaded GEMM saturated on large `n` instead of issuing `N`
+//! small products. Its `B`, the im2col lowering, is never built: the
+//! GEMM packs its panels straight from the activations ([`Im2col`]), so
+//! the forward pass writes no column matrix and reads the activations
+//! once per packed panel. There is one forward path: the dense
+//! [`conv2d_with_scratch`] is the [`SparseDispatch::DenseOnly`] call of
+//! [`conv2d_sparse_with_scratch`].
 //!
+//! The backward pass keeps a materialized lowering, in image chunks that
+//! bound the column buffer (see [`ConvScratch`]); all buffers are
+//! caller-reusable so a training step performs no per-image allocation.
 //! The single-image [`im2col`]/[`col2im`] lowering is kept as a public
 //! reference (tests and the systolic functional model use it).
 
-use crate::matmul::{isa, sparse_dispatch, ALayout, AOperand};
+use crate::matmul::{dispatch_gemm, isa, ALayout, AOperand, BLayout, NR};
 use crate::{
     matmul_nt_into_acc, matmul_tn_into, PrepackedA, Result, SparseDispatch, SparseStats,
     Tensor, TensorError,
@@ -84,8 +87,8 @@ pub struct Conv2dGrads {
 
 /// Reusable scratch for the batched convolution lowering.
 ///
-/// Holds the column matrix, the GEMM output, and the backward-pass
-/// staging buffers. Thread one instance through repeated
+/// Holds the forward GEMM output of a batch, the channel→row activity
+/// list, and the backward pass's column matrix and staging buffers. Thread one instance through repeated
 /// [`conv2d_with_scratch`] / [`conv2d_backward_with_scratch`] calls
 /// (e.g. one per `Conv2d` layer) and the steady-state training loop
 /// performs no per-step allocation: buffers are only reallocated when
@@ -93,7 +96,7 @@ pub struct Conv2dGrads {
 #[derive(Debug, Clone, Default)]
 pub struct ConvScratch {
     cols: Tensor,
-    gemm: Tensor,
+    gemm: Vec<f32>,
     gout: Tensor,
     dcols: Tensor,
     active_rows: Vec<usize>,
@@ -106,11 +109,11 @@ impl ConvScratch {
     }
 }
 
-/// Ceiling on the column-matrix size in floats (4 MiB). Batches whose
-/// lowering would exceed it are processed in image chunks, so memory
-/// stays bounded while the per-chunk GEMM stays large enough to saturate
-/// the threaded kernel. Kept near last-level-cache size: the freshly
-/// written columns feed straight into the GEMM's `B` packer, and a
+/// Ceiling on the backward pass's column-matrix size in floats (4 MiB).
+/// Batches whose lowering would exceed it are processed in image chunks,
+/// so memory stays bounded while the per-chunk GEMMs stay large enough
+/// to saturate the threaded kernel. Kept near last-level-cache size: the
+/// freshly written columns feed straight into the GEMMs' packers, and a
 /// chunk much larger than the cache turns that hand-off into a DRAM
 /// round trip (measured slower than per-image lowering at 16 MiB).
 const COLS_BUDGET_FLOATS: usize = 1 << 20;
@@ -124,8 +127,9 @@ fn ensure_shape(t: &mut Tensor, dims: &[usize]) {
 /// Lowers one image `[C, H, W]` into a column matrix `[C·R·S, Ho·Wo]`.
 ///
 /// Out-of-bounds (padding) taps contribute zeros. This is the reference
-/// single-image lowering; the batched forward/backward paths use an
-/// internal multi-image variant writing `[C·R·S, N·Ho·Wo]`.
+/// single-image lowering; the backward pass uses an internal multi-image
+/// variant writing `[C·R·S, N·Ho·Wo]`, and the forward pass packs the
+/// same matrix's panels without writing it.
 ///
 /// # Errors
 ///
@@ -208,6 +212,172 @@ fn im2col_batch_into(
                 }
             }
         }
+    }
+}
+
+/// The im2col matrix `[C·R·S, N·Ho·Wo]` of a `[N, C, H, W]` batch as a
+/// GEMM `B` operand that is never built: [`Im2col::pack`] writes the
+/// GEMM's `NR`-column panels straight from the activations, value for
+/// value what packing the [`im2col_batch_into`] matrix would give (row
+/// `(ci·R + r)·S + s`, column `ni·Ho·Wo + oy·Wo + ox`, `+0.0` on
+/// padding taps).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Im2col {
+    c: usize,
+    h: usize,
+    w: usize,
+    kernel: usize,
+    stride: usize,
+    pad: usize,
+    ho: usize,
+    wo: usize,
+}
+
+/// One in-bounds piece of a packed panel row: lanes `lane..lane+len`
+/// take the `len` activations at `src` past the depth row's channel
+/// plane.
+#[derive(Clone, Copy)]
+struct Seg {
+    lane: usize,
+    len: usize,
+    src: usize,
+}
+
+impl Im2col {
+    /// The lowering of `[N, c, h, w]` inputs under `spec` (output extent
+    /// `ho × wo`).
+    pub(crate) fn new(
+        (c, h, w): (usize, usize, usize),
+        spec: &ConvSpec,
+        (ho, wo): (usize, usize),
+    ) -> Self {
+        let (kernel, stride, pad) = (spec.kernel, spec.stride, spec.padding);
+        Im2col { c, h, w, kernel, stride, pad, ho, wo }
+    }
+
+    /// The output positions `lo..hi` whose tap at kernel offset `off`
+    /// lands inside an input extent `len` (`lo ≤ hi`, both ≤ `out`).
+    fn span(&self, off: usize, len: usize, out: usize) -> (usize, usize) {
+        let lo = self.pad.saturating_sub(off).div_ceil(self.stride).min(out);
+        let hi = (len + self.pad).saturating_sub(off).div_ceil(self.stride).min(out);
+        (lo, hi.max(lo))
+    }
+
+    /// Packs columns `c0..c0+nb` of the depth rows `rows` (ascending) of
+    /// the lowering of `x` into `⌈nb/NR⌉` panels of `rows.len()×NR`,
+    /// `p`-major, zeroing the lanes past `nb` — the panels
+    /// `pack_b_chunk` (a dense window) or `pack_b_chunk_gather` (a row
+    /// list) would pack from the materialized matrix.
+    ///
+    /// A depth row `(ci, r, s)` reads the same positions of every channel
+    /// plane, so each panel first lists, per kernel offset `(r, s)`, the
+    /// in-bounds pieces of its runs of columns that share an image and an
+    /// output row. A row then copies its offset's pieces from its channel
+    /// plane, and is zero elsewhere: one 16-float copy when the piece
+    /// spans the panel, as it does inside wide maps.
+    pub(crate) fn pack(
+        &self,
+        x: &[f32],
+        rows: impl Iterator<Item = usize>,
+        c0: usize,
+        nb: usize,
+        packed: &mut [f32],
+    ) {
+        let kk = self.kernel * self.kernel;
+        let plane = self.h * self.w;
+        // each depth row as (channel-plane offset, kernel offset r·S + s)
+        let taps: Vec<(usize, usize)> = rows.map(|p| ((p / kk) * plane, p % kk)).collect();
+        let kb = taps.len();
+        let (sites, img) = (self.ho * self.wo, self.c * plane);
+        let mut segs: Vec<Seg> = Vec::new();
+        // kernel offset `q`'s pieces are `segs[starts[q]..starts[q + 1]]`
+        let mut starts: Vec<usize> = Vec::with_capacity(kk + 1);
+        for (jp, panel) in
+            packed.chunks_exact_mut(kb * NR).take(nb.div_ceil(NR)).enumerate()
+        {
+            let j0 = c0 + jp * NR;
+            let width = NR.min(c0 + nb - j0);
+            segs.clear();
+            starts.clear();
+            for q in 0..kk {
+                starts.push(segs.len());
+                let (r, s) = (q / self.kernel, q % self.kernel);
+                let (oy_lo, oy_hi) = self.span(r, self.h, self.ho);
+                let (ox_lo, ox_hi) = self.span(s, self.w, self.wo);
+                let mut lane = 0;
+                while lane < width {
+                    let (ni, site) = ((j0 + lane) / sites, (j0 + lane) % sites);
+                    let (oy, ox) = (site / self.wo, site % self.wo);
+                    let len = (self.wo - ox).min(width - lane);
+                    let (lo, hi) = (ox_lo.clamp(ox, ox + len), ox_hi.clamp(ox, ox + len));
+                    if (oy_lo..oy_hi).contains(&oy) && lo < hi {
+                        let row = ni * img + (oy * self.stride + r - self.pad) * self.w;
+                        let src = |o: usize| row + o * self.stride + s - self.pad;
+                        if self.stride == 1 {
+                            segs.push(Seg {
+                                lane: lane + lo - ox,
+                                len: hi - lo,
+                                src: src(lo),
+                            });
+                        } else {
+                            segs.extend((lo..hi).map(|o| Seg {
+                                lane: lane + o - ox,
+                                len: 1,
+                                src: src(o),
+                            }));
+                        }
+                    }
+                    lane += len;
+                }
+            }
+            starts.push(segs.len());
+            for (dst, &(chan, q)) in panel.chunks_exact_mut(NR).zip(&taps) {
+                let dst: &mut [f32; NR] = dst.try_into().expect("an NR-lane row");
+                match &segs[starts[q]..starts[q + 1]] {
+                    [Seg { len: NR, src, .. }] => {
+                        *dst = x[chan + src..][..NR].try_into().expect("NR taps");
+                    }
+                    pieces => {
+                        *dst = [0.0; NR];
+                        for seg in pieces {
+                            let from = &x[chan + seg.src..][..seg.len];
+                            for (d, &v) in dst[seg.lane..].iter_mut().zip(from) {
+                                *d = v;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The depth rows of the lowering of `x` (`n` columns) that hold a
+    /// nonzero (`-0.0` counts as zero), as `probe_active_rows` finds
+    /// them on the materialized matrix: only in-bounds taps are read.
+    pub(crate) fn probe(&self, x: &[f32], n: usize) -> Vec<usize> {
+        let images = n / (self.ho * self.wo).max(1);
+        let img = self.c * self.h * self.w;
+        let (stride, pad, kk) = (self.stride, self.pad, self.kernel * self.kernel);
+        (0..self.c * kk)
+            .filter(|&p| {
+                let plane = (p / kk) * self.h * self.w;
+                let (r, s) = ((p % kk) / self.kernel, p % self.kernel);
+                let (oy_lo, oy_hi) = self.span(r, self.h, self.ho);
+                let (ox_lo, ox_hi) = self.span(s, self.w, self.wo);
+                if ox_lo == ox_hi {
+                    return false;
+                }
+                let ix0 = ox_lo * stride + s - pad;
+                let ix1 = (ox_hi - 1) * stride + s - pad;
+                (0..images).any(|ni| {
+                    (oy_lo..oy_hi).any(|oy| {
+                        let iy = oy * stride + r - pad;
+                        let src = &x[ni * img + plane + iy * self.w..][..self.w];
+                        src[ix0..=ix1].iter().step_by(stride).any(|&v| v != 0.0)
+                    })
+                })
+            })
+            .collect()
     }
 }
 
@@ -369,11 +539,11 @@ pub fn conv2d(
     conv2d_with_scratch(input, weight, bias, spec, &mut ConvScratch::new())
 }
 
-/// [`conv2d`] with caller-reusable scratch: the whole batch is lowered in
-/// bounded chunks of `[C·R·S, N_chunk·Ho·Wo]` columns and each chunk is
-/// one threaded GEMM, instead of one small GEMM per image. This is
+/// [`conv2d`] with caller-reusable scratch: the whole batch is one
+/// threaded GEMM over its `N·Ho·Wo` columns, packed straight from the
+/// activations, instead of one small GEMM per image. This is
 /// [`conv2d_sparse_with_scratch`] pinned to [`SparseDispatch::DenseOnly`]
-/// with no activity bitmap — the same GEMM calls, so training is
+/// with no activity bitmap — the same GEMM call, so training is
 /// unaffected by the sparse path.
 ///
 /// # Errors
@@ -398,15 +568,14 @@ pub fn conv2d_with_scratch(
 /// step): a `false` channel is promised to be all zeros, and its
 /// `R·S` im2col rows are skipped without probing. A conservative bitmap
 /// (extra `true` entries) is always legal. When `None`, the dispatcher
-/// probes the lowered column matrix for all-zero rows itself. Either
-/// way the output is bit-identical to the dense [`conv2d_with_scratch`]
-/// because skipped rows contribute exact zeros.
+/// probes the lowering's rows for all-zero ones itself, reading the
+/// activations' in-bounds taps. Either way the output is bit-identical
+/// to the dense [`conv2d_with_scratch`] because skipped rows contribute
+/// exact zeros.
 ///
-/// Returns the output together with [`SparseStats`] aggregated over all
-/// batch chunks (`k_total`/`k_active` summed, `used_sparse` true if any
-/// chunk took the compacted path). The channel→row expansion reuses a
-/// buffer inside `scratch`, so steady-state inference stays
-/// allocation-free.
+/// Returns the output together with the batch GEMM's [`SparseStats`]
+/// (`k_total` = `C·R·S`). The channel→row expansion reuses a buffer
+/// inside `scratch`, so steady-state inference stays allocation-free.
 ///
 /// # Errors
 ///
@@ -513,10 +682,9 @@ fn conv2d_sparse_impl(
     let sites = ho * wo;
     let mut out = Tensor::zeros(&[n, kout, ho, wo]);
     let bias_v = bias.as_slice();
-    // Expand the channel bitmap into im2col row indices once, outside the
-    // chunk loop: channel `ci` owns rows `ci·R·S .. (ci+1)·R·S`. The list
-    // is moved out of the scratch so it can be borrowed across the chunk
-    // loop while the column/GEMM buffers are mutated.
+    // Expand the channel bitmap into im2col row indices: channel `ci` owns
+    // rows `ci·R·S .. (ci+1)·R·S`. The list is moved out of the scratch so
+    // it can be borrowed while the GEMM buffer is mutated.
     let mut rows_buf = std::mem::take(&mut scratch.active_rows);
     let known_rows: Option<&[usize]> = match active_channels {
         Some(act) => {
@@ -538,64 +706,52 @@ fn conv2d_sparse_impl(
         }
         None => None,
     };
-    let mut agg = SparseStats::default();
-    let per_chunk = images_per_chunk(taps, sites, n);
-    let mut n0 = 0;
-    let mut result = Ok(());
-    while n0 < n {
-        let nc = per_chunk.min(n - n0);
-        ensure_shape(&mut scratch.cols, &[taps, nc * sites]);
-        scratch.cols.as_mut_slice().fill(0.0);
-        im2col_batch_into(
-            input.as_slice(),
-            n0,
-            nc,
-            c,
-            h,
-            w,
-            spec,
-            ho,
-            wo,
-            scratch.cols.as_mut_slice(),
-        );
-        ensure_shape(&mut scratch.gemm, &[kout, nc * sites]);
-        let stats = sparse_dispatch(
-            weight,
-            (kout, taps),
-            &scratch.cols,
-            &mut scratch.gemm,
-            known_rows,
-            dispatch,
-            crate::threads::worker_count(),
-            isa(),
-        );
-        let stats = match stats {
-            Ok(s) => s,
-            Err(e) => {
-                result = Err(e);
-                break;
+    let cols = n * sites;
+    let lowering = Im2col::new((c, h, w), spec, (ho, wo));
+    // One GEMM over every image's sites, its `B` panels packed straight
+    // from the activations. A single image's `[K, Ho·Wo]` product already
+    // is its `[1, K, Ho, Wo]` output, so it lands there and takes the
+    // bias in place; a batch's `[K, N·Ho·Wo]` product is regrouped per
+    // image. The batch buffer keeps its largest size, so the layers of a
+    // pass do not each map and fault in a fresh one.
+    let direct = n == 1;
+    let len = kout * cols;
+    if !direct && scratch.gemm.len() < len {
+        scratch.gemm.resize(len, 0.0);
+    }
+    let gemm = if direct { out.as_mut_slice() } else { &mut scratch.gemm[..len] };
+    let stats = dispatch_gemm(
+        weight,
+        (kout, taps, cols),
+        (input.as_slice(), BLayout::Im2col(lowering)),
+        gemm,
+        known_rows,
+        dispatch,
+        crate::threads::worker_count(),
+        isa(),
+    );
+    scratch.active_rows = rows_buf;
+    let stats = stats?;
+    let dst = out.as_mut_slice();
+    if direct {
+        for (row, &b) in dst.chunks_exact_mut(sites).zip(bias_v) {
+            for d in row {
+                *d += b;
             }
-        };
-        agg.k_total += stats.k_total;
-        agg.k_active += stats.k_active;
-        agg.used_sparse |= stats.used_sparse;
-        let src = scratch.gemm.as_slice();
-        let dst = out.as_mut_slice();
-        for ki in 0..kout {
-            let b = bias_v[ki];
-            for ni in 0..nc {
-                let s_row = &src[ki * nc * sites + ni * sites..][..sites];
-                let d_row = &mut dst[(n0 + ni) * kout * sites + ki * sites..][..sites];
+        }
+    } else {
+        let src = &scratch.gemm[..len];
+        for (ki, &b) in bias_v.iter().enumerate() {
+            for ni in 0..n {
+                let s_row = &src[ki * cols + ni * sites..][..sites];
+                let d_row = &mut dst[ni * kout * sites + ki * sites..][..sites];
                 for (d, &v) in d_row.iter_mut().zip(s_row) {
                     *d = v + b;
                 }
             }
         }
-        n0 += nc;
     }
-    scratch.active_rows = rows_buf;
-    result?;
-    Ok((out, agg))
+    Ok((out, stats))
 }
 
 /// 2-D convolution backward pass.
@@ -950,6 +1106,184 @@ mod tests {
             SparseDispatch::Auto,
         );
         assert!(matches!(err, Err(TensorError::ShapeMismatch { .. })));
+    }
+
+    /// A deterministic `[n, c, h, w]` input with exact zeros, `-0.0` and
+    /// one all-zero channel, as thresholded activations look.
+    fn activations(dims: &[usize]) -> Tensor {
+        let plane = dims[2] * dims[3];
+        Tensor::from_fn(dims, |i| match (i / plane) % dims[1] {
+            1 => 0.0,
+            _ => match (i * 37) % 11 {
+                0..=2 => 0.0,
+                3 => -0.0,
+                v => v as f32 * 0.25 - 1.0,
+            },
+        })
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn conv_source_panels_equal_panels_of_the_materialized_im2col() {
+        use crate::matmul::{pack_b_chunk, pack_b_chunk_gather};
+        // (n, c, h, w, kernel, stride, pad): stride 1 and 2, pad 0 and 1,
+        // kernel 1 and 3, widths that are no multiple of NR (runs cross
+        // output rows and images), 2×2 maps, and one-site outputs
+        let cases = [
+            (2usize, 3usize, 7usize, 5usize, 3usize, 1usize, 1usize),
+            (3, 2, 6, 9, 3, 2, 1),
+            (2, 4, 5, 6, 1, 1, 0),
+            (1, 3, 20, 20, 3, 1, 0),
+            (3, 2, 4, 4, 3, 2, 0),
+            (4, 5, 2, 2, 3, 1, 1),
+            (2, 2, 9, 17, 3, 1, 1),
+        ];
+        for (n, c, h, w, kernel, stride, pad) in cases {
+            let spec = ConvSpec::new(kernel, stride, pad).unwrap();
+            let (ho, wo) = (spec.out_extent(h).unwrap(), spec.out_extent(w).unwrap());
+            let (taps, cols) = (c * kernel * kernel, n * ho * wo);
+            let x = activations(&[n, c, h, w]);
+            let mut mat = vec![0.0f32; taps * cols];
+            im2col_batch_into(x.as_slice(), 0, n, c, h, w, &spec, ho, wo, &mut mat);
+            let g = Im2col::new((c, h, w), &spec, (ho, wo));
+            let implicit = BLayout::Im2col(g);
+            let what = format!("n={n} c={c} {h}x{w} k={kernel} s={stride} p={pad}");
+            // the probe finds the rows of the matrix that hold a nonzero
+            let nonzero: Vec<usize> = (0..taps)
+                .filter(|&p| mat[p * cols..(p + 1) * cols].iter().any(|&v| v != 0.0))
+                .collect();
+            assert_eq!(g.probe(x.as_slice(), cols), nonzero, "{what}");
+            let gathered: Vec<usize> = (0..taps).filter(|p| p % 3 != 1).collect();
+            for (c0, nb) in
+                [(0, cols), (NR.min(cols - 1), cols - NR.min(cols - 1)), (cols - 1, 1)]
+            {
+                let panels = nb.div_ceil(NR);
+                for (p0, kb) in [(0, taps), (1, taps - 1)] {
+                    let mut want = vec![f32::NAN; panels * kb * NR];
+                    let mut got = vec![f32::NAN; panels * kb * NR];
+                    let normal = BLayout::Normal;
+                    pack_b_chunk(&mat, normal, taps, cols, p0, kb, c0, nb, &mut want);
+                    pack_b_chunk(
+                        x.as_slice(),
+                        implicit,
+                        taps,
+                        cols,
+                        p0,
+                        kb,
+                        c0,
+                        nb,
+                        &mut got,
+                    );
+                    assert_eq!(bits(&got), bits(&want), "{what} dense c0={c0} p0={p0}");
+                    assert!(got.iter().all(|v| !v.is_nan()), "{what}");
+                }
+                let kb = gathered.len();
+                let mut want = vec![f32::NAN; panels * kb * NR];
+                let mut got = vec![f32::NAN; panels * kb * NR];
+                pack_b_chunk_gather(
+                    &mat,
+                    BLayout::Normal,
+                    taps,
+                    cols,
+                    &gathered,
+                    c0,
+                    nb,
+                    &mut want,
+                );
+                pack_b_chunk_gather(
+                    x.as_slice(),
+                    implicit,
+                    taps,
+                    cols,
+                    &gathered,
+                    c0,
+                    nb,
+                    &mut got,
+                );
+                assert_eq!(bits(&got), bits(&want), "{what} gathered c0={c0}");
+            }
+        }
+    }
+
+    #[test]
+    fn resident_conv_equals_the_per_image_gemm_bitwise_at_every_batch() {
+        // per image: the materialized im2col times the weight on one
+        // worker, plus bias — what the chunked lowering computed. B = 8
+        // on a 12×12 map gives 1152 columns, crossing the NC block.
+        let spec = ConvSpec::vgg3x3();
+        let (c, kout, hw) = (5, 11, 12);
+        let weight =
+            Tensor::from_fn(&[kout, c, 3, 3], |i| ((i * 17) % 13) as f32 * 0.05 - 0.3);
+        let bias = Tensor::from_fn(&[kout], |i| i as f32 * 0.1 - 0.4);
+        let w_mat = weight.reshape(&[kout, c * 9]).unwrap();
+        let resident = PrepackedA::from_weight(&weight).unwrap();
+        let mut scratch = ConvScratch::new();
+        for n in [1usize, 3, 8] {
+            let input = activations(&[n, c, hw, hw]);
+            let sites = hw * hw;
+            let mut reference = Tensor::zeros(&[n, kout, hw, hw]);
+            for ni in 0..n {
+                let img = c * sites;
+                let image = Tensor::from_vec(
+                    input.as_slice()[ni * img..(ni + 1) * img].to_vec(),
+                    &[c, hw, hw],
+                )
+                .unwrap();
+                let cols = im2col(&image, &spec).unwrap();
+                let mut gemm = Tensor::zeros(&[kout, sites]);
+                crate::matmul_sparse_dispatch_into(
+                    &w_mat,
+                    &cols,
+                    &mut gemm,
+                    None,
+                    SparseDispatch::DenseOnly,
+                    1,
+                )
+                .unwrap();
+                let dst =
+                    &mut reference.as_mut_slice()[ni * kout * sites..][..kout * sites];
+                for (ki, (d, g)) in dst
+                    .chunks_exact_mut(sites)
+                    .zip(gemm.as_slice().chunks_exact(sites))
+                    .enumerate()
+                {
+                    for (d, &g) in d.iter_mut().zip(g) {
+                        *d = g + bias.as_slice()[ki];
+                    }
+                }
+            }
+            let bitmap: Vec<bool> = (0..c).map(|ci| ci != 1).collect();
+            for (chans, disp) in [
+                (None, SparseDispatch::DenseOnly),
+                (None, SparseDispatch::Auto),
+                (Some(bitmap.as_slice()), SparseDispatch::Auto),
+                (Some(bitmap.as_slice()), SparseDispatch::SparseOnly),
+            ] {
+                let (out, stats) = conv2d_sparse_prepacked_with_scratch(
+                    &input,
+                    &resident,
+                    &bias,
+                    &spec,
+                    &mut scratch,
+                    chans,
+                    disp,
+                )
+                .unwrap();
+                let what = format!("n={n} chans={} {disp:?}", chans.is_some());
+                assert_eq!(bits(out.as_slice()), bits(reference.as_slice()), "{what}");
+                assert_eq!(stats.k_total, c * 9, "{what}");
+                if disp != SparseDispatch::DenseOnly {
+                    assert_eq!(
+                        stats.k_active,
+                        (c - 1) * 9,
+                        "{what}: channel 1 is all zero"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

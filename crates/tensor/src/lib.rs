@@ -61,7 +61,7 @@ pub use matmul::{
     matmul_sparse_dispatch_into, matmul_tn, matmul_tn_into, SparseDispatch, SparseStats,
     MR, NR, SPARSE_ACTIVE_MAX,
 };
-pub use pool::{max_pool2d, max_pool2d_backward, MaxPoolOut, PoolSpec};
+pub use pool::{max_pool2d, max_pool2d_backward, max_pool2d_values, MaxPoolOut, PoolSpec};
 pub use prepack::{
     matmul_fused_batch_into, matmul_fused_row_into, matmul_prepacked_a_into, FusedMask,
     PrepackedA, PrepackedB,

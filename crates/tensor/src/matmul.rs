@@ -5,21 +5,27 @@
 //!
 //! * **Packing** — `B` is repacked block by block ([`KC`]×[`NC`] at
 //!   most, so the packed chunk stays cache-resident) into panels of
-//!   [`NR`] columns, `p`-major, so the microkernel streams it with unit
-//!   stride (and the transposed variants fold their transpose into the
-//!   packing instead of materializing it). `A` is packed one
-//!   [`MR`]-row block at a time into a `p`-major strip, or read from
-//!   strips packed once at load time ([`crate::PrepackedA`]).
+//!   [`NR`] columns, `p`-major, zero in the lanes past `n`, so the
+//!   microkernel streams it with unit stride. The transposed variants
+//!   fold their transpose into the packing, and a convolution's im2col
+//!   operand is packed straight from the activations (`BLayout::Im2col`)
+//!   — neither is ever materialized. `A` is packed one [`MR`]-row block
+//!   at a time into a `p`-major strip, or read from strips packed once
+//!   at load time ([`crate::PrepackedA`]).
 //! * **Microkernel** — an unrolled `MR×NR` register tile: the full
 //!   `k`-sum for each output tile is accumulated in registers and
 //!   written to memory exactly once. No zero-branch, no per-iteration
-//!   `C` traffic — the two costs that bounded the previous kernel.
+//!   `C` traffic — the two costs that bounded the previous kernel. On
+//!   AVX-512 a full `MR` block with two full panels left runs an
+//!   `MR×2NR` tile that feeds each `A` broadcast to two FMAs, with every
+//!   element's FMA sequence unchanged.
 //! * **Threading** — rows of `C` are split into contiguous block ranges
-//!   across scoped worker threads ([`crate::threads::worker_count`],
-//!   overridable via `MIME_THREADS` or the `threads` argument of
-//!   [`matmul_sparse_dispatch_into`]). Each `C` element is produced by
-//!   exactly one worker with the same `p`-order sum, so results are
-//!   bit-identical at every thread count.
+//!   (or `NR`-aligned column stripes) as parts
+//!   ([`crate::threads::worker_count`], overridable via `MIME_THREADS`
+//!   or the `threads` argument of [`matmul_sparse_dispatch_into`]) run
+//!   on the persistent worker pool of [`crate::threads`]. Each `C`
+//!   element is produced by exactly one part with the same `p`-order
+//!   sum, so results are bit-identical at every thread count.
 //!
 //! Inference has one GEMM entry point per weight form:
 //! [`matmul_sparse_dispatch_into`] for a raw `A` (here), and
@@ -44,6 +50,8 @@
 //! pre-rework scalar kernel is kept as [`matmul_scalar_ref`], the
 //! reference the property tests compare against.
 
+use crate::conv::Im2col;
+use crate::threads::for_each_part;
 use crate::{PrepackedA, Result, Tensor, TensorError};
 
 /// Microkernel tile height (rows of `A` / `C` held in registers). Eight
@@ -54,7 +62,7 @@ pub const MR: usize = 8;
 pub const NR: usize = 16;
 
 /// Below this many multiply-adds the driver stays single-threaded:
-/// thread spawn/join overhead would dominate.
+/// waking pool workers and joining them would dominate.
 pub(crate) const THREAD_MIN_MACS: u128 = 1 << 18;
 
 /// Depth (`k`) blocking factor: the packed `B` chunk (`KC × NC` floats
@@ -105,6 +113,19 @@ pub(crate) enum BLayout {
     Normal,
     /// `B: [n, k]`, logically transposed (`ABᵀ` product).
     Trans,
+    /// `B` is the im2col lowering of the `[N, C, H, W]` activations in
+    /// the `b` slice, packed straight from them ([`Im2col::pack`]); the
+    /// column matrix is never built.
+    Im2col(Im2col),
+}
+
+/// Zeroes lanes `w..NR` of each of the `kb` rows of a partial panel.
+fn zero_padding_lanes(dst: &mut [f32], kb: usize, w: usize) {
+    if w < NR {
+        for row in dst[..kb * NR].chunks_exact_mut(NR) {
+            row[w..].fill(0.0);
+        }
+    }
 }
 
 /// Packs the `kb×nb` block of `B` at `(p0, c0)` into `⌈nb/NR⌉` panels
@@ -122,6 +143,10 @@ pub(crate) fn pack_b_chunk(
     nb: usize,
     packed: &mut [f32],
 ) {
+    if let BLayout::Im2col(g) = layout {
+        g.pack(b, p0..p0 + kb, c0, nb, packed);
+        return;
+    }
     let panels = nb.div_ceil(NR).max(1);
     for jp in 0..panels {
         let j0 = c0 + jp * NR;
@@ -142,7 +167,9 @@ pub(crate) fn pack_b_chunk(
                     }
                 }
             }
+            BLayout::Im2col(_) => unreachable!("packed above"),
         }
+        zero_padding_lanes(dst, kb, w);
     }
 }
 
@@ -186,7 +213,7 @@ pub(crate) fn pack_a(
 /// fast path — zero rows simply never enter the packed operand, so the
 /// microkernels need no zero-branch.
 #[allow(clippy::too_many_arguments)] // flat kernel-internal plumbing
-fn pack_b_chunk_gather(
+pub(crate) fn pack_b_chunk_gather(
     b: &[f32],
     layout: BLayout,
     k: usize,
@@ -196,6 +223,10 @@ fn pack_b_chunk_gather(
     nb: usize,
     packed: &mut [f32],
 ) {
+    if let BLayout::Im2col(g) = layout {
+        g.pack(b, act.iter().copied(), c0, nb, packed);
+        return;
+    }
     let kb = act.len();
     let panels = nb.div_ceil(NR).max(1);
     for jp in 0..panels {
@@ -217,7 +248,9 @@ fn pack_b_chunk_gather(
                     }
                 }
             }
+            BLayout::Im2col(_) => unreachable!("packed above"),
         }
+        zero_padding_lanes(dst, kb, w);
     }
 }
 
@@ -384,7 +417,7 @@ pub(crate) mod ukern_x86 {
     //! multiply-add) and each is individually bit-identical at every
     //! thread count. The `fused_*` pair does the same for the fused FC
     //! tile of `crate::prepack`.
-    use super::NR;
+    use super::{MR, NR};
     use std::arch::x86_64::*;
 
     /// AVX-512F tile: `M` zmm accumulators, `B` panel rows loaded as one
@@ -427,6 +460,58 @@ pub(crate) mod ukern_x86 {
                 av
             };
             _mm512_mask_storeu_ps(dst, mask, v);
+        }
+    }
+
+    /// AVX-512F two-panel tile: `MR` rows × two adjacent full panels
+    /// (`2·NR` columns), 16 zmm accumulators. Per depth row it loads the
+    /// two panel rows once and broadcasts each `A` value once for both,
+    /// so a broadcast feeds two FMAs instead of one. Every output element
+    /// sees the same FMA sequence as in [`avx512`], so the two kernels
+    /// agree bit for bit.
+    ///
+    /// # Safety
+    ///
+    /// Caller must have verified `avx512f` at runtime and guarantee
+    /// `pa.len() ≥ k·MR`, `pb.len() ≥ 2·k·NR` (the second panel at
+    /// `k·NR`), and rows `c[i·ldc..i·ldc+2·NR]` in bounds for `i < MR`.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn avx512_pair(
+        k: usize,
+        pa: &[f32],
+        pb: &[f32],
+        c: &mut [f32],
+        ldc: usize,
+        accumulate: bool,
+    ) {
+        debug_assert!(pa.len() >= k * MR && pb.len() >= 2 * k * NR);
+        let mut lo = [_mm512_setzero_ps(); MR];
+        let mut hi = [_mm512_setzero_ps(); MR];
+        let pa = pa.as_ptr();
+        let (pb0, pb1) = (pb.as_ptr(), pb.as_ptr().add(k * NR));
+        for p in 0..k {
+            let b0 = _mm512_loadu_ps(pb0.add(p * NR));
+            let b1 = _mm512_loadu_ps(pb1.add(p * NR));
+            let ap = pa.add(p * MR);
+            for i in 0..MR {
+                let av = _mm512_set1_ps(*ap.add(i));
+                lo[i] = _mm512_fmadd_ps(av, b0, lo[i]);
+                hi[i] = _mm512_fmadd_ps(av, b1, hi[i]);
+            }
+        }
+        let cp = c.as_mut_ptr();
+        for (i, (&l, &h)) in lo.iter().zip(&hi).enumerate() {
+            let (d0, d1) = (cp.add(i * ldc), cp.add(i * ldc + NR));
+            let (l, h) = if accumulate {
+                (
+                    _mm512_add_ps(_mm512_loadu_ps(d0), l),
+                    _mm512_add_ps(_mm512_loadu_ps(d1), h),
+                )
+            } else {
+                (l, h)
+            };
+            _mm512_storeu_ps(d0, l);
+            _mm512_storeu_ps(d1, h);
         }
     }
 
@@ -676,9 +761,21 @@ fn run_rows(
         let mut jp = 0;
         let mut j0 = 0;
         while j0 < nb {
+            let c_tile = &mut c[(i0 - r0) * ldc + c0 + j0..];
+            #[cfg(target_arch = "x86_64")]
+            if kernel_isa == Isa::Avx512 && mr == MR && nb - j0 >= 2 * NR {
+                let pb = &packed_b[jp * kb * NR..(jp + 2) * kb * NR];
+                // SAFETY: `kernel_isa` is Avx512 only once `isa()` (or a
+                // test's feature check) verified avx512f; the strip holds
+                // `kb·MR` floats, `pb` two whole panels, and `c_tile` rows
+                // reach `2·NR` columns past `j0 + 2·NR ≤ nb`.
+                unsafe { ukern_x86::avx512_pair(kb, strip, pb, c_tile, ldc, accumulate) };
+                jp += 2;
+                j0 += 2 * NR;
+                continue;
+            }
             let nv = NR.min(nb - j0);
             let pb = &packed_b[jp * kb * NR..(jp + 1) * kb * NR];
-            let c_tile = &mut c[(i0 - r0) * ldc + c0 + j0..];
             tile(kernel_isa, mr, kb, strip, pb, c_tile, ldc, nv, accumulate);
             jp += 1;
             j0 += NR;
@@ -795,10 +892,10 @@ fn gemm_stripe(
 }
 
 /// Column-split threaded driver for short-`m`/wide-`n` outputs: each
-/// worker owns a contiguous, `NR`-aligned stripe of output columns and
-/// runs the whole blocked loop over it (one spawn per GEMM instead of
-/// one per depth chunk, and `B` packing is partitioned across workers
-/// instead of serialized). Stripe boundaries sit on panel boundaries,
+/// part owns a contiguous, `NR`-aligned stripe of output columns and
+/// runs the whole blocked loop over it (one pool dispatch per GEMM
+/// instead of one per depth chunk, and `B` packing is partitioned
+/// across parts instead of serialized). Stripe boundaries sit on panel boundaries,
 /// so every panel sees the same width — and thus the same microkernel —
 /// as in the serial driver, keeping results bit-identical.
 ///
@@ -825,48 +922,37 @@ fn gemm_cols(
     let workers = threads.min(col_panels);
     let base = col_panels / workers;
     let extra = col_panels % workers;
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        let mut panel = 0usize;
-        for w in 0..workers {
-            let npanels = base + usize::from(w < extra);
-            if npanels == 0 {
-                continue;
-            }
-            let j_lo = panel * NR;
-            panel += npanels;
-            let j_hi = n.min(panel * NR);
-            let wn = j_hi - j_lo;
-            let mut buf = vec![0.0f32; m * wn];
-            if accumulate {
-                for i in 0..m {
-                    buf[i * wn..(i + 1) * wn]
-                        .copy_from_slice(&c[i * n + j_lo..i * n + j_hi]);
-                }
-            }
-            handles.push((
-                j_lo,
-                wn,
-                scope.spawn(move || {
-                    gemm_stripe(
-                        a, kernel_isa, b, b_layout, &mut buf, m, k, n, j_lo, j_hi,
-                        accumulate, active,
-                    );
-                    buf
-                }),
-            ));
+    // (first column, end column, private stripe buffer) per part
+    let mut stripes: Vec<(usize, usize, Vec<f32>)> = Vec::with_capacity(workers);
+    let mut panel = 0usize;
+    for w in 0..workers {
+        let npanels = base + usize::from(w < extra);
+        if npanels == 0 {
+            continue;
         }
-        for (j_lo, wn, handle) in handles {
-            let buf = match handle.join() {
-                Ok(buf) => buf,
-                Err(payload) => std::panic::resume_unwind(payload),
-            };
+        let j_lo = panel * NR;
+        panel += npanels;
+        let j_hi = n.min(panel * NR);
+        let wn = j_hi - j_lo;
+        let mut buf = vec![0.0f32; m * wn];
+        if accumulate {
             for i in 0..m {
-                c[i * n + j_lo..i * n + j_lo + wn]
-                    .copy_from_slice(&buf[i * wn..(i + 1) * wn]);
+                buf[i * wn..(i + 1) * wn].copy_from_slice(&c[i * n + j_lo..i * n + j_hi]);
             }
         }
+        stripes.push((j_lo, j_hi, buf));
+    }
+    for_each_part(&mut stripes, |_, (j_lo, j_hi, buf)| {
+        gemm_stripe(
+            a, kernel_isa, b, b_layout, buf, m, k, n, *j_lo, *j_hi, accumulate, active,
+        );
     });
+    for (j_lo, j_hi, buf) in &stripes {
+        let wn = j_hi - j_lo;
+        for i in 0..m {
+            c[i * n + j_lo..i * n + j_hi].copy_from_slice(&buf[i * wn..(i + 1) * wn]);
+        }
+    }
 }
 
 /// Packed, blocked, threaded GEMM driver shared by every dense entry
@@ -929,9 +1015,9 @@ fn gemm_driver(
         let nb = NC.min(n - c0);
         let np = nb.div_ceil(NR);
         // Every depth window of the column block is packed up front and the
-        // workers are spawned once per block, not once per window: at the
-        // late-conv shapes (`k` = 4608, `n` ≤ 128) a spawn costs more than a
-        // window's row sweep (raw `A`, 2 threads: conv9 at n = 16 went
+        // parts are dispatched once per block, not once per window: at the
+        // late-conv shapes (`k` = 4608, `n` ≤ 128) a thread spawn cost more
+        // than a window's row sweep (raw `A`, 2 threads: conv9 at n = 16 went
         // 4.9 → 3.2 ms, conv14 at n = 1 180 → 142 ms). This split only runs
         // when `n < m` or `n < NR·threads`, which bounds the packed block at
         // `k·max(m + NR, NR·threads)` floats.
@@ -946,36 +1032,34 @@ fn gemm_driver(
             pack_window(b, b_layout, k, n, *rows, c0, nb, &mut packed_b[off..off + size]);
             off += size;
         }
-        std::thread::scope(|scope| {
-            let mut rest = &mut *c;
-            let mut row = 0usize;
-            let (pb, windows, sizes) = (&packed_b, &windows, &sizes);
-            for w in 0..workers {
-                let nblocks = bbase + usize::from(w < bextra);
-                if nblocks == 0 {
-                    continue;
-                }
-                let r0 = row;
-                let r1 = m.min(row + nblocks * MR);
-                row = r1;
-                let (mine, tail) = rest.split_at_mut((r1 - r0) * n);
-                rest = tail;
-                scope.spawn(move || {
-                    let mut off = 0;
-                    for (i, (rows, &size)) in windows.iter().zip(sizes).enumerate() {
-                        // The first packed depth chunk overwrites `c`
-                        // (unless the caller asked to accumulate); later
-                        // chunks accumulate onto it. Column blocks are
-                        // disjoint, so each element of `c` sees its depth
-                        // chunks exactly once, in order.
-                        let acc = accumulate || i > 0;
-                        let chunk = &pb[off..off + size];
-                        run_rows(
-                            a, kernel_isa, chunk, mine, m, k, n, *rows, c0, nb, r0, r1, acc,
-                        );
-                        off += size;
-                    }
-                });
+        // (first row, end row, those rows of `c`) per part
+        let mut parts: Vec<(usize, usize, &mut [f32])> = Vec::with_capacity(workers);
+        let mut rest = &mut *c;
+        let mut row = 0usize;
+        for w in 0..workers {
+            let nblocks = bbase + usize::from(w < bextra);
+            if nblocks == 0 {
+                continue;
+            }
+            let r0 = row;
+            let r1 = m.min(row + nblocks * MR);
+            row = r1;
+            let (mine, tail) = std::mem::take(&mut rest).split_at_mut((r1 - r0) * n);
+            rest = tail;
+            parts.push((r0, r1, mine));
+        }
+        let (pb, windows, sizes) = (&packed_b, &windows, &sizes);
+        for_each_part(&mut parts, |_, (r0, r1, mine)| {
+            let mut off = 0;
+            for (i, (rows, &size)) in windows.iter().zip(sizes).enumerate() {
+                // The first packed depth chunk overwrites `c` (unless the
+                // caller asked to accumulate); later chunks accumulate
+                // onto it. Column blocks are disjoint, so each element of
+                // `c` sees its depth chunks exactly once, in order.
+                let acc = accumulate || i > 0;
+                let chunk = &pb[off..off + size];
+                run_rows(a, kernel_isa, chunk, mine, m, k, n, *rows, c0, nb, *r0, *r1, acc);
+                off += size;
             }
         });
         c0 += nb;
@@ -1209,14 +1293,14 @@ impl SparseStats {
 /// accumulator's bits — see the module docs). Early-exits per row at
 /// the first nonzero, so the probe costs `O(k)` loads on dense
 /// operands vs. the `O(m·k·n)` multiply-adds it can elide.
-fn probe_active_rows(b: &[f32], k: usize, n: usize) -> Vec<usize> {
-    let mut act = Vec::with_capacity(k);
-    for p in 0..k {
-        if b[p * n..(p + 1) * n].iter().any(|&v| v != 0.0) {
-            act.push(p);
+fn probe_active_rows(b: &[f32], layout: BLayout, k: usize, n: usize) -> Vec<usize> {
+    match layout {
+        BLayout::Normal => {
+            (0..k).filter(|&p| b[p * n..(p + 1) * n].iter().any(|&v| v != 0.0)).collect()
         }
+        BLayout::Trans => (0..k).filter(|&p| (0..n).any(|j| b[j * k + p] != 0.0)).collect(),
+        BLayout::Im2col(g) => g.probe(b, n),
     }
-    act
 }
 
 /// The sparse dispatcher over either `A` operand of shape `(m, k)`:
@@ -1241,6 +1325,33 @@ pub(crate) fn sparse_dispatch(
             op: "matmul",
         });
     }
+    let b = (b.as_slice(), BLayout::Normal);
+    let shape = (m, k, n);
+    dispatch_gemm(
+        a,
+        shape,
+        b,
+        out.as_mut_slice(),
+        known_rows,
+        dispatch,
+        threads,
+        kernel_isa,
+    )
+}
+
+/// [`sparse_dispatch`] over a `B` of any layout with shape-checked
+/// operands: `C[m, n] = A[m, k]·B[k, n]` into `out` (`m·n` floats).
+#[allow(clippy::too_many_arguments)] // flat kernel-internal plumbing
+pub(crate) fn dispatch_gemm(
+    a: AOperand<'_>,
+    (m, k, n): (usize, usize, usize),
+    (b, b_layout): (&[f32], BLayout),
+    out: &mut [f32],
+    known_rows: Option<&[usize]>,
+    dispatch: SparseDispatch,
+    threads: usize,
+    kernel_isa: Isa,
+) -> Result<SparseStats> {
     if let Some(rows) = known_rows {
         let sorted = rows.windows(2).all(|w| w[0] < w[1]);
         if !sorted || rows.last().is_some_and(|&p| p >= k) {
@@ -1249,40 +1360,24 @@ pub(crate) fn sparse_dispatch(
             )));
         }
     }
-    let run = |active: Option<&[usize]>, c: &mut Tensor| {
-        gemm_driver(
-            a,
-            kernel_isa,
-            b.as_slice(),
-            BLayout::Normal,
-            c.as_mut_slice(),
-            m,
-            k,
-            n,
-            false,
-            threads,
-            active,
-        );
+    let mut run = |active: Option<&[usize]>| {
+        gemm_driver(a, kernel_isa, b, b_layout, out, m, k, n, false, threads, active);
     };
     if dispatch == SparseDispatch::DenseOnly {
-        run(None, out);
+        run(None);
         return Ok(SparseStats { k_total: k, k_active: k, used_sparse: false });
     }
     let probed;
     let active: &[usize] = match known_rows {
         Some(rows) => rows,
         None => {
-            probed = probe_active_rows(b.as_slice(), k, n);
+            probed = probe_active_rows(b, b_layout, k, n);
             &probed
         }
     };
     let use_sparse = dispatch == SparseDispatch::SparseOnly
         || (active.len() as f64) <= SPARSE_ACTIVE_MAX * k as f64;
-    if use_sparse {
-        run(Some(active), out);
-    } else {
-        run(None, out);
-    }
+    run(use_sparse.then_some(active));
     Ok(SparseStats { k_total: k, k_active: active.len(), used_sparse: use_sparse })
 }
 
@@ -1640,6 +1735,188 @@ mod tests {
             assert!(stats.k_active < k);
             assert_eq!(sparse.as_slice(), dense.as_slice(), "threads={threads}");
         }
+    }
+
+    /// Every microkernel arm the running CPU can execute.
+    fn available_isas() -> Vec<Isa> {
+        #[allow(unused_mut)]
+        let mut isas = vec![Isa::Portable];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+                isas.push(Isa::Avx2Fma);
+            }
+            if is_x86_feature_detected!("avx512f") {
+                isas.push(Isa::Avx512);
+            }
+        }
+        isas
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn packers_zero_the_padding_lanes_of_a_partial_panel() {
+        // a 5-column last panel packed over a NaN-filled buffer: lanes
+        // 5..NR of every packed row must come out +0.0, in every layout
+        let (k, n) = (7, 21);
+        let b = Tensor::from_fn(&[k, n], |i| i as f32 + 1.0);
+        let bt = Tensor::from_fn(&[n, k], |i| i as f32 + 1.0);
+        let act = [0usize, 2, 3, 6];
+        let (c0, nb) = (NR, n - NR);
+        for layout in [BLayout::Normal, BLayout::Trans] {
+            let src = if matches!(layout, BLayout::Normal) { &b } else { &bt };
+            let mut dense = vec![f32::NAN; k * NR];
+            pack_b_chunk(src.as_slice(), layout, k, n, 0, k, c0, nb, &mut dense);
+            let mut gathered = vec![f32::NAN; act.len() * NR];
+            pack_b_chunk_gather(src.as_slice(), layout, k, n, &act, c0, nb, &mut gathered);
+            for packed in [&dense, &gathered] {
+                for row in packed.chunks_exact(NR) {
+                    assert!(row[..nb].iter().all(|v| *v >= 1.0), "{row:?}");
+                    assert!(row[nb..].iter().all(|v| v.to_bits() == 0), "{row:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn two_panel_tile_matches_the_one_worker_reference_on_every_arm() {
+        // n = 16q + r: q full panels (pairs plus an odd one) and a ragged
+        // tail; m has a partial MR block; k spans two KC windows
+        for q in 1..=3 {
+            for r in [0, 5] {
+                let (m, k, n) = (2 * MR + 3, KC + 13, NR * q + r);
+                let a = Tensor::from_fn(&[m, k], |i| ((i * 31) % 23) as f32 * 0.25 - 2.0);
+                let b = Tensor::from_fn(&[k, n], |i| ((i * 17) % 19) as f32 * 0.5 - 4.0);
+                let pa = PrepackedA::from_weight(&a).unwrap();
+                let mut reference = Tensor::zeros(&[m, n]);
+                dense_into(&a, &b, &mut reference, 1);
+                for kernel_isa in available_isas() {
+                    for threads in [1, 2] {
+                        for operand in [
+                            AOperand::Raw(a.as_slice(), ALayout::Normal),
+                            AOperand::Prepacked(&pa),
+                        ] {
+                            let mut out = Tensor::full(&[m, n], f32::NAN);
+                            sparse_dispatch(
+                                operand,
+                                (m, k),
+                                &b,
+                                &mut out,
+                                None,
+                                SparseDispatch::DenseOnly,
+                                threads,
+                                kernel_isa,
+                            )
+                            .unwrap();
+                            assert_eq!(
+                                bits(out.as_slice()),
+                                bits(reference.as_slice()),
+                                "n={n} isa={kernel_isa:?} threads={threads}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn two_panel_tile_equals_two_one_panel_tiles() {
+        if !is_x86_feature_detected!("avx512f") {
+            return;
+        }
+        let kb = 37;
+        let pa: Vec<f32> =
+            (0..kb * MR).map(|i| ((i * 7) % 13) as f32 * 0.3 - 1.7).collect();
+        let pb: Vec<f32> =
+            (0..2 * kb * NR).map(|i| ((i * 11) % 17) as f32 * 0.2 - 1.5).collect();
+        let ldc = 2 * NR + 3;
+        for accumulate in [false, true] {
+            let seed: Vec<f32> = (0..MR * ldc).map(|i| i as f32 * 0.01).collect();
+            let (mut pair, mut single) = (seed.clone(), seed);
+            // SAFETY: avx512f verified above; strips and panels sized to kb.
+            unsafe {
+                ukern_x86::avx512_pair(kb, &pa, &pb, &mut pair, ldc, accumulate);
+                ukern_x86::avx512::<MR>(
+                    kb,
+                    &pa,
+                    &pb[..kb * NR],
+                    &mut single,
+                    ldc,
+                    NR,
+                    accumulate,
+                );
+                ukern_x86::avx512::<MR>(
+                    kb,
+                    &pa,
+                    &pb[kb * NR..],
+                    &mut single[NR..],
+                    ldc,
+                    NR,
+                    accumulate,
+                );
+            }
+            assert_eq!(bits(&pair), bits(&single), "accumulate={accumulate}");
+        }
+    }
+
+    #[test]
+    fn concurrent_callers_match_serial_results() {
+        // four threads drive threaded GEMMs (row and column splits) through
+        // the one pool at once; each result must equal the serial product
+        let shapes = [(64, 200, 40), (24, 96, 512), (70, 500, 9)];
+        let inputs: Vec<(Tensor, Tensor, Tensor)> = shapes
+            .iter()
+            .map(|&(m, k, n)| {
+                let a = Tensor::from_fn(&[m, k], |i| ((i * 13) % 29) as f32 * 0.125 - 1.5);
+                let b = Tensor::from_fn(&[k, n], |i| ((i * 7) % 31) as f32 * 0.25 - 3.0);
+                let mut serial = Tensor::zeros(&[m, n]);
+                dense_into(&a, &b, &mut serial, 1);
+                (a, b, serial)
+            })
+            .collect();
+        let inputs = std::sync::Arc::new(inputs);
+        let callers: Vec<_> = (0..4)
+            .map(|caller| {
+                let inputs = std::sync::Arc::clone(&inputs);
+                std::thread::spawn(move || {
+                    for round in 0..6 {
+                        let (a, b, serial) = &inputs[(caller + round) % inputs.len()];
+                        let mut out = Tensor::full(serial.dims(), f32::NAN);
+                        dense_into(a, b, &mut out, 2 + (caller + round) % 3);
+                        assert_eq!(bits(out.as_slice()), bits(serial.as_slice()));
+                    }
+                })
+            })
+            .collect();
+        for caller in callers {
+            caller.join().expect("a concurrent caller's products match");
+        }
+    }
+
+    #[test]
+    fn a_gemm_inside_a_part_completes_and_many_parts_start_few_threads() {
+        let (m, k, n) = (40, 300, 100);
+        let a = Tensor::from_fn(&[m, k], |i| ((i * 5) % 11) as f32 - 5.0);
+        let b = Tensor::from_fn(&[k, n], |i| ((i * 3) % 7) as f32 - 3.0);
+        let mut serial = Tensor::zeros(&[m, n]);
+        dense_into(&a, &b, &mut serial, 1);
+        // a threaded GEMM called from inside a part runs inline
+        let mut outs = vec![Tensor::zeros(&[m, n]), Tensor::zeros(&[m, n])];
+        for_each_part(&mut outs, |_, out| dense_into(&a, &b, out, 4));
+        for out in &outs {
+            assert_eq!(bits(out.as_slice()), bits(serial.as_slice()));
+        }
+        // 64 parts run on at most hardware_cap() - 1 pool threads
+        let mut wide = Tensor::zeros(&[m, n]);
+        dense_into(&a, &b, &mut wide, 64);
+        assert_eq!(bits(wide.as_slice()), bits(serial.as_slice()));
+        let cap = crate::threads::hardware_cap();
+        assert!(crate::threads::started_workers() < cap, "{cap}");
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Max pooling with argmax tracking for backpropagation.
+//! Max pooling: [`max_pool2d`] with argmax tracking for backpropagation,
+//! and the values-only [`max_pool2d_values`] for inference.
 
 use crate::{Result, Tensor, TensorError};
 
@@ -108,6 +109,49 @@ pub fn max_pool2d(input: &Tensor, spec: &PoolSpec) -> Result<MaxPoolOut> {
     Ok(MaxPoolOut { output, argmax })
 }
 
+/// [`max_pool2d`] without the argmax: the pooled `[N, C, Ho, Wo]` values
+/// only, for inference, which never routes a gradient. Each window is
+/// scanned in the same order with the same `>` comparisons from
+/// `-∞`, so every output bit equals [`max_pool2d`]'s.
+///
+/// # Errors
+///
+/// Returns rank/geometry errors for inconsistent arguments.
+pub fn max_pool2d_values(input: &Tensor, spec: &PoolSpec) -> Result<Tensor> {
+    if input.rank() != 4 {
+        return Err(TensorError::RankMismatch {
+            expected: 4,
+            actual: input.rank(),
+            op: "max_pool2d",
+        });
+    }
+    let (n, c, h, w) = (input.dims()[0], input.dims()[1], input.dims()[2], input.dims()[3]);
+    let ho = spec.out_extent(h)?;
+    let wo = spec.out_extent(w)?;
+    let mut output = Tensor::zeros(&[n, c, ho, wo]);
+    let src = input.as_slice();
+    for (plane, dst) in
+        src.chunks_exact(h * w).zip(output.as_mut_slice().chunks_exact_mut(ho * wo))
+    {
+        for (oy, out_row) in dst.chunks_exact_mut(wo).enumerate() {
+            let rows = &plane[oy * spec.stride * w..][..spec.window * w];
+            for (ox, d) in out_row.iter_mut().enumerate() {
+                let x0 = ox * spec.stride;
+                let mut best = f32::NEG_INFINITY;
+                for row in rows.chunks_exact(w) {
+                    for &v in &row[x0..x0 + spec.window] {
+                        if v > best {
+                            best = v;
+                        }
+                    }
+                }
+                *d = best;
+            }
+        }
+    }
+    Ok(output)
+}
+
 /// Backward pass of max pooling: routes each output gradient to the winning
 /// input position recorded in `argmax`.
 ///
@@ -184,6 +228,32 @@ mod tests {
         let p = PoolSpec::vgg2x2();
         assert!(p.out_extent(1).is_err());
         assert!(max_pool2d(&Tensor::zeros(&[2, 2]), &p).is_err());
+    }
+
+    #[test]
+    fn values_only_pool_matches_the_argmax_pool_bitwise() {
+        // ties, -0.0 vs +0.0, NaN and all -inf windows, odd extents that
+        // leave a trailing row and column, and an overlapping window
+        let pattern = [1.0, -0.0, 0.0, f32::NAN, -2.5, 1.0, f32::NEG_INFINITY, 3.0, -7.0];
+        let input = Tensor::from_fn(&[2, 3, 7, 5], |i| pattern[(i * 7) % pattern.len()]);
+        let all_neg_inf = Tensor::full(&[1, 1, 2, 2], f32::NEG_INFINITY);
+        for spec in
+            [PoolSpec::vgg2x2(), PoolSpec::new(3, 2).unwrap(), PoolSpec::new(1, 1).unwrap()]
+        {
+            for x in [&input, &all_neg_inf] {
+                if spec.window > x.dims()[2] {
+                    continue;
+                }
+                let full = max_pool2d(x, &spec).unwrap().output;
+                let values = max_pool2d_values(x, &spec).unwrap();
+                assert_eq!(values.dims(), full.dims());
+                let bits = |t: &Tensor| {
+                    t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                };
+                assert_eq!(bits(&values), bits(&full), "{spec:?}");
+            }
+        }
+        assert!(max_pool2d_values(&Tensor::zeros(&[2, 2]), &PoolSpec::vgg2x2()).is_err());
     }
 
     #[test]

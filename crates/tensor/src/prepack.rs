@@ -55,6 +55,7 @@ use crate::matmul::{
     isa, pack_a, pack_b_chunk, sparse_dispatch, ALayout, AOperand, BLayout, Isa, KC,
     THREAD_MIN_MACS,
 };
+use crate::threads::for_each_part;
 use crate::{
     Result, SparseDispatch, SparseStats, Tensor, TensorError, MR, NR, SPARSE_ACTIVE_MAX,
 };
@@ -894,16 +895,7 @@ fn fused_rows_into(
             acts.push(achunk);
         }
     }
-    if let [(jp0, outs, acts)] = &mut slots[..] {
-        run_stripe(outs, acts, *jp0);
-        return Ok(stats);
-    }
-    std::thread::scope(|scope| {
-        for (jp0, mut outs, mut acts) in slots {
-            let run_stripe = &run_stripe;
-            scope.spawn(move || run_stripe(&mut outs, &mut acts, jp0));
-        }
-    });
+    for_each_part(&mut slots, |_, (jp0, outs, acts)| run_stripe(outs, acts, *jp0));
     Ok(stats)
 }
 

@@ -109,11 +109,19 @@ if [[ "$run_tests" == 1 ]]; then
     # FMA).
     echo "==> golden logits checksums"
     if [[ "$(uname -m)" == x86_64 ]] && grep -qw fma /proc/cpuinfo; then
-        golden_batch=$(./target/release/mime batch --images 6 --tasks 3)
-        grep -Eq '^ *logits checksum: +6211ee016172787c$' <<<"$golden_batch" \
-            && grep -Eq '^ *macs executed: +3170364$' <<<"$golden_batch" \
-            || { echo "FAIL: mime batch --images 6 --tasks 3 moved:" >&2
-                 grep -E 'logits checksum|macs executed' <<<"$golden_batch" >&2; exit 1; }
+        # the kernels' part count comes from MIME_THREADS; the bits must
+        # not, so the batch runs at the default count, 1 and 3
+        for threads in default 1 3; do
+            if [[ "$threads" == default ]]; then
+                golden_batch=$(./target/release/mime batch --images 6 --tasks 3)
+            else
+                golden_batch=$(MIME_THREADS=$threads ./target/release/mime batch --images 6 --tasks 3)
+            fi
+            grep -Eq '^ *logits checksum: +6211ee016172787c$' <<<"$golden_batch" \
+                && grep -Eq '^ *macs executed: +3170364$' <<<"$golden_batch" \
+                || { echo "FAIL: mime batch --images 6 --tasks 3 (MIME_THREADS=$threads) moved:" >&2
+                     grep -E 'logits checksum|macs executed' <<<"$golden_batch" >&2; exit 1; }
+        done
         golden_serve=$(timeout 120 ./target/release/mime serve --requests 64 --tasks 3) \
             || { echo "FAIL: mime serve --requests 64 --tasks 3" >&2; exit 1; }
         grep -Eq '^ *logits checksum: +4b1c1d1c93742306$' <<<"$golden_serve" \
