@@ -1,6 +1,6 @@
 //! Kernel-level benchmark with a tracked baseline: GEMM, batched conv
-//! lowering, the sparse dispatcher, the fused epilogue, the batched fused
-//! FC kernel and resident conv weights at paper VGG16 geometries.
+//! lowering, the sparse dispatcher, the batched fused FC kernel and
+//! resident conv weights at paper VGG16 geometries.
 //!
 //! Writes `BENCH_kernels.json` (median-of-k wall times + GFLOP/s) so
 //! perf regressions show up in review; `scripts/bench.sh` runs it under
@@ -19,7 +19,6 @@
 //! agree on naming. The instrumentation *hooks* stay disabled while
 //! timing, so measured kernels run the one-atomic-load disabled path.
 
-use mime_core::{apply_thresholds_rescan, channel_activity_rescan};
 use mime_systolic::{vgg16_geometry_with, LayerGeometry};
 use mime_tensor::{
     conv2d, matmul_fused_batch_into, matmul_fused_row_into, matmul_prepacked_a_into,
@@ -453,110 +452,6 @@ fn bench_sparse(mode: Mode) -> Vec<SparseRow> {
     rows
 }
 
-struct FusedRow {
-    name: String,
-    m: usize,
-    k: usize,
-    unfused_1t_ms: f64,
-    fused_1t_ms: f64,
-    active_out: usize,
-    bitmaps_equal: bool,
-    max_abs_diff: f64,
-}
-
-/// FC geometries (`sites == 1`) for the fused-epilogue suite — the only
-/// layers the runtime runs through the fused kernel.
-fn fused_cases(mode: Mode) -> Vec<(String, usize, usize)> {
-    if mode == Mode::Smoke {
-        return vec![("tiny_fc".into(), 16, 48)];
-    }
-    let picks: &[&str] = match mode {
-        Mode::Full => &["conv14", "conv15", "conv16"],
-        _ => &["conv14"],
-    };
-    vgg16_geometry_with(224, 4096, 1000)
-        .into_iter()
-        .filter(|g| g.sites() == 1 && picks.contains(&g.name.as_str()))
-        .map(|g: LayerGeometry| (g.name.clone(), g.k, g.taps()))
-        .collect()
-}
-
-/// The executor's FC before/after: "before" is the on-the-fly-packed
-/// GEMM followed by the retired re-scan passes (bias add, eq. (2)
-/// threshold compare, activity scan — each a full sweep over the output
-/// in memory); "after" is the fused kernel over resident §6 panels,
-/// which folds all three into the microkernel epilogue. `main` gates the
-/// outputs bit-identical (`max_abs_diff == 0`) and the activity bitmaps
-/// equal.
-fn bench_fused(mode: Mode) -> Vec<FusedRow> {
-    let reps = mode.reps();
-    fused_cases(mode)
-        .into_iter()
-        .map(|(name, m, k)| {
-            let w = fill(&[m, k], 8);
-            let x = fill(&[k, 1], 9);
-            let bias = fill(&[m], 10);
-            // mixed bank: negative entries keep the channel, large
-            // positive ones zero it — both epilogue branches get hit
-            let thresholds = Tensor::from_fn(&[m], |j| ((j % 17) as f32 - 2.0) * 1.5);
-            let mut y_ref = Tensor::zeros(&[m, 1]);
-            let mut activity_ref = Vec::new();
-            let unfused_1t_ms = median_ms(reps, || {
-                dense_into(&w, &x, &mut y_ref, 1);
-                for (v, b) in y_ref.as_mut_slice().iter_mut().zip(bias.as_slice()) {
-                    *v += b;
-                }
-                apply_thresholds_rescan(y_ref.as_mut_slice(), thresholds.as_slice());
-                activity_ref = channel_activity_rescan(y_ref.as_slice(), m, 1);
-            });
-            let pb = PrepackedB::from_weight_transposed(&w, k, m).unwrap();
-            let mut y = Tensor::zeros(&[m, 1]);
-            let mut activity = Vec::new();
-            let fused_1t_ms = median_ms(reps, || {
-                matmul_fused_row_into(
-                    &x,
-                    &pb,
-                    &bias,
-                    FusedMask::Thresholds(thresholds.as_slice()),
-                    None,
-                    SparseDispatch::Auto,
-                    &mut y,
-                    &mut activity,
-                    1,
-                )
-                .unwrap();
-            });
-            let max_abs_diff = max_abs_diff(&y, &y_ref);
-            let bitmaps_equal = activity == activity_ref;
-            let active_out = activity.iter().filter(|&&a| a).count();
-            println!(
-                "fused {name:>9} m={m:<5} k={k:<5} unfused 1t {unfused_1t_ms:8.2} ms  \
-                 fused 1t {fused_1t_ms:8.2} ms  x{:.2}  active {active_out}/{m}  \
-                 |Δ|max {max_abs_diff:.1e}  bitmaps_equal={bitmaps_equal}",
-                unfused_1t_ms / fused_1t_ms,
-            );
-            let reg = mime_obs::metrics::global();
-            for (kernel, ms) in [("unfused_1t", unfused_1t_ms), ("fused_1t", fused_1t_ms)] {
-                reg.gauge_with(
-                    "mime_bench_fused_ms",
-                    &[("case", &name), ("kernel", kernel)],
-                )
-                .set(ms);
-            }
-            FusedRow {
-                name,
-                m,
-                k,
-                unfused_1t_ms,
-                fused_1t_ms,
-                active_out,
-                bitmaps_equal,
-                max_abs_diff,
-            }
-        })
-        .collect()
-}
-
 struct FusedBatchRow {
     name: String,
     k: usize,
@@ -872,7 +767,6 @@ fn write_report(
     gemm: &[GemmRow],
     conv: &[ConvRow],
     sparse: &[SparseRow],
-    fused: &[FusedRow],
     fused_batch: &[FusedBatchRow],
     resident: &[ResidentRow],
 ) {
@@ -881,8 +775,9 @@ fn write_report(
     // v5 = v4 minus the pre-PR scalar baseline (scalar_prepr_ms,
     // speedup_mt_vs_prepr_scalar), with b_pack_ms renamed pack_ms and
     // the conv rows' prepacked columns timing the resident A strips;
-    // v6 = v5 plus the fused_batch section
-    s.push_str("  \"schema\": \"mime-bench-kernels/v6\",\n");
+    // v6 = v5 plus the fused_batch section; v7 = v6 minus the fused
+    // section (its fused leg is the kernel fused_batch's single rows time)
+    s.push_str("  \"schema\": \"mime-bench-kernels/v7\",\n");
     s.push_str(&format!("  \"mode\": \"{}\",\n", mode.name()));
     s.push_str(&format!("  \"threads_mt\": {threads_mt},\n"));
     s.push_str(
@@ -902,8 +797,7 @@ fn write_report(
          b_pack_ms/prepacked_1t_ms packed the im2col B side, which the runtime never \
          keeps resident, so those conv-row columns do not compare across v4 and v5; \
          sparse: dispatcher vs dense packed kernel, single-threaded, gated \
-         bit-identical; fused: GEMM+bias+threshold+activity epilogue vs the retired \
-         re-scan passes, gated bit-identical with equal bitmaps; fused_batch: CIFAR VGG16 \
+         bit-identical; fused_batch: CIFAR VGG16 \
          FC layers, one matmul_fused_batch_into call over B samples (two tasks' threshold \
          banks in turn, a given ~37% activity list per sample) vs the same samples as B \
          matmul_fused_row_into calls, at the runtime worker count, with a 192 MiB buffer \
@@ -1001,25 +895,6 @@ fn write_report(
         ));
     }
     s.push_str("  ],\n");
-    s.push_str("  \"fused\": [\n");
-    for (i, r) in fused.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"m\": {}, \"k\": {}, \"unfused_1t_ms\": {}, \
-             \"fused_1t_ms\": {}, \"speedup_fused\": {}, \"active_out\": {}, \
-             \"bitmaps_equal\": {}, \"max_abs_diff\": {:.3e}}}{}\n",
-            r.name,
-            r.m,
-            r.k,
-            json_f(r.unfused_1t_ms),
-            json_f(r.fused_1t_ms),
-            json_f(r.unfused_1t_ms / r.fused_1t_ms),
-            r.active_out,
-            r.bitmaps_equal,
-            r.max_abs_diff,
-            if i + 1 < fused.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
     s.push_str("  \"fused_batch\": [\n");
     for (i, r) in fused_batch.iter().enumerate() {
         s.push_str(&format!(
@@ -1094,7 +969,6 @@ fn main() {
     let gemm = bench_gemm(args.mode, threads_mt);
     let conv = bench_conv(args.mode);
     let sparse = bench_sparse(args.mode);
-    let fused = bench_fused(args.mode);
     let fused_batch = bench_fused_batch(args.mode);
     let resident = bench_resident(args.mode);
     write_report(
@@ -1104,7 +978,6 @@ fn main() {
         &gemm,
         &conv,
         &sparse,
-        &fused,
         &fused_batch,
         &resident,
     );
@@ -1151,16 +1024,6 @@ fn main() {
                 "FAIL: fused batch {} diverges from its per-sample single calls \
                  (|Δ|max {:.3e}, bits_equal={}, bitmaps_equal={})",
                 r.name, r.max_abs_diff, r.bits_equal, r.bitmaps_equal
-            );
-            std::process::exit(1);
-        }
-    }
-    for r in &fused {
-        if r.max_abs_diff != 0.0 || !r.bitmaps_equal {
-            eprintln!(
-                "FAIL: fused epilogue {} diverges from the re-scan reference \
-                 (|Δ|max {:.3e}, bitmaps_equal={})",
-                r.name, r.max_abs_diff, r.bitmaps_equal
             );
             std::process::exit(1);
         }

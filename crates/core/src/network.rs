@@ -3,10 +3,9 @@
 
 use crate::{ThresholdGranularity, ThresholdMask};
 use mime_nn::{
-    Conv2d, Flatten, Layer, LayerKind, Linear, MaxPool2d, Parameter, Sequential, VggArch,
-    VggBlock,
+    Conv2d, Flatten, Layer, Linear, MaxPool2d, Parameter, Sequential, VggArch, VggBlock,
 };
-use mime_tensor::{ConvSpec, PoolSpec, SparseDispatch, SparseStats, Tensor, TensorError};
+use mime_tensor::{ConvSpec, PoolSpec, Tensor, TensorError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
@@ -176,7 +175,9 @@ impl MimeNetwork {
         &self.arch
     }
 
-    /// Forward pass.
+    /// Forward pass: the dense reference every execution path must match
+    /// bitwise (the runtime executor's software path skips zero rows and
+    /// still reproduces these logits bit for bit).
     ///
     /// # Errors
     ///
@@ -190,65 +191,6 @@ impl MimeNetwork {
             };
         }
         Ok(x)
-    }
-
-    /// Inference forward pass through the sparse fast path: every
-    /// threshold mask emits a per-channel activity bitmap which is handed
-    /// to the next GEMM layer so it can compact away the pruned rows
-    /// without re-scanning the activation. The bitmap survives pooling
-    /// and ReLU (an all-zero channel stays all-zero) and is expanded from
-    /// channels to features across `Flatten`; the output is
-    /// **bit-identical** to [`forward`](Self::forward).
-    ///
-    /// Returns the logits plus `(layer_name, stats)` for every GEMM layer
-    /// that went through the sparse dispatcher, in network order. Does
-    /// not cache intermediates — pair with [`forward`](Self::forward),
-    /// not [`backward`](Self::backward).
-    ///
-    /// # Errors
-    ///
-    /// Propagates layer errors.
-    pub fn forward_sparse(
-        &mut self,
-        input: &Tensor,
-        dispatch: SparseDispatch,
-    ) -> crate::Result<(Tensor, Vec<(String, SparseStats)>)> {
-        let mut x = input.clone();
-        let mut pending: Option<Vec<bool>> = None;
-        let mut stats = Vec::new();
-        for stage in &mut self.stages {
-            match stage {
-                Stage::Backbone(l) => {
-                    let in_dims = x.dims().to_vec();
-                    let (y, s) = l.forward_sparse(&x, pending.as_deref(), dispatch)?;
-                    if let Some(s) = s {
-                        stats.push((l.name().to_string(), s));
-                    }
-                    pending = match l.kind() {
-                        // max pooling and ReLU keep all-zero channels
-                        // all-zero, so the bitmap stays valid
-                        LayerKind::Pool | LayerKind::Relu => pending,
-                        // [N, C, H, W] → [N, C·H·W]: channel activity
-                        // expands to per-feature activity
-                        LayerKind::Flatten if in_dims.len() == 4 => pending.map(|act| {
-                            let sites: usize = in_dims[2..].iter().product();
-                            act.iter()
-                                .flat_map(|&a| std::iter::repeat_n(a, sites))
-                                .collect()
-                        }),
-                        // consumed by the GEMM (or unknown layer — drop
-                        // rather than risk a stale promise)
-                        _ => None,
-                    };
-                    x = y;
-                }
-                Stage::Mask(m) => {
-                    x = m.forward(&x)?;
-                    pending = Some(m.channel_activity().to_vec());
-                }
-            }
-        }
-        Ok((x, stats))
     }
 
     /// Forward pass that records the **pre-mask** activation of every
@@ -532,34 +474,6 @@ mod tests {
         let sp = net.layer_sparsities();
         assert_eq!(sp.len(), 15);
         assert!(sp.iter().all(|(_, s)| (0.0..=1.0).contains(s)));
-    }
-
-    #[test]
-    fn forward_sparse_is_bit_identical_to_forward() {
-        let (arch, parent) = mini();
-        let mut net = MimeNetwork::from_trained(&arch, &parent, 0.05).unwrap();
-        let x = Tensor::from_fn(&[1, 3, 32, 32], |i| (i % 17) as f32 * 0.1);
-        let dense = net.forward(&x).unwrap();
-        for dispatch in
-            [SparseDispatch::Auto, SparseDispatch::SparseOnly, SparseDispatch::DenseOnly]
-        {
-            let (y, stats) = net.forward_sparse(&x, dispatch).unwrap();
-            assert_eq!(y.as_slice(), dense.as_slice(), "dispatch={dispatch:?}");
-            // 13 convs + 2 hidden FCs + classifier = 16 GEMM layers
-            assert_eq!(stats.len(), 16, "dispatch={dispatch:?}");
-        }
-        // with thresholds this high, the masks prune aggressively and the
-        // compactor must skip rows on the masked layers
-        let mut banks = net.export_thresholds();
-        for b in &mut banks {
-            b.map_inplace(|_| 0.5);
-        }
-        net.import_thresholds(&banks).unwrap();
-        let dense = net.forward(&x).unwrap();
-        let (y, stats) = net.forward_sparse(&x, SparseDispatch::Auto).unwrap();
-        assert_eq!(y.as_slice(), dense.as_slice());
-        let skipped: usize = stats.iter().map(|(_, s)| s.rows_skipped()).sum();
-        assert!(skipped > 0, "aggressive thresholds must skip GEMM rows");
     }
 
     #[test]

@@ -124,11 +124,9 @@ pub fn measure_sparsity_baseline(
 }
 
 /// Reference implementation of the eq. (2) threshold pass: keep each
-/// value iff `v - t >= 0.0`, else write exact `0.0`. This is the
-/// separate compare-and-zero sweep the runtime used to run after every
-/// FC GEMM; the fused kernel epilogue now applies the identical
-/// arithmetic in-register, and this function survives as the unfused
-/// reference the parity tests (and the non-prepacked path) run against.
+/// value iff `v - t >= 0.0`, else write exact `0.0`. The runtime
+/// executor runs it on every conv output; on FC steps the fused kernel
+/// epilogue applies the identical arithmetic in-register.
 pub fn apply_thresholds_rescan(values: &mut [f32], thresholds: &[f32]) {
     debug_assert_eq!(values.len(), thresholds.len());
     for (v, t) in values.iter_mut().zip(thresholds) {
@@ -139,9 +137,9 @@ pub fn apply_thresholds_rescan(values: &mut [f32], thresholds: &[f32]) {
 /// Reference implementation of the per-channel activity re-scan: channel
 /// `ki` is active iff any of its `sites` values is nonzero (`-0.0`
 /// counts as zero — it contributes exact `±0.0` GEMM terms downstream).
-/// This full second pass over the activation tensor is what the fused
-/// epilogue retires; it is kept as the reference bitmap the fused path
-/// `debug_assert`s against and the unfused path still uses.
+/// The runtime executor runs this second pass on every conv output; on
+/// FC steps the fused epilogue emits the bitmap instead, and debug builds
+/// assert it equal to this one.
 pub fn channel_activity_rescan(values: &[f32], channels: usize, sites: usize) -> Vec<bool> {
     debug_assert_eq!(values.len(), channels * sites);
     (0..channels)

@@ -55,11 +55,6 @@ pub struct ThresholdMask {
     /// Sparsity of the most recent forward output (fraction of masked
     /// neurons), for cheap instrumentation.
     last_sparsity: f64,
-    /// Per-channel activity of the most recent forward output (first
-    /// neuron dimension; per-feature for rank-1 masks): `true` iff any
-    /// neuron of the channel survived in any batch image. Feeds the
-    /// sparse GEMM fast path of the next layer.
-    activity: Vec<bool>,
 }
 
 /// How many neurons share one threshold parameter.
@@ -122,7 +117,6 @@ impl ThresholdMask {
             name,
             cache: None,
             last_sparsity: 0.0,
-            activity: Vec::new(),
         }
     }
 
@@ -175,17 +169,6 @@ impl ThresholdMask {
         self.last_sparsity
     }
 
-    /// Per-channel activity bitmap from the most recent forward pass
-    /// (empty before the first forward). One entry per first-dimension
-    /// slice of the per-image activation — output channels for a conv
-    /// mask, features for an FC mask — `true` iff any neuron in that
-    /// slice passed its threshold in any image of the batch. A `false`
-    /// entry therefore promises the whole output slice is exactly zero,
-    /// which is what the downstream sparse GEMM path consumes.
-    pub fn channel_activity(&self) -> &[bool] {
-        &self.activity
-    }
-
     fn check_input(&self, input: &Tensor) -> mime_tensor::Result<usize> {
         if input.rank() != self.neuron_dims.len() + 1
             || input.dims()[1..] != self.neuron_dims[..]
@@ -212,16 +195,12 @@ impl Layer for ThresholdMask {
     fn forward(&mut self, input: &Tensor) -> mime_tensor::Result<Tensor> {
         let n = self.check_input(input)?;
         let per_img = self.num_neurons();
-        let channels = self.neuron_dims.first().copied().unwrap_or(1);
-        let sites = (per_img / channels.max(1)).max(1);
         let tv = self.thresholds.value.as_slice();
         let xv = input.as_slice();
         let mut out = Tensor::zeros(input.dims());
         let ov = out.as_mut_slice();
         let mut mask = vec![0.0f32; n * per_img];
         let mut masked = 0usize;
-        self.activity.clear();
-        self.activity.resize(channels, false);
         for b in 0..n {
             for i in 0..per_img {
                 let idx = b * per_img + i;
@@ -229,7 +208,6 @@ impl Layer for ThresholdMask {
                 if xv[idx] - tv[i / self.group] >= 0.0 {
                     mask[idx] = 1.0;
                     ov[idx] = xv[idx]; // eq. (2): a = y · m
-                    self.activity[i / sites] = true;
                 } else {
                     masked += 1;
                 }
@@ -472,42 +450,6 @@ mod tests {
         let yb = b.forward(&x).unwrap();
         assert_eq!(ya.as_slice(), yb.as_slice());
         assert_eq!(a.num_thresholds(), b.num_thresholds());
-    }
-
-    #[test]
-    fn channel_activity_tracks_surviving_channels() {
-        let mut m = ThresholdMask::new("t", &[3, 2, 2], 0.5);
-        // channel 0: all below threshold; channel 1: one site passes;
-        // channel 2: all pass
-        let x = Tensor::from_vec(
-            vec![0.1, 0.2, 0.3, 0.4, 0.1, 0.9, 0.1, 0.1, 1.0, 2.0, 3.0, 4.0],
-            &[1, 3, 2, 2],
-        )
-        .unwrap();
-        assert!(m.channel_activity().is_empty(), "empty before first forward");
-        let y = m.forward(&x).unwrap();
-        assert_eq!(m.channel_activity(), &[false, true, true]);
-        // the bitmap's promise: an inactive channel is exactly zero
-        assert_eq!(&y.as_slice()[..4], &[0.0; 4]);
-
-        // any batch image keeping a channel marks it active
-        let x2 = Tensor::from_vec(
-            vec![
-                0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1,
-                0.1, // img 0: none
-                0.9, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1,
-                0.1, // img 1: ch 0
-            ],
-            &[2, 3, 2, 2],
-        )
-        .unwrap();
-        m.forward(&x2).unwrap();
-        assert_eq!(m.channel_activity(), &[true, false, false]);
-
-        // rank-1 (FC) masks report per-feature activity
-        let mut fc = ThresholdMask::new("f", &[4], 1.0);
-        fc.forward(&Tensor::from_vec(vec![0.5, 1.0, 2.0, -3.0], &[1, 4]).unwrap()).unwrap();
-        assert_eq!(fc.channel_activity(), &[false, true, true, false]);
     }
 
     #[test]

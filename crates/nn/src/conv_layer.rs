@@ -2,8 +2,8 @@
 
 use crate::{GemmDims, Layer, LayerKind, Parameter};
 use mime_tensor::{
-    conv2d_backward_with_scratch, conv2d_sparse_with_scratch, conv2d_with_scratch,
-    kaiming_uniform, ConvScratch, ConvSpec, SparseDispatch, SparseStats, Tensor,
+    conv2d_backward_with_scratch, conv2d_with_scratch, kaiming_uniform, ConvScratch,
+    ConvSpec, Tensor,
 };
 use rand::Rng;
 
@@ -152,24 +152,6 @@ impl Layer for Conv2d {
             k: self.in_channels() * self.spec.kernel * self.spec.kernel,
         })
     }
-
-    fn forward_sparse(
-        &mut self,
-        input: &Tensor,
-        active_in: Option<&[bool]>,
-        dispatch: SparseDispatch,
-    ) -> crate::Result<(Tensor, Option<SparseStats>)> {
-        let (out, stats) = conv2d_sparse_with_scratch(
-            input,
-            &self.weight.value,
-            &self.bias.value,
-            &self.spec,
-            &mut self.scratch,
-            active_in,
-            dispatch,
-        )?;
-        Ok((out, Some(stats)))
-    }
 }
 
 #[cfg(test)]
@@ -206,32 +188,6 @@ mod tests {
         }
         // bias grad of sum-loss per pass is 16 sites; two passes accumulate
         assert!((conv.parameters()[1].grad.as_slice()[0] - 32.0).abs() < 1e-3);
-    }
-
-    #[test]
-    fn forward_sparse_is_bit_identical_to_forward() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut conv = Conv2d::new("c", 4, 6, ConvSpec::vgg3x3(), &mut rng);
-        let mut x = Tensor::from_fn(&[2, 4, 5, 5], |i| ((i * 13) % 11) as f32 * 0.2 - 1.0);
-        // channel 2 zeroed in every image, as an upstream threshold would
-        for ni in 0..2 {
-            x.as_mut_slice()[ni * 100 + 50..ni * 100 + 75].fill(0.0);
-        }
-        let dense = conv.forward(&x).unwrap();
-        let bitmap = [true, true, false, true];
-        for (chans, disp) in [
-            (None, SparseDispatch::Auto),
-            (None, SparseDispatch::SparseOnly),
-            (Some(&bitmap[..]), SparseDispatch::SparseOnly),
-            (Some(&bitmap[..]), SparseDispatch::DenseOnly),
-        ] {
-            let (y, stats) = conv.forward_sparse(&x, chans, disp).unwrap();
-            assert_eq!(y.as_slice(), dense.as_slice(), "chans={chans:?} disp={disp:?}");
-            let stats = stats.expect("conv reports sparse stats");
-            if disp == SparseDispatch::SparseOnly {
-                assert_eq!(stats.rows_skipped(), 9, "one inactive channel of 3x3 taps");
-            }
-        }
     }
 
     #[test]

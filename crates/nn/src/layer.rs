@@ -1,6 +1,6 @@
 //! The [`Layer`] trait and the [`Parameter`] container.
 
-use mime_tensor::{SparseDispatch, SparseStats, Tensor};
+use mime_tensor::Tensor;
 
 /// A trainable parameter: its value, the gradient accumulated by the most
 /// recent backward pass, and a freeze flag.
@@ -92,6 +92,11 @@ impl GemmDims {
 /// Layers cache whatever they need during [`forward`](Layer::forward) and
 /// consume the cache in [`backward`](Layer::backward); callers must pair
 /// the two calls. Gradients accumulate into each [`Parameter::grad`].
+///
+/// The trait serves training and the dense reference forward only. No
+/// layer skips work on zero activations: sparse inference runs in the
+/// `mime-runtime` executor over bound, prepacked plans, which must stay
+/// bit-identical to this dense forward.
 pub trait Layer: Send + Sync {
     /// Human-readable layer name (unique within a network).
     fn name(&self) -> &str;
@@ -134,33 +139,6 @@ pub trait Layer: Send + Sync {
     /// flops and matrix dimensions to spans.
     fn gemm_dims(&self, _input_dims: &[usize]) -> Option<GemmDims> {
         None
-    }
-
-    /// **Inference-only** forward through the sparse fast path.
-    ///
-    /// `active_in` is an optional per-input-channel (conv) or per-feature
-    /// (linear) activity bitmap emitted by the preceding threshold/ReLU
-    /// step: a `false` entry promises that slice of the input is exactly
-    /// zero, letting GEMM layers feed the row compactor without
-    /// re-scanning the activation. The output must be **bit-identical**
-    /// to [`forward`](Layer::forward) (skipping exact zeros is exact).
-    ///
-    /// The default ignores the bitmap and runs the dense forward,
-    /// returning `None` stats; GEMM layers override it. Implementations
-    /// need not cache intermediates for a backward pass.
-    ///
-    /// # Errors
-    ///
-    /// Returns a tensor error when `input` (or a provided bitmap) has an
-    /// incompatible shape.
-    fn forward_sparse(
-        &mut self,
-        input: &Tensor,
-        active_in: Option<&[bool]>,
-        dispatch: SparseDispatch,
-    ) -> crate::Result<(Tensor, Option<SparseStats>)> {
-        let _ = (active_in, dispatch);
-        Ok((self.forward(input)?, None))
     }
 }
 

@@ -1,10 +1,7 @@
 //! The fully-connected [`Linear`] layer.
 
 use crate::{GemmDims, Layer, LayerKind, Parameter};
-use mime_tensor::{
-    kaiming_uniform, matmul_nt, matmul_sparse_dispatch_into, matmul_tn, threads,
-    SparseDispatch, SparseStats, Tensor, TensorError,
-};
+use mime_tensor::{kaiming_uniform, matmul_nt, matmul_tn, Tensor, TensorError};
 use rand::Rng;
 
 /// A fully-connected layer: `y = x·Wᵀ + b` with `x: [N, in]`,
@@ -113,55 +110,6 @@ impl Layer for Linear {
         let [n, _] = *input_dims else { return None };
         Some(GemmDims { m: self.out_features(), n, k: self.in_features() })
     }
-
-    fn forward_sparse(
-        &mut self,
-        input: &Tensor,
-        active_in: Option<&[bool]>,
-        dispatch: SparseDispatch,
-    ) -> crate::Result<(Tensor, Option<SparseStats>)> {
-        if input.rank() != 2 || input.dims()[1] != self.in_features() {
-            return Err(TensorError::ShapeMismatch {
-                lhs: input.dims().to_vec(),
-                rhs: self.weight.value.dims().to_vec(),
-                op: "linear",
-            });
-        }
-        if input.dims()[0] != 1 {
-            // the [F, 1] reformulation below coincides with a row of
-            // x·Wᵀ only for a single-image batch; larger batches stay on
-            // the dense path (training never comes through here anyway)
-            return Ok((self.forward(input)?, None));
-        }
-        let f = self.in_features();
-        if let Some(act) = active_in {
-            if act.len() != f {
-                return Err(TensorError::InvalidGeometry(format!(
-                    "{}: activity bitmap length {} does not match in_features {f}",
-                    self.name,
-                    act.len()
-                )));
-            }
-        }
-        // One row of y = x·Wᵀ is yᵀ = W·xᵀ, and for a single image the
-        // [1, F] input *is* the [F, 1] column operand — so the masked
-        // input features become skippable zero k-rows of the GEMM.
-        let xt = input.reshape(&[f, 1])?;
-        let mut yt = Tensor::zeros(&[self.out_features(), 1]);
-        let rows: Option<Vec<usize>> = active_in.map(|act| {
-            act.iter().enumerate().filter_map(|(i, &a)| a.then_some(i)).collect()
-        });
-        let stats = matmul_sparse_dispatch_into(
-            &self.weight.value,
-            &xt,
-            &mut yt,
-            rows.as_deref(),
-            dispatch,
-            threads::worker_count(),
-        )?;
-        let y = yt.reshape(&[1, self.out_features()])?.add(&self.bias.value)?;
-        Ok((y, Some(stats)))
-    }
 }
 
 #[cfg(test)]
@@ -222,38 +170,6 @@ mod tests {
             let num = (lp - lm) / (2.0 * eps);
             assert!((num - gx.as_slice()[idx]).abs() < 1e-2, "dX[{idx}]");
         }
-    }
-
-    #[test]
-    fn forward_sparse_is_bit_identical_to_forward() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut lin = Linear::new("fc", 8, 5, &mut rng);
-        let xv: Vec<f32> =
-            (0..8).map(|i| if i % 3 == 0 { 0.0 } else { i as f32 * 0.3 - 1.0 }).collect();
-        let x = Tensor::from_vec(xv, &[1, 8]).unwrap();
-        let dense = lin.forward(&x).unwrap();
-        let bitmap: Vec<bool> = (0..8).map(|i| i % 3 != 0).collect();
-        for (act, disp) in [
-            (None, SparseDispatch::Auto),
-            (None, SparseDispatch::SparseOnly),
-            (Some(bitmap.as_slice()), SparseDispatch::SparseOnly),
-            (None, SparseDispatch::DenseOnly),
-        ] {
-            let (y, stats) = lin.forward_sparse(&x, act, disp).unwrap();
-            assert_eq!(y.as_slice(), dense.as_slice(), "act={act:?} disp={disp:?}");
-            let stats = stats.expect("single-image linear reports sparse stats");
-            if disp == SparseDispatch::SparseOnly {
-                assert_eq!(stats.rows_skipped(), 3, "features 0, 3, 6 are zero");
-            }
-        }
-        // larger batches fall back to the dense forward (no stats)
-        let xb = Tensor::from_fn(&[3, 8], |i| i as f32 * 0.1);
-        let db = lin.forward(&xb).unwrap();
-        let (yb, sb) = lin.forward_sparse(&xb, None, SparseDispatch::SparseOnly).unwrap();
-        assert_eq!(yb.as_slice(), db.as_slice());
-        assert!(sb.is_none());
-        // a bitmap of the wrong length is rejected
-        assert!(lin.forward_sparse(&x, Some(&[true; 7]), SparseDispatch::Auto).is_err());
     }
 
     #[test]

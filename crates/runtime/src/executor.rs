@@ -110,16 +110,6 @@ impl HardwareExecutor {
         &self.cfg
     }
 
-    /// The compute path array steps run on.
-    pub fn compute_path(&self) -> ComputePath {
-        self.path
-    }
-
-    /// The sparse GEMM dispatch policy (software path only).
-    pub fn sparse_dispatch(&self) -> SparseDispatch {
-        self.dispatch
-    }
-
     /// Clears whichever counters the active path accumulates.
     fn reset_batch_counters(&mut self) {
         self.array.reset();
@@ -617,27 +607,7 @@ fn plan_dense_macs(plan: &BoundNetwork) -> u64 {
     plan.steps()
         .iter()
         .map(|step| match step {
-            BoundLayer::Array { geom, .. } => {
-                let pad = (geom.r - 1) / 2;
-                let mut taps = 0u64;
-                for oy in 0..geom.out_hw {
-                    for ox in 0..geom.out_hw {
-                        for ry in 0..geom.r {
-                            for rx in 0..geom.r {
-                                let (iy, ix) = (oy + ry, ox + rx);
-                                if iy >= pad
-                                    && iy - pad < geom.in_hw
-                                    && ix >= pad
-                                    && ix - pad < geom.in_hw
-                                {
-                                    taps += 1;
-                                }
-                            }
-                        }
-                    }
-                }
-                taps * (geom.c * geom.k) as u64
-            }
+            BoundLayer::Array { geom, .. } => dense_taps(geom) * geom.k as u64,
             BoundLayer::Pool | BoundLayer::Flatten => 0,
         })
         .sum()
@@ -646,8 +616,7 @@ fn plan_dense_macs(plan: &BoundNetwork) -> u64 {
 /// For a stride-1 same-padded conv, the number of output sites along one
 /// axis that read input coordinate `i`: the overlap of
 /// `[i + pad + 1 - r, i + pad]` with `[0, out_hw)`. `Σ span(i)` over the
-/// input axis equals the in-bounds tap count per output row, so
-/// `c · (Σ span)²` reproduces [`plan_dense_macs`]'s per-channel tally.
+/// input axis equals the in-bounds tap count per output row.
 fn tap_spans(in_hw: usize, out_hw: usize, r: usize) -> Vec<u64> {
     let pad = (r - 1) / 2;
     (0..in_hw)
@@ -659,31 +628,37 @@ fn tap_spans(in_hw: usize, out_hw: usize, r: usize) -> Vec<u64> {
         .collect()
 }
 
+/// In-bounds kernel taps of one output channel over every output site
+/// and input channel, `c · (Σ span)²`: the tap walk over sites and
+/// kernel offsets separates into the same count along each axis.
+fn dense_taps(geom: &LayerGeometry) -> u64 {
+    let total: u64 = tap_spans(geom.in_hw, geom.out_hw, geom.r).iter().sum();
+    geom.c as u64 * total * total
+}
+
 /// Analytic MAC accounting mirroring the functional array: one MAC per
 /// in-bounds kernel tap, skipping zero activations when `zero_skip` is
 /// on. Each input pixel feeds `span(iy)·span(ix)` output sites, so the
 /// tally is O(C·HW²) instead of a tap walk. Returns taps for one output
 /// channel; multiply by `geom.k`.
 fn analytic_taps(staged: &[f32], geom: &LayerGeometry, zero_skip: bool) -> u64 {
+    if !zero_skip {
+        return dense_taps(geom);
+    }
     let spans = tap_spans(geom.in_hw, geom.out_hw, geom.r);
-    if zero_skip {
-        let hw = geom.in_hw;
-        let mut taps = 0u64;
-        for ci in 0..geom.c {
-            for (iy, &sy) in spans.iter().enumerate() {
-                let row = &staged[(ci * hw + iy) * hw..][..hw];
-                for (&a, &sx) in row.iter().zip(&spans) {
-                    if a != 0.0 {
-                        taps += sy * sx;
-                    }
+    let hw = geom.in_hw;
+    let mut taps = 0u64;
+    for ci in 0..geom.c {
+        for (iy, &sy) in spans.iter().enumerate() {
+            let row = &staged[(ci * hw + iy) * hw..][..hw];
+            for (&a, &sx) in row.iter().zip(&spans) {
+                if a != 0.0 {
+                    taps += sy * sx;
                 }
             }
         }
-        taps
-    } else {
-        let total: u64 = spans.iter().sum();
-        geom.c as u64 * total * total
     }
+    taps
 }
 
 /// Each sample's threshold bank for array step `index` (`None` for a
@@ -914,6 +889,7 @@ mod tests {
     use super::*;
     use mime_core::MimeNetwork;
     use mime_nn::{build_network, vgg16_arch, Sequential, VggArch};
+    use mime_systolic::vgg16_geometry_with;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -926,6 +902,51 @@ mod tests {
 
     fn probe() -> Tensor {
         Tensor::from_fn(&[3, 32, 32], |i| ((i * 29) % 13) as f32 * 0.05 - 0.3)
+    }
+
+    /// The tap walk `dense_taps` replaces: every in-bounds kernel tap of
+    /// every output site, once per input channel.
+    fn walked_taps(geom: &LayerGeometry) -> u64 {
+        let pad = (geom.r - 1) / 2;
+        let inside = |i: usize| i >= pad && i - pad < geom.in_hw;
+        let mut taps = 0u64;
+        for oy in 0..geom.out_hw {
+            for ox in 0..geom.out_hw {
+                for ry in 0..geom.r {
+                    for rx in 0..geom.r {
+                        if inside(oy + ry) && inside(ox + rx) {
+                            taps += 1;
+                        }
+                    }
+                }
+            }
+        }
+        taps * geom.c as u64
+    }
+
+    #[test]
+    fn dense_taps_closed_form_matches_the_tap_walk() {
+        // CIFAR VGG16 (32, 10 classes) and the paper's 224 geometry,
+        // FC steps included
+        for geoms in
+            [vgg16_geometry_with(32, 4096, 10), vgg16_geometry_with(224, 4096, 1000)]
+        {
+            assert_eq!(geoms.iter().filter(|g| g.r == 1).count(), 3);
+            for geom in &geoms {
+                assert_eq!(dense_taps(geom), walked_taps(geom), "{geom:?}");
+            }
+        }
+        let (arch, net) = mini();
+        let plan = BoundNetwork::from_baseline(&arch, &net).unwrap();
+        let walked: u64 = plan
+            .steps()
+            .iter()
+            .filter_map(|step| match step {
+                BoundLayer::Array { geom, .. } => Some(walked_taps(geom) * geom.k as u64),
+                BoundLayer::Pool | BoundLayer::Flatten => None,
+            })
+            .sum();
+        assert_eq!(plan_dense_macs(&plan), walked);
     }
 
     #[test]

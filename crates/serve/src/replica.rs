@@ -164,10 +164,26 @@ pub fn run_replica_worker(
         &LadderConfig { rungs: cfg.brownout_rungs.max(1), ..LadderConfig::default() },
     )
     .map_err(|e| ProtoError::Malformed(format!("brownout ladder derivation: {e}")))?;
+    let rungs = ladders
+        .iter()
+        .zip(&parents)
+        .map(|(ladder, parent)| {
+            (0..ladder.len())
+                .map(|rung| {
+                    let plan = ladder.plan(rung);
+                    if plan.validate_thresholds().is_ok() {
+                        (plan, false)
+                    } else {
+                        (parent, true)
+                    }
+                })
+                .collect()
+        })
+        .collect();
     let mut worker = Worker {
         cfg: &cfg,
         parents: &parents,
-        ladders: &ladders,
+        rungs,
         exec: HardwareExecutor::with_options(
             hw,
             ComputePath::Software,
@@ -446,7 +462,11 @@ struct Worker<'a> {
     cfg: &'a ReplicaWorkerConfig,
     /// Each plan with its thresholds stripped: the exact parent path.
     parents: &'a [BoundNetwork],
-    ladders: &'a [BrownoutLadder],
+    /// Per task, the view each validated ladder rung serves and whether
+    /// it is degraded: the rung's plan when its banks pass
+    /// `validate_thresholds`, else the task's parent. Ladders never
+    /// change after `Ready`, so this is worked out once.
+    rungs: Vec<Vec<(&'a BoundNetwork, bool)>>,
     exec: HardwareExecutor,
     heartbeat_seq: u64,
 }
@@ -502,29 +522,23 @@ impl<'a> Worker<'a> {
     /// §13): rungs validated at startup serve their browned threshold
     /// banks; a rung beyond the validated ladder depth serves the
     /// thresholds-stripped parent path and is marked degraded —
-    /// quality-unknown territory the ladder refused to certify. Rung 0
-    /// is the ladder's bit-identical clone of the plan.
+    /// quality-unknown territory the ladder refused to certify — as does
+    /// a rung whose banks failed validation when the worker was built.
+    /// Rung 0 is the ladder's bit-identical clone of the plan.
     fn resolve(&self, r: Request) -> Result<Item<'a>, Frame> {
-        let Some(ladder) = self.ladders.get(r.task as usize) else {
+        let Some(rungs) = self.rungs.get(r.task as usize) else {
             return Err(Frame::ErrorReply {
                 id: r.id,
                 trace: r.trace,
                 code: ErrorCode::UnknownTask,
                 rung: r.rung,
                 retry_after_ms: 0,
-                message: format!("task {} of {}", r.task, self.ladders.len()),
+                message: format!("task {} of {}", r.task, self.rungs.len()),
             });
         };
-        let parent = &self.parents[r.task as usize];
-        let (plan, degraded) = if (r.rung as usize) < ladder.len() {
-            (ladder.plan(r.rung as usize), false)
-        } else {
-            (parent, true)
-        };
-        let (plan, degraded) = if plan.validate_thresholds().is_ok() {
-            (plan, degraded)
-        } else {
-            (parent, true)
+        let (plan, degraded) = match rungs.get(r.rung as usize) {
+            Some(&view) => view,
+            None => (&self.parents[r.task as usize], true),
         };
         Ok(Item {
             id: r.id,

@@ -1276,16 +1276,6 @@ impl SparseStats {
             0
         }
     }
-
-    /// Measured active fraction (`1.0` for an empty product).
-    #[must_use]
-    pub fn active_fraction(&self) -> f64 {
-        if self.k_total == 0 {
-            1.0
-        } else {
-            self.k_active as f64 / self.k_total as f64
-        }
-    }
 }
 
 /// Lists the `k`-rows of `B` with any nonzero element. `-0.0` counts as

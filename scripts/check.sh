@@ -63,9 +63,10 @@ if [[ "$run_tests" == 1 ]]; then
     cargo test -q -p bytes
 
     # kernel-bench smoke: tiny shapes, asserts the threaded GEMM, sparse
-    # dispatch, fused epilogue and resident conv weights still match
-    # their references; writes only under target/ (the tracked
-    # BENCH_kernels.json is refreshed by scripts/bench.sh, not here)
+    # dispatch, the batched fused FC kernel and resident conv weights
+    # still match their references; writes only under target/ (the
+    # tracked BENCH_kernels.json is refreshed by scripts/bench.sh, not
+    # here)
     echo "==> bench_kernels --smoke"
     cargo run --release -p mime-bench --bin bench_kernels -- --smoke
 
@@ -104,7 +105,9 @@ if [[ "$run_tests" == 1 ]]; then
     # MimeNetwork::forward in one process, so a change that moved both
     # alike (tensor storage, the image decode, quantization) would still
     # pass them. These runs pin the absolute bits; `serve` covers pack →
-    # unpack → bind → prepack → fleet. The values are those of a build
+    # unpack → bind → prepack → fleet, and `train` covers the training
+    # path (forward, STE backward, Adam, checkpoint write) through the
+    # bytes of its epoch-1 checkpoint. The values are those of a build
     # that fuses multiply-adds (target-cpu=native on an x86_64 host with
     # FMA).
     echo "==> golden logits checksums"
@@ -121,6 +124,30 @@ if [[ "$run_tests" == 1 ]]; then
                 && grep -Eq '^ *macs executed: +3170364$' <<<"$golden_batch" \
                 || { echo "FAIL: mime batch --images 6 --tasks 3 (MIME_THREADS=$threads) moved:" >&2
                      grep -E 'logits checksum|macs executed' <<<"$golden_batch" >&2; exit 1; }
+        done
+        sha256_of() {
+            if command -v sha256sum >/dev/null 2>&1; then
+                sha256sum "$1" | awk '{print $1}'
+            else
+                python3 -c "import hashlib,sys; \
+print(hashlib.sha256(open(sys.argv[1], 'rb').read()).hexdigest())" "$1"
+            fi
+        }
+        train_golden=4595e1826f3efa72bfcb8061dc061d8fbbfe71441d43d4d61eca970b06b5b346
+        train_ckpt=target/train_golden_ckpt
+        for threads in default 1; do
+            rm -rf "$train_ckpt"
+            if [[ "$threads" == default ]]; then
+                ./target/release/mime train --epochs 2 --seed 7 \
+                    --checkpoint-dir "$train_ckpt" >/dev/null
+            else
+                MIME_THREADS=$threads ./target/release/mime train --epochs 2 --seed 7 \
+                    --checkpoint-dir "$train_ckpt" >/dev/null
+            fi
+            train_sha=$(sha256_of "$train_ckpt/epoch-0001.mime")
+            [[ "$train_sha" == "$train_golden" ]] \
+                || { echo "FAIL: mime train --epochs 2 --seed 7 (MIME_THREADS=$threads) moved:" >&2
+                     echo "epoch-0001.mime sha256 $train_sha" >&2; exit 1; }
         done
         golden_serve=$(timeout 120 ./target/release/mime serve --requests 64 --tasks 3) \
             || { echo "FAIL: mime serve --requests 64 --tasks 3" >&2; exit 1; }
