@@ -164,10 +164,6 @@ pub enum Command {
         /// (default 8). `--no-batch` forces 1 — every dispatch is a
         /// batch of one.
         max_batch: usize,
-        /// Batch-formation linger in milliseconds: how long a partial
-        /// batch waits for a ride-along request once the backlog is
-        /// empty (default 0 = batch from existing backlog only).
-        linger_ms: u64,
     },
     /// `mime replica-worker`: one replica process behind `mime serve`
     /// (spawned by the front door; not for direct use).
@@ -715,7 +711,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, ArgError> {
                     "brownout-rungs",
                     "critical-tasks",
                     "max-batch",
-                    "linger-ms",
                 ],
             )?;
             if !pos.is_empty() {
@@ -767,7 +762,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, ArgError> {
                 brownout_rungs,
                 critical_tasks: get_num(&flags, "critical-tasks", 0)?,
                 max_batch: if no_batch { 1 } else { max_batch },
-                linger_ms: get_num(&flags, "linger-ms", 0)?,
             })
         }
         "replica-worker" => {
@@ -1073,8 +1067,9 @@ mod tests {
     #[test]
     fn dense_only_and_no_prepack_are_rejected() {
         // the software path always runs prepacked operands through the
-        // sparsity-aware dispatcher: neither knob parses, in any position
-        for flag in ["--dense-only", "--no-prepack"] {
+        // sparsity-aware dispatcher, and batches form from the backlog
+        // alone: none of these knobs parses, in any position
+        for flag in ["--dense-only", "--no-prepack", "--linger-ms"] {
             for args in [
                 &["batch", flag][..],
                 &["batch", flag, "--images", "4"],
@@ -1145,7 +1140,6 @@ mod tests {
                 brownout_rungs: 4,
                 critical_tasks: 0,
                 max_batch: 8,
-                linger_ms: 0,
             }
         );
         // one fault set, with or without --listen
@@ -1187,7 +1181,6 @@ mod tests {
                 brownout_rungs: 4,
                 critical_tasks: 0,
                 max_batch: 8,
-                linger_ms: 0,
             }
         );
         assert!(p(&["serve", "--requests", "0"]).is_err());
@@ -1361,19 +1354,13 @@ mod tests {
 
     #[test]
     fn serve_batching_flags() {
-        match p(&["serve", "--max-batch", "16", "--linger-ms", "3"]).unwrap() {
-            Command::Serve { max_batch, linger_ms, .. } => {
-                assert_eq!(max_batch, 16);
-                assert_eq!(linger_ms, 3);
-            }
+        match p(&["serve", "--max-batch", "16"]).unwrap() {
+            Command::Serve { max_batch, .. } => assert_eq!(max_batch, 16),
             other => panic!("{other:?}"),
         }
         // --no-batch is valueless and forces per-request dispatch
         match p(&["serve", "--no-batch", "--listen", "127.0.0.1:0"]).unwrap() {
-            Command::Serve { max_batch, linger_ms, .. } => {
-                assert_eq!(max_batch, 1);
-                assert_eq!(linger_ms, 0);
-            }
+            Command::Serve { max_batch, .. } => assert_eq!(max_batch, 1),
             other => panic!("{other:?}"),
         }
         assert!(p(&["serve", "--max-batch", "0"]).is_err());

@@ -103,7 +103,6 @@ pub fn run(cmd: Command, out: &mut dyn Write) -> Result<(), CliError> {
             brownout_rungs,
             critical_tasks,
             max_batch,
-            linger_ms,
         } => serve(
             out,
             listen.as_deref(),
@@ -122,7 +121,6 @@ pub fn run(cmd: Command, out: &mut dyn Write) -> Result<(), CliError> {
             brownout_rungs,
             critical_tasks,
             max_batch,
-            linger_ms,
         ),
         Command::ReplicaWorker {
             image,
@@ -199,7 +197,7 @@ fn write_help(out: &mut dyn Write) {
          \x20           replica-hang|replica-slow|conn-garbage|conn-truncate]\n\
          \x20           [--inject-every 4] [--no-obs] [--flight-dir <dir>] [--no-brownout]\n\
          \x20           [--brownout-rungs 4] [--critical-tasks 0]\n\
-         \x20           [--max-batch 8 | --no-batch] [--linger-ms 0]\n\
+         \x20           [--max-batch 8 | --no-batch]\n\
          \x20           multi-process TCP front door over supervised replica processes\n\
          \x20           with brownout overload control (DESIGN.md \u{00a7}13) and\n\
          \x20           deadline-aware request batching (DESIGN.md \u{00a7}15);\n\
@@ -613,8 +611,8 @@ fn batch(
             let mut net = MimeNetwork::from_trained(&arch, &parent, 0.03 + 0.09 * i as f32)
                 .map_err(io_err)?;
             if poison == Some(i) {
-                // fault drill: a NaN bank fails validation and degrades
-                // this task to the parent path
+                // fault drill: a NaN bank binds this task as its parent
+                // path
                 let mut banks = net.export_thresholds();
                 FaultInjector::new(seed).poison_tensor(&mut banks[0], 2);
                 net.import_thresholds(&banks).map_err(io_err)?;
@@ -798,7 +796,6 @@ fn serve(
     brownout_rungs: usize,
     critical_tasks: usize,
     max_batch: usize,
-    linger_ms: u64,
 ) -> Result<(), CliError> {
     use mime_serve::{ConnFault, FrontDoor, FrontDoorConfig, OverloadConfig};
     use std::time::Duration;
@@ -872,7 +869,6 @@ fn serve(
         queue_capacity: if capacity == 0 { 64 } else { capacity },
         deadline: Duration::from_millis(deadline_ms),
         max_batch,
-        linger: Duration::from_millis(linger_ms),
         self_inject,
         obs: !no_obs,
         overload: OverloadConfig {

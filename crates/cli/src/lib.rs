@@ -27,7 +27,7 @@
 //! `mime serve` is a multi-process TCP front door: it spawns `--replicas`
 //! copies of this binary as `replica-worker` processes (each loading the
 //! same packed image read-only), supervises them with heartbeat liveness
-//! deadlines, restart budgets and per-replica circuit breakers, and
+//! deadlines, restart budgets and a backoff between respawns, and
 //! guarantees every client request one terminal reply even while replicas
 //! are killed under it. With `--listen` it serves clients until drained;
 //! without, it binds `127.0.0.1:0`, drives `--requests` requests through

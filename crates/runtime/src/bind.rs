@@ -54,6 +54,7 @@ pub struct BoundNetwork {
     classes: usize,
     input_hw: usize,
     in_channels: usize,
+    degraded: Option<MimeError>,
 }
 
 impl BoundNetwork {
@@ -88,83 +89,29 @@ impl BoundNetwork {
             .sum()
     }
 
-    /// Checks every threshold bank for non-finite values — the guard the
-    /// executor runs before trusting a task's plan.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MimeError::NonFinite`] naming the first offending bank
-    /// (by array-step index) and element.
-    pub fn validate_thresholds(&self) -> crate::Result<()> {
-        for (layer, step) in self.steps.iter().enumerate() {
-            if let BoundLayer::Array { thresholds: Some(t), .. } = step {
-                if let Some(index) = first_non_finite(t.as_slice()) {
-                    return Err(MimeError::NonFinite {
-                        stage: "threshold bank",
-                        layer,
-                        index,
-                    });
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Checks the shared parameters (weights and biases) for non-finite
-    /// values. Unlike a bad threshold bank, a bad weight cannot be worked
-    /// around by falling back to the parent path — the weights *are* the
-    /// parent.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MimeError::NonFinite`] naming the first offending step
-    /// and element.
-    pub fn validate_parameters(&self) -> crate::Result<()> {
-        for (layer, step) in self.steps.iter().enumerate() {
-            if let BoundLayer::Array { weight, bias, .. } = step {
-                if let Some(index) = first_non_finite(weight.as_slice()) {
-                    return Err(MimeError::NonFinite { stage: "weights", layer, index });
-                }
-                if let Some(index) = first_non_finite(bias.as_slice()) {
-                    return Err(MimeError::NonFinite { stage: "bias", layer, index });
-                }
-            }
-        }
-        Ok(())
+    /// Why this plan was made as the parent path, if it was: the first
+    /// non-finite threshold ([`MimeError::NonFinite`], stage `"threshold
+    /// bank"`, by step index and element) found when it was bound or
+    /// browned out. Such a plan holds no banks — it is the exact parent
+    /// path over the same frozen weights — so whether a task serves its
+    /// parent path is decided once, when its plan is made, not on every
+    /// run. A copy keeps the verdict.
+    pub fn degraded(&self) -> Option<&MimeError> {
+        self.degraded.as_ref()
     }
 
     /// A copy of this plan with every threshold bank removed: masked
     /// layers fall back to the host-ReLU baseline path, i.e. the parent
-    /// task's exact behavior over the same frozen weights. This is the
-    /// graceful-degradation plan the executor switches to when a task's
-    /// threshold bank fails validation.
+    /// task's exact behavior over the same frozen weights (and their
+    /// prepacked operands).
     pub fn strip_thresholds(&self) -> BoundNetwork {
-        let steps = self
-            .steps
-            .iter()
-            .map(|s| match s {
-                BoundLayer::Array { geom, weight, bias, packed, packed_a, .. } => {
-                    BoundLayer::Array {
-                        geom: geom.clone(),
-                        weight: Arc::clone(weight),
-                        bias: bias.clone(),
-                        thresholds: None,
-                        // stripping thresholds never touches the weights,
-                        // so the degraded plan keeps the shared weights
-                        // and panels
-                        packed: packed.clone(),
-                        packed_a: packed_a.clone(),
-                    }
-                }
-                other => other.clone(),
-            })
-            .collect();
-        BoundNetwork {
-            steps,
-            classes: self.classes,
-            input_hw: self.input_hw,
-            in_channels: self.in_channels,
+        let mut plan = self.clone();
+        for step in &mut plan.steps {
+            if let BoundLayer::Array { thresholds, .. } = step {
+                *thresholds = None;
+            }
         }
+        plan
     }
 
     /// A copy of this plan with every threshold bank scaled by
@@ -177,46 +124,50 @@ impl BoundNetwork {
     ///
     /// `factor == 1.0` reproduces the original plan exactly; factors
     /// below 1.0 are clamped to 1.0 because a rung must never be *more*
-    /// permissive than the fidelity it browns out from.
+    /// permissive than the fidelity it browns out from. A scaled bank
+    /// that overflows to +Inf degrades the rung to the parent path
+    /// (see [`degraded`](Self::degraded)).
     pub fn brownout_rung(&self, factor: f32) -> BoundNetwork {
         let factor = factor.max(1.0);
-        let steps = self
-            .steps
-            .iter()
-            .map(|s| match s {
-                BoundLayer::Array { geom, weight, bias, thresholds, packed, packed_a } => {
-                    BoundLayer::Array {
-                        geom: geom.clone(),
-                        weight: Arc::clone(weight),
-                        bias: bias.clone(),
-                        // raise every threshold monotonically in
-                        // `factor`, whatever its sign: positive values
-                        // scale up, negative values shrink toward zero
-                        // (scaling a negative threshold up would *admit*
-                        // more neurons, the opposite of a brownout)
-                        thresholds: thresholds.as_ref().map(|t| {
-                            t.map(|v| if v >= 0.0 { v * factor } else { v / factor })
-                        }),
-                        // thresholds never touch the weights, so every
-                        // rung keeps the shared weights and panels
-                        packed: packed.clone(),
-                        packed_a: packed_a.clone(),
-                    }
-                }
-                other => other.clone(),
-            })
-            .collect();
-        BoundNetwork {
-            steps,
-            classes: self.classes,
-            input_hw: self.input_hw,
-            in_channels: self.in_channels,
+        let mut rung = self.clone();
+        for step in &mut rung.steps {
+            if let BoundLayer::Array { thresholds: Some(t), .. } = step {
+                // raise every threshold monotonically in `factor`,
+                // whatever its sign: positive values scale up, negative
+                // values shrink toward zero (scaling a negative threshold
+                // up would *admit* more neurons, the opposite of a
+                // brownout)
+                *t = t.map(|v| if v >= 0.0 { v * factor } else { v / factor });
+            }
         }
+        rung.checked()
+    }
+
+    /// Checks each threshold bank once, as the plan is made. A plan
+    /// holding a non-finite threshold loses all its banks — it becomes
+    /// the parent path — and keeps the first such value as its
+    /// [`degraded`](Self::degraded) verdict, logged here.
+    fn checked(mut self) -> BoundNetwork {
+        let bad = self.steps.iter().enumerate().find_map(|(layer, step)| {
+            let BoundLayer::Array { thresholds: Some(t), .. } = step else { return None };
+            let index = first_non_finite(t.as_slice())?;
+            Some(MimeError::NonFinite { stage: "threshold bank", layer, index })
+        });
+        if let Some(error) = bad {
+            mime_obs::warn!(
+                "runtime.bind",
+                "threshold bank invalid; plan degraded to parent path",
+                error = error
+            );
+            self = BoundNetwork { degraded: Some(error), ..self.strip_thresholds() };
+        }
+        self
     }
 
     /// Binds a MIME network: frozen backbone weights plus the currently
     /// installed threshold banks. Per-channel banks are broadcast to
-    /// per-neuron form for the PE comparators.
+    /// per-neuron form for the PE comparators. A bank holding a NaN or
+    /// ±Inf binds the parent path instead (see [`degraded`](Self::degraded)).
     ///
     /// # Errors
     ///
@@ -309,7 +260,9 @@ impl BoundNetwork {
             classes: arch.classes,
             input_hw: arch.input_hw,
             in_channels: arch.in_channels,
-        })
+            degraded: None,
+        }
+        .checked())
     }
 }
 
@@ -616,6 +569,43 @@ mod tests {
         let stats = prepack_plans(&mut plans).unwrap();
         assert_eq!((stats.layers, stats.shared), (3 * 16, 2 * 16));
         assert_shared(&plans, "by prepack");
+    }
+
+    #[test]
+    fn a_rung_whose_bank_overflows_is_the_parent_path() {
+        use crate::{ComputePath, HardwareExecutor, SparseDispatch};
+        use mime_systolic::ArrayConfig;
+        let (arch, parent) = mini();
+        let net = MimeNetwork::from_trained(&arch, &parent, 1e37).unwrap();
+        let mut plans = [BoundNetwork::from_mime(&net).unwrap()];
+        prepack_plans(&mut plans).unwrap();
+        let plan = &plans[0];
+        assert_eq!(plan.degraded(), None);
+        // 4e37 is finite: that rung keeps its scaled banks
+        let healthy = plan.brownout_rung(4.0);
+        assert_eq!(healthy.degraded(), None);
+        assert!(healthy
+            .steps()
+            .iter()
+            .any(|s| matches!(s, BoundLayer::Array { thresholds: Some(_), .. })));
+        // 6.4e38 overflows to +inf in every bank: that rung is degraded
+        let overflowed = plan.brownout_rung(64.0);
+        assert_eq!(
+            overflowed.degraded(),
+            Some(&MimeError::NonFinite { stage: "threshold bank", layer: 0, index: 0 })
+        );
+        let mut exec = HardwareExecutor::with_options(
+            ArrayConfig::eyeriss_65nm(),
+            ComputePath::Software,
+            SparseDispatch::Auto,
+        );
+        let image = Tensor::from_fn(&[3, 32, 32], |i| ((i * 29) % 13) as f32 * 0.05 - 0.3);
+        let mut logits = |p: &BoundNetwork| -> Vec<u32> {
+            exec.run_image(p, &image, true).unwrap().iter().map(|v| v.to_bits()).collect()
+        };
+        let parent_path = logits(&plan.strip_thresholds());
+        assert_eq!(logits(&overflowed), parent_path);
+        assert_ne!(logits(&healthy), parent_path, "the healthy rung must mask");
     }
 
     #[test]

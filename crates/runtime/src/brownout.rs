@@ -84,14 +84,15 @@ impl BrownoutLadder {
     /// [`LadderConfig::max_rank_degradation`] are dropped, along with
     /// every steeper rung after them (threshold scaling is monotone, so
     /// a failed rung can only get worse further up). A plan with no
-    /// threshold banks at all yields a single-rung ladder — there is
-    /// nothing to brown out.
+    /// threshold banks at all — a baseline plan, or one degraded to its
+    /// parent path when it was bound — yields a single-rung ladder:
+    /// there is nothing to brown out.
     ///
     /// # Errors
     ///
-    /// Propagates executor failures from the validation runs (e.g. a
-    /// plan whose banks fail validation) — a ladder must never be
-    /// derived from a plan that cannot serve.
+    /// Propagates executor failures from the validation runs (e.g.
+    /// non-finite logits) — a ladder must never be derived from a plan
+    /// that cannot serve.
     pub fn derive(
         plan: &BoundNetwork,
         hw: ArrayConfig,

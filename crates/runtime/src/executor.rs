@@ -25,9 +25,11 @@ use std::time::Instant;
 ///   for wall-clock speed, over the resident operands
 ///   [`prepack_plans`](crate::prepack_plans) builds: a plan must be
 ///   prepacked before it runs here. MAC and comparison counts are
-///   reconstructed analytically (they match the array's tap-level
-///   accounting exactly); memory-hierarchy counters stay zero, which the
-///   batch accounting tolerates.
+///   reconstructed analytically on
+///   [`run_pipelined`](HardwareExecutor::run_pipelined)'s passes, the
+///   only entry point that reports them (they match the array's
+///   tap-level accounting exactly); memory-hierarchy counters stay zero,
+///   which the batch accounting tolerates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ComputePath {
     /// Functional systolic-array simulation (exact access counters).
@@ -51,10 +53,10 @@ pub struct BatchReport {
     pub threshold_reload_words: u64,
     /// Number of task switches observed.
     pub task_switches: usize,
-    /// Plan indices that failed threshold-bank validation and were run
-    /// on the baseline parent path instead (graceful degradation),
-    /// sorted ascending. Only indices actually referenced by the batch
-    /// appear.
+    /// Indices of plans degraded when they were bound
+    /// ([`BoundNetwork::degraded`]), which ran the baseline parent path
+    /// (graceful degradation), sorted ascending. Only indices actually
+    /// referenced by the batch appear.
     pub degraded_tasks: Vec<usize>,
     /// Per-image logits.
     pub logits: Vec<Vec<f32>>,
@@ -181,8 +183,10 @@ impl HardwareExecutor {
     /// between-layer deadline checks.
     ///
     /// This is the executor's one step loop: [`run_image`](Self::run_image)
-    /// is its batch of one, and every other entry point reaches the plan
-    /// steps through it.
+    /// is its batch of one, and [`run_pipelined`](Self::run_pipelined)
+    /// runs each pass through it with the software path's analytic
+    /// MAC/compare tally on (no other entry point reports counters, so
+    /// none other pays for the tally).
     ///
     /// ## Contract: one backbone, many views
     ///
@@ -269,6 +273,22 @@ impl HardwareExecutor {
         guard: &mut dyn FnMut(usize) -> crate::Result<()>,
         threads: usize,
     ) -> crate::Result<Vec<Vec<f32>>> {
+        self.run_steps(plans, images, zero_skip, guard, threads, false)
+    }
+
+    /// The step loop behind
+    /// [`run_coalesced_guarded_with_threads`](Self::run_coalesced_guarded_with_threads);
+    /// `tally` adds the software path's analytic MACs and compares to the
+    /// batch counters.
+    fn run_steps(
+        &mut self,
+        plans: &[&BoundNetwork],
+        images: &[&Tensor],
+        zero_skip: bool,
+        guard: &mut dyn FnMut(usize) -> crate::Result<()>,
+        threads: usize,
+        tally: bool,
+    ) -> crate::Result<Vec<Vec<f32>>> {
         if plans.len() != images.len() {
             return Err(MimeError::PlanMismatch {
                 what: "coalesced batch",
@@ -342,13 +362,16 @@ impl HardwareExecutor {
                     } else {
                         x.reshape(&[b, geom.c, geom.in_hw, geom.in_hw])?
                     };
-                    if software {
+                    if software && tally {
                         // analytic MACs per sample, on the pre-GEMM input
-                        // (they match the array's tap count)
+                        // (they match the array's tap count), and one
+                        // compare per output of each banked sample
                         for staged in x_in.as_slice().chunks_exact(per_in) {
                             self.sw_counters.macs +=
                                 analytic_taps(staged, geom, zero_skip) * geom.k as u64;
                         }
+                        self.sw_counters.cmps +=
+                            (banks.iter().flatten().count() * per_out) as u64;
                     }
                     // the software arms read the lead plan's resident
                     // operands, packed from the weight every plan shares
@@ -407,9 +430,6 @@ impl HardwareExecutor {
                                 threads,
                             )?;
                             for (s, st) in stats.iter().enumerate() {
-                                if banks[s].is_some() {
-                                    self.sw_counters.cmps += per_out as u64;
-                                }
                                 let act = &activity[s * per_out..][..per_out];
                                 debug_assert_eq!(
                                     act,
@@ -447,7 +467,6 @@ impl HardwareExecutor {
                                     // eq. (2): keep iff acc - t >= 0, else
                                     // exact zero — per-sample bank hot-swap
                                     mime_core::apply_thresholds_rescan(slice, t.as_slice());
-                                    self.sw_counters.cmps += per_out as u64;
                                 } else if geom.masked {
                                     // baseline activation: ReLU
                                     for v in slice.iter_mut() {
@@ -533,13 +552,12 @@ impl HardwareExecutor {
     ///
     /// ## Graceful degradation
     ///
-    /// Before the batch runs, every plan's threshold banks are
-    /// validated. A plan whose banks fail (non-finite values — e.g. a
-    /// corrupted or poisoned child task) is not rejected: its images run
-    /// on the same plan with thresholds stripped, which is exactly the
-    /// baseline parent path over the shared frozen weights. The affected
-    /// plan indices are recorded in [`BatchReport::degraded_tasks`];
-    /// sibling tasks are unaffected.
+    /// A plan bound from a non-finite threshold bank (a corrupted or
+    /// poisoned child task) was made without banks: it is exactly the
+    /// baseline parent path over the shared frozen weights (see
+    /// [`BoundNetwork::degraded`]). Its images run on it like any other
+    /// plan's, and the batch's indices of such plans are recorded in
+    /// [`BatchReport::degraded_tasks`]; sibling tasks are unaffected.
     ///
     /// # Errors
     ///
@@ -558,18 +576,24 @@ impl HardwareExecutor {
         if let Some(span) = batch_span.as_mut() {
             span.arg("images", batch.len());
         }
-        let fallbacks = compute_fallbacks(plans);
-        let effective = effective_plans(plans, &fallbacks);
-        let acct = batch_accounting(&effective, &fallbacks, batch, shared_weights)?;
+        let acct = batch_accounting(plans, batch, shared_weights)?;
+        let threads = mime_tensor::threads::worker_count();
         let mut logits = Vec::with_capacity(batch.len());
         for pass in batch.chunk_by(|a, b| shared_weights || a.0 == b.0) {
             let views: Vec<&BoundNetwork> =
-                pass.iter().map(|(task, _)| effective[*task]).collect();
+                pass.iter().map(|(task, _)| &plans[*task]).collect();
             let images: Vec<&Tensor> = pass.iter().map(|(_, image)| image).collect();
-            logits.extend(self.run_coalesced(&views, &images, zero_skip)?);
+            logits.extend(self.run_steps(
+                &views,
+                &images,
+                zero_skip,
+                &mut |_| Ok(()),
+                threads,
+                true,
+            )?);
         }
         let report = acct.into_report(self.batch_counters(), logits);
-        publish_batch_metrics(&effective, batch, &report);
+        publish_batch_metrics(plans, batch, &report);
         Ok(report)
     }
 }
@@ -577,7 +601,7 @@ impl HardwareExecutor {
 /// Publishes the deterministic per-batch counters, derived from the
 /// [`BatchReport`] alone (wall-time histograms live elsewhere).
 fn publish_batch_metrics(
-    effective: &[&BoundNetwork],
+    plans: &[BoundNetwork],
     batch: &[(usize, Tensor)],
     report: &BatchReport,
 ) {
@@ -593,7 +617,7 @@ fn publish_batch_metrics(
         .add(report.threshold_reload_words);
     // MACs the dense network would have executed minus what the array
     // actually ran = work removed by dynamic pruning and zero skipping.
-    let dense: u64 = batch.iter().map(|(task, _)| plan_dense_macs(effective[*task])).sum();
+    let dense: u64 = batch.iter().map(|(task, _)| plan_dense_macs(&plans[*task])).sum();
     r.counter("mime_runtime_macs_executed_total").add(report.counters.macs);
     r.counter("mime_runtime_macs_skipped_total")
         .add(dense.saturating_sub(report.counters.macs));
@@ -762,33 +786,6 @@ fn coalescible(plans: &[&BoundNetwork]) -> crate::Result<()> {
     Ok(())
 }
 
-/// Graceful degradation: a task whose threshold bank fails validation
-/// runs on the thresholds-stripped parent path.
-fn compute_fallbacks(plans: &[BoundNetwork]) -> Vec<Option<BoundNetwork>> {
-    plans
-        .iter()
-        .enumerate()
-        .map(|(task, p)| {
-            p.validate_thresholds().err().map(|e| {
-                mime_obs::warn!(
-                    "runtime.executor",
-                    "threshold bank invalid; task degraded to parent path",
-                    task = task,
-                    error = e
-                );
-                p.strip_thresholds()
-            })
-        })
-        .collect()
-}
-
-fn effective_plans<'a>(
-    plans: &'a [BoundNetwork],
-    fallbacks: &'a [Option<BoundNetwork>],
-) -> Vec<&'a BoundNetwork> {
-    plans.iter().zip(fallbacks).map(|(p, f)| f.as_ref().unwrap_or(p)).collect()
-}
-
 /// Batch-level residency accounting, derived from the task sequence
 /// alone (no hardware state).
 struct BatchAccounting {
@@ -827,8 +824,7 @@ impl BatchAccounting {
 /// charges and degraded-task bookkeeping. Validates every plan index
 /// (the first bad index in batch order wins) before any image runs.
 fn batch_accounting(
-    effective: &[&BoundNetwork],
-    fallbacks: &[Option<BoundNetwork>],
+    plans: &[BoundNetwork],
     batch: &[(usize, Tensor)],
     shared_weights: bool,
 ) -> crate::Result<BatchAccounting> {
@@ -838,7 +834,7 @@ fn batch_accounting(
         degraded_tasks: Vec::new(),
         // MIME streams W_parent once for a batch that holds an image; an
         // empty batch streams nothing
-        weight_reload_words: match (shared_weights, effective.first()) {
+        weight_reload_words: match (shared_weights, plans.first()) {
             (true, Some(plan)) if !batch.is_empty() => plan.weight_words() as u64,
             _ => 0,
         },
@@ -846,10 +842,10 @@ fn batch_accounting(
     };
     let mut prev_task: Option<usize> = None;
     for (task, _) in batch {
-        let plan = *effective
+        let plan = plans
             .get(*task)
-            .ok_or(MimeError::UnknownPlanIndex { index: *task, plans: effective.len() })?;
-        if fallbacks[*task].is_some() && !acct.degraded_tasks.contains(task) {
+            .ok_or(MimeError::UnknownPlanIndex { index: *task, plans: plans.len() })?;
+        if plan.degraded().is_some() && !acct.degraded_tasks.contains(task) {
             acct.degraded_tasks.push(*task);
         }
         // the per-image run always streams weights and thresholds once:
@@ -1028,6 +1024,16 @@ mod tests {
         assert!(exec.run_pipelined(&[plan], &batch, true, true).is_err());
     }
 
+    /// One pass with the analytic tally on, as `run_pipelined` runs it.
+    fn tallied(
+        exec: &mut HardwareExecutor,
+        plans: &[&BoundNetwork],
+        images: &[&Tensor],
+        threads: usize,
+    ) -> Vec<Vec<f32>> {
+        exec.run_steps(plans, images, true, &mut |_| Ok(()), threads, true).unwrap()
+    }
+
     fn salted_probe(salt: usize) -> Tensor {
         Tensor::from_fn(&[3, 32, 32], |i| (((i + salt * 97) % 17) as f32 - 8.0) * 0.09)
     }
@@ -1058,9 +1064,8 @@ mod tests {
             tasks.iter().enumerate().map(|(i, &t)| (t, salted_probe(i))).collect();
         let mut plans = three_plans();
         crate::prepack_plans(&mut plans).unwrap();
-        // the poisoned task runs on its thresholds-stripped parent
-        let stripped = plans[2].strip_thresholds();
-        let view = |t: usize| if t == 2 { &stripped } else { &plans[t] };
+        // the poisoned task was bound as its parent path
+        assert!(plans[2].degraded().is_some());
         for path in [ComputePath::Software, ComputePath::Simulate] {
             let mut exec = HardwareExecutor::with_options(
                 ArrayConfig::eyeriss_65nm(),
@@ -1069,7 +1074,7 @@ mod tests {
             );
             let solo: Vec<Vec<f32>> = batch
                 .iter()
-                .map(|(t, image)| exec.run_image(view(*t), image, true).unwrap())
+                .flat_map(|(t, image)| tallied(&mut exec, &[&plans[*t]], &[image], 1))
                 .collect();
             let solo_counters = exec.batch_counters();
             for shared_weights in [true, false] {
@@ -1087,10 +1092,10 @@ mod tests {
                 assert_eq!(report.task_switches, switched_to.len(), "{what}");
                 assert_eq!(report.degraded_tasks, vec![2], "{what}");
                 // a switch reloads the incoming task's banks (none on the
-                // stripped parent); conventional execution also its
+                // degraded task 2); conventional execution also its
                 // weights, MIME streams W_parent once
-                let words = |t: usize| view(t).weight_words() as u64;
-                let bank_words = |t: usize| plan_threshold_words(view(t));
+                let words = |t: usize| plans[t].weight_words() as u64;
+                let bank_words = |t: usize| plan_threshold_words(&plans[t]);
                 let banks: u64 = switched_to.iter().map(|&t| bank_words(t)).sum();
                 assert_eq!(report.threshold_reload_words, banks, "{what}");
                 let weights = if shared_weights {
@@ -1229,15 +1234,16 @@ mod tests {
     fn coalesced_batch_is_bit_identical_to_serial_per_sample() {
         let mut plans = three_plans();
         crate::prepack_plans(&mut plans).unwrap();
-        // resolve plan views the way the replica does: the poisoned task
-        // runs on the stripped parent (graceful degradation), and some
-        // requests arrive with a nonzero brownout rung
-        let parent2 = plans[2].strip_thresholds();
+        // plan views as the replica resolves them: the poisoned task's
+        // plan is its parent path (degraded at bind), some requests
+        // arrive with a nonzero brownout rung, and one beyond its ladder
+        // runs the stripped parent
+        let parent0 = plans[0].strip_thresholds();
         let rung_a = plans[0].brownout_rung(4.0);
         let rung_b = plans[1].brownout_rung(16.0);
         let views: Vec<&BoundNetwork> = vec![
-            &plans[0], &plans[1], &parent2, &rung_a, &plans[1], &rung_b, &parent2,
-            &plans[0],
+            &plans[0], &plans[1], &plans[2], &rung_a, &plans[1], &rung_b, &plans[2],
+            &parent0,
         ];
         let images: Vec<Tensor> = (0..views.len()).map(salted_probe).collect();
         let image_refs: Vec<&Tensor> = images.iter().collect();
@@ -1249,11 +1255,11 @@ mod tests {
         ] {
             let mut exec =
                 HardwareExecutor::with_options(ArrayConfig::eyeriss_65nm(), path, dispatch);
-            // serial reference: one run_image per sample
+            // serial reference: one batch of one per sample
             let serial: Vec<Vec<f32>> = views
                 .iter()
                 .zip(&images)
-                .map(|(plan, image)| exec.run_image(plan, image, true).unwrap())
+                .flat_map(|(plan, image)| tallied(&mut exec, &[*plan], &[image], 1))
                 .collect();
             let serial_counters = exec.batch_counters();
             // the thread count only reaches the software path's FC kernel
@@ -1261,15 +1267,7 @@ mod tests {
                 if path == ComputePath::Software { &[1, 2, 5] } else { &[1] };
             for &threads in thread_counts {
                 exec.reset_batch_counters();
-                let coalesced = exec
-                    .run_coalesced_guarded_with_threads(
-                        &views,
-                        &image_refs,
-                        true,
-                        &mut |_| Ok(()),
-                        threads,
-                    )
-                    .unwrap();
+                let coalesced = tallied(&mut exec, &views, &image_refs, threads);
                 assert_eq!(coalesced.len(), serial.len());
                 for (s, (a, b)) in coalesced.iter().zip(&serial).enumerate() {
                     assert_eq!(a.len(), b.len());
@@ -1287,6 +1285,21 @@ mod tests {
                 assert_eq!(exec.batch_counters().cmps, serial_counters.cmps);
                 // and so does every other counter the path keeps
                 assert_eq!(exec.batch_counters(), serial_counters, "{path:?}");
+                if path == ComputePath::Software {
+                    // the public entry point runs the same pass untallied
+                    exec.reset_batch_counters();
+                    let untallied = exec
+                        .run_coalesced_guarded_with_threads(
+                            &views,
+                            &image_refs,
+                            true,
+                            &mut |_| Ok(()),
+                            threads,
+                        )
+                        .unwrap();
+                    assert_eq!(untallied, coalesced);
+                    assert_eq!(exec.batch_counters(), AccessCounters::default());
+                }
             }
         }
     }

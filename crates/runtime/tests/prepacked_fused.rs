@@ -3,12 +3,12 @@
 //! ([`mime_runtime::prepack_plans`]), every executor entry point must
 //! return logits bit-identical to the host [`MimeNetwork::forward`] with
 //! the same (brownout-scaled) banks, or to the parent network's forward
-//! for a task degraded to its thresholds-stripped plan. Debug builds also
+//! for a task whose bank was bound degraded. Debug builds also
 //! `debug_assert` the fused FC epilogue's activity bitmap against the
 //! mime-core re-scan reference on every step.
 
-use mime_core::faults::FaultInjector;
-use mime_core::{MimeNetwork, ThresholdGranularity};
+use mime_core::faults::{first_non_finite, FaultInjector};
+use mime_core::{MimeError, MimeNetwork, ThresholdGranularity};
 use mime_nn::{build_network, vgg16_arch, Sequential, VggArch};
 use mime_runtime::{
     prepack_plans, BoundLayer, BoundNetwork, ComputePath, HardwareExecutor, SparseDispatch,
@@ -124,21 +124,32 @@ proptest! {
         prop_assert_eq!(again.layers, 0, "second prepack pass must find nothing to do");
         prop_assert_eq!(again.bytes, 0);
 
-        // plan index task * RUNGS + rung; a poisoned task's rungs serve on
-        // the thresholds-stripped parent plan, as the replica resolves them
+        // a poisoned task is bound as its parent path, keeping the first
+        // non-finite threshold: conv1's bank (step 0), broadcast per
+        // neuron when the bank is per channel
+        for (task, plan) in plans.iter().enumerate() {
+            let verdict = (poisoned == Some(task)).then(|| {
+                let BoundLayer::Array { geom, .. } = &plan.steps()[0] else {
+                    unreachable!("step 0 is conv1")
+                };
+                let bank = &banks[task][0];
+                let first = first_non_finite(bank.as_slice()).unwrap();
+                MimeError::NonFinite {
+                    stage: "threshold bank",
+                    layer: 0,
+                    index: first * geom.k * geom.sites() / bank.len(),
+                }
+            });
+            prop_assert_eq!(plan.degraded(), verdict.as_ref(), "task {}", task);
+        }
+
+        // plan index task * RUNGS + rung, as the replica's ladders hold
+        // them; a poisoned task's rungs are its parent path too
         let rungs: Vec<BoundNetwork> = plans
             .iter()
             .flat_map(|p| (0..RUNGS).map(move |r| p.brownout_rung(rung_factor(r))))
             .collect();
-        let stripped: Vec<BoundNetwork> =
-            plans.iter().map(|p| p.strip_thresholds()).collect();
-        let view = |(task, rung): (usize, usize)| {
-            if poisoned == Some(task) {
-                &stripped[task]
-            } else {
-                &rungs[task * RUNGS + rung]
-            }
-        };
+        let view = |(task, rung): (usize, usize)| &rungs[task * RUNGS + rung];
         let images: Vec<Tensor> = (0..items.len()).map(image).collect();
         let want: Vec<Vec<u32>> = items
             .iter()
@@ -195,7 +206,7 @@ proptest! {
                 threads
             );
         }
-        // run_pipelined degrades the poisoned task's plans by itself
+        // run_pipelined reports the poisoned task's rungs as degraded
         let batch: Vec<(usize, Tensor)> = items
             .iter()
             .zip(&images)
@@ -242,8 +253,7 @@ fn resident_conv_weights_are_bit_identical_on_every_path() {
         .iter()
         .map(|&t| MimeNetwork::from_trained(&arch, &parent, t).unwrap())
         .collect();
-    // task 2's bank is poisoned: it serves on its thresholds-stripped
-    // parent plan, as the replica resolves it
+    // task 2's bank is poisoned: its plan is bound as the parent path
     let mut banks = nets[2].export_thresholds();
     FaultInjector::new(11).poison_tensor(&mut banks[0], 2);
     nets[2].import_thresholds(&banks).unwrap();
@@ -268,9 +278,9 @@ fn resident_conv_weights_are_bit_identical_on_every_path() {
         }
     }
 
-    // a mixed batch of 8, the poisoned task on its stripped parent
+    // a mixed batch of 8, the poisoned task on its parent path
     let tasks = [0usize, 1, 2, 0, 2, 1, 1, 0];
-    let view = |t: usize| if t == 2 { &stripped } else { &plans[t] };
+    let view = |t: usize| &plans[t];
     let images: Vec<Tensor> = (0..tasks.len()).map(image).collect();
     let mut exec = HardwareExecutor::with_options(
         ArrayConfig::eyeriss_65nm(),
@@ -287,7 +297,7 @@ fn resident_conv_weights_are_bit_identical_on_every_path() {
     for (s, (&t, image)) in tasks.iter().zip(&images).enumerate() {
         let single = exec.run_image(view(t), image, true).unwrap();
         let batch = image.reshape(&[1, 3, 32, 32]).unwrap();
-        // the stripped parent plan is the parent network's ReLU forward
+        // the degraded plan is the parent network's ReLU forward
         let host = if t == 2 {
             parent.forward(&batch).unwrap()
         } else {

@@ -2,9 +2,9 @@
 //! skip compacted rows and publish the sparse-dispatch series, and
 //! pinning it to the dense packed kernels must not change a logit bit,
 //! the MAC count or the degraded-task bookkeeping. One task's threshold
-//! bank is poisoned so its images run the thresholds-stripped parent
-//! plan (the dense-fallback route: no mask, activity bitmaps come from
-//! observed zeros only).
+//! bank is poisoned so its plan is bound as the parent path (the
+//! dense-fallback route: no mask, activity bitmaps come from observed
+//! zeros only).
 //!
 //! Lives in its own integration-test binary (one process, one `#[test]`)
 //! because the assertions read the process-wide metrics registry.
@@ -21,8 +21,8 @@ use rand::SeedableRng;
 use std::collections::BTreeMap;
 
 /// Two healthy MIME tasks plus one with a poisoned threshold bank: the
-/// poisoned task degrades to the stripped parent plan, exercising the
-/// sparse path without upstream activity bitmaps.
+/// poisoned task is bound as the parent path, exercising the sparse path
+/// without upstream activity bitmaps.
 fn three_plans() -> Vec<BoundNetwork> {
     let arch = vgg16_arch(0.0625, 32, 3, 4, 16);
     let mut rng = StdRng::seed_from_u64(6);

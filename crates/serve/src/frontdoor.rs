@@ -7,10 +7,10 @@
 //! [`ReplicaProc`] through the lifecycle state machine of DESIGN.md §10
 //! (Spawning → Ready → Suspect → Dead → Cooldown): heartbeats on the
 //! control pipe refresh a liveness deadline, a wedged replica is killed
-//! and treated as dead, death consumes a restart budget and feeds a
-//! per-replica [`CircuitBreaker`] whose Open state becomes the Cooldown
-//! between respawn attempts, and the in-flight request is requeued or
-//! failed fast under the shared [`RetryPolicy`].
+//! and treated as dead, death (or a failed spawn) consumes a restart
+//! budget and waits out an exponential backoff — the Cooldown — before
+//! the next respawn, and the in-flight request is requeued or failed
+//! fast under the shared [`RetryPolicy`].
 //!
 //! The cross-process invariant: **every request a client manages to
 //! send reaches exactly one terminal frame** — a reply, `Overloaded`,
@@ -22,10 +22,7 @@ use crate::proto::{
     NO_REQUEST_ID, NO_TRACE_ID,
 };
 use crate::replica::{ReplicaProc, ReplicaState, SideChannel};
-use crate::{
-    BoundedQueue, BreakerConfig, CircuitBreaker, OverloadConfig, OverloadController,
-    RetryPolicy, Route,
-};
+use crate::{BoundedQueue, OverloadConfig, OverloadController, RetryPolicy};
 use mime_obs::flight::{self, FlightKind};
 use mime_obs::trace;
 use mime_obs::MetricsSnapshot;
@@ -65,22 +62,16 @@ pub struct FrontDoorConfig {
     pub deadline: Duration,
     /// Most requests one dispatch may coalesce into a `BatchRequest`
     /// (DESIGN.md §15). `1` disables batching: every dispatch is a
-    /// batch of one.
+    /// batch of one. Batches form from the existing backlog only, so an
+    /// idle fleet adds no latency.
     pub max_batch: usize,
-    /// How long a runner holding a partial batch waits for a ride-along
-    /// request once the backlog is empty. Zero (the default) means
-    /// batches form from existing backlog only — an idle fleet adds no
-    /// latency.
-    pub linger: Duration,
     /// Requeue-or-fail policy for requests in flight on a dying replica.
     pub retry: RetryPolicy,
-    /// Per-replica breaker over deaths/spawn failures; Open = Cooldown.
-    pub breaker: BreakerConfig,
     /// Deaths + spawn failures a slot may consume before it is declared
     /// permanently dead.
     pub restart_budget: u32,
-    /// Exponential backoff between respawn attempts (`max_attempts` is
-    /// ignored here — the budget above is the cap).
+    /// Exponential backoff between respawn attempts, the slot's Cooldown
+    /// (`max_attempts` is ignored here — the budget above is the cap).
     pub restart_backoff: RetryPolicy,
     /// How long a spawned replica may take to send `Ready`.
     pub spawn_timeout: Duration,
@@ -112,9 +103,7 @@ impl Default for FrontDoorConfig {
             queue_capacity: 64,
             deadline: Duration::from_millis(5000),
             max_batch: 8,
-            linger: Duration::ZERO,
             retry: RetryPolicy::default(),
-            breaker: BreakerConfig::default(),
             restart_budget: 16,
             restart_backoff: RetryPolicy {
                 max_attempts: u32::MAX,
@@ -1063,12 +1052,10 @@ fn conn_chaos_loop(shared: &Arc<Shared>, addr: std::net::SocketAddr, fault: Conn
 // ---------------------------------------------------------------------
 
 /// Supervises one replica slot for the lifetime of the front door:
-/// spawn (gated by the slot's breaker), serve jobs from the shared
-/// queue, recover from deaths, and exit once the queue is drained or
-/// the restart budget is gone.
+/// spawn, serve jobs from the shared queue, recover from deaths (or
+/// failed spawns) after a backoff, and exit once the queue is drained
+/// or the restart budget is gone.
 fn runner_loop(shared: &Arc<Shared>, slot: u32) {
-    let epoch = Instant::now();
-    let mut breaker = CircuitBreaker::new();
     let mut budget_used: u32 = 0;
     let mut consecutive_faults: u32 = 0;
     // Trace/metrics/clock frames are routed to the supervisor straight
@@ -1085,13 +1072,6 @@ fn runner_loop(shared: &Arc<Shared>, slot: u32) {
             runner_exit(shared, slot, "drained before respawn");
             return;
         }
-        // Breaker-gated spawn: Open = the Cooldown lifecycle state.
-        let route = breaker.route(epoch.elapsed(), &shared.cfg.breaker);
-        if route == Route::Parent {
-            log_state(slot, ReplicaState::Cooldown);
-            std::thread::sleep(TICK);
-            continue;
-        }
         log_state(slot, ReplicaState::Spawning);
         let mut proc = match ReplicaProc::spawn_with_side_channel(
             slot,
@@ -1100,7 +1080,6 @@ fn runner_loop(shared: &Arc<Shared>, slot: u32) {
             side.clone(),
         ) {
             Ok(mut proc) => {
-                breaker.report_success(route);
                 consecutive_faults = 0;
                 if shared.cfg.obs {
                     // Clock-offset probe for trace stitching; the reply
@@ -1117,11 +1096,10 @@ fn runner_loop(shared: &Arc<Shared>, slot: u32) {
                     error = e
                 );
                 shared.counters.spawn_failures.fetch_add(1, Ordering::Relaxed);
-                breaker.report_failure(route, epoch.elapsed(), &shared.cfg.breaker);
                 if !consume_budget(shared, slot, &mut budget_used) {
                     return;
                 }
-                backoff_sleep(shared, &mut consecutive_faults);
+                backoff_sleep(shared, slot, &mut consecutive_faults);
                 continue;
             }
         };
@@ -1147,15 +1125,10 @@ fn runner_loop(shared: &Arc<Shared>, slot: u32) {
                 for job in jobs {
                     requeue_or_fail(shared, slot, job);
                 }
-                breaker.report_failure(
-                    Route::Primary,
-                    epoch.elapsed(),
-                    &shared.cfg.breaker,
-                );
                 if !consume_budget(shared, slot, &mut budget_used) {
                     return;
                 }
-                backoff_sleep(shared, &mut consecutive_faults);
+                backoff_sleep(shared, slot, &mut consecutive_faults);
             }
         }
     }
@@ -1216,7 +1189,11 @@ fn runner_exit(shared: &Arc<Shared>, slot: u32, why: &str) {
     }
 }
 
-fn backoff_sleep(shared: &Arc<Shared>, consecutive_faults: &mut u32) {
+/// The slot's Cooldown: waits out the restart backoff for its
+/// `consecutive_faults`-th fault in a row (cut short by a drain with
+/// nothing left to serve).
+fn backoff_sleep(shared: &Arc<Shared>, slot: u32, consecutive_faults: &mut u32) {
+    log_state(slot, ReplicaState::Cooldown);
     let pause = shared.cfg.restart_backoff.backoff(*consecutive_faults);
     *consecutive_faults = consecutive_faults.saturating_add(1);
     let deadline = Instant::now() + pause;
@@ -1315,8 +1292,8 @@ fn dequeue_live(shared: &Arc<Shared>, job: Job) -> Option<BatchItem> {
 /// * **deadline** — one more rider is admitted only while the tightest
 ///   in-batch expiry still clears the predicted batch compute time
 ///   (`ewma_per_item · (len + 1)` plus a dispatch margin);
-/// * **linger** — with a partial batch and an empty backlog, wait at
-///   most `cfg.linger` for a ride-along (zero: backlog-only batching).
+/// * **backlog** — the queue is empty: a batch never waits for a
+///   ride-along.
 fn grow_batch(
     shared: &Arc<Shared>,
     slot: u32,
@@ -1350,20 +1327,7 @@ fn grow_batch(
         if now + predicted + margin > tightest {
             break; // one more rider would endanger the tightest deadline
         }
-        let next = match shared.queue.try_pop() {
-            Some(job) => job,
-            None if shared.cfg.linger > Duration::ZERO => {
-                let linger = shared
-                    .cfg
-                    .linger
-                    .min((tightest - margin - predicted).saturating_duration_since(now));
-                match shared.queue.pop_timeout(linger) {
-                    Some(job) => job,
-                    None => break,
-                }
-            }
-            None => break,
-        };
+        let Some(next) = shared.queue.try_pop() else { break };
         if let Some(item) = dequeue_live(shared, next) {
             tightest = tightest.min(item.job.admitted_at + item.job.deadline);
             batch.push(item);

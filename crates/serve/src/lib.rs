@@ -9,10 +9,7 @@
 //!   wire) instead of growing latency unboundedly.
 //! * [`RetryPolicy`] — bounded retry with deterministic exponential
 //!   backoff: requeues of requests in flight on a dead replica, and the
-//!   pause between respawn attempts.
-//! * [`CircuitBreaker`] — per-replica Closed → Open → HalfOpen breaker
-//!   counting *consecutive* deaths and spawn failures; Open is the
-//!   slot's Cooldown between respawn attempts.
+//!   pause between respawn attempts (a slot's Cooldown).
 //! * [`OverloadController`] — the fleet-wide brownout rung picked from
 //!   queue sojourn, sheds and deadline misses.
 //! * [`proto`] — the length-framed wire protocol: typed
@@ -27,14 +24,13 @@
 //!   [`replica::ReplicaProc`] (the supervisor-side child handle).
 //! * [`FrontDoor`] — the TCP front door and replica supervisor:
 //!   admission, deadline-aware batching, brownout, liveness deadlines,
-//!   restart budgets with per-replica breakers, requeue-or-fail on
+//!   restart budgets with backoff between respawns, requeue-or-fail on
 //!   replica death, and graceful drain.
 //!
 //! The invariant everything here defends: **every admitted request
 //! terminates in exactly one terminal [`proto::Frame`]** — never a
 //! hang, never an unanswered client.
 
-mod breaker;
 mod frontdoor;
 mod overload;
 pub mod proto;
@@ -42,7 +38,6 @@ mod queue;
 pub mod replica;
 mod retry;
 
-pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker, Route};
 pub use frontdoor::{
     ConnFault, FrontDoor, FrontDoorConfig, FrontDoorReport, FrontDoorStopper,
 };

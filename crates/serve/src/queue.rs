@@ -80,37 +80,11 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// Non-blocking pop for shutdown drains: returns the next item if
-    /// one is queued, `None` otherwise (regardless of the closed flag).
+    /// Non-blocking pop for batch formation and shutdown drains: returns
+    /// the next item if one is queued, `None` otherwise (regardless of
+    /// the closed flag).
     pub fn try_pop(&self) -> Option<T> {
         self.state.lock().unwrap().items.pop_front()
-    }
-
-    /// Blocks up to `timeout` for an item — the batch-formation linger:
-    /// a worker holding a partial batch waits here for a ride-along
-    /// request instead of spinning. Returns `None` on timeout *or* when
-    /// the queue is closed and drained (the caller distinguishes via
-    /// [`close`](Self::close)-driven shutdown as it does for `pop`).
-    pub fn pop_timeout(&self, timeout: std::time::Duration) -> Option<T> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut state = self.state.lock().unwrap();
-        loop {
-            if let Some(item) = state.items.pop_front() {
-                return Some(item);
-            }
-            if state.closed {
-                return None;
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (s, res) = self.available.wait_timeout(state, deadline - now).unwrap();
-            state = s;
-            if res.timed_out() && state.items.is_empty() {
-                return None;
-            }
-        }
     }
 
     /// Stops admission; blocked `pop`s return `None` once the backlog
@@ -150,24 +124,6 @@ mod tests {
         assert_eq!(q.pop(), Some(9), "requeued item runs next");
         assert_eq!(q.pop(), Some(10));
         assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn pop_timeout_returns_item_times_out_or_wakes() {
-        use std::time::Duration;
-        let q = Arc::new(BoundedQueue::new(4));
-        assert_eq!(q.pop_timeout(Duration::from_millis(5)), None, "empty → timeout");
-        q.try_push(7).unwrap();
-        assert_eq!(q.pop_timeout(Duration::from_millis(5)), Some(7));
-        let consumer = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || q.pop_timeout(Duration::from_secs(5)))
-        };
-        std::thread::sleep(Duration::from_millis(20));
-        q.try_push(8).unwrap();
-        assert_eq!(consumer.join().unwrap(), Some(8), "wakes on concurrent push");
-        q.close();
-        assert_eq!(q.pop_timeout(Duration::from_secs(5)), None, "closed + empty");
     }
 
     #[test]

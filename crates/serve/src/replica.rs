@@ -52,7 +52,7 @@ pub enum ReplicaState {
     Suspect,
     /// Process exited (or was killed); respawn pending.
     Dead,
-    /// Respawn delayed by backoff or an open per-replica breaker.
+    /// Respawn delayed by the restart backoff.
     Cooldown,
 }
 
@@ -164,26 +164,10 @@ pub fn run_replica_worker(
         &LadderConfig { rungs: cfg.brownout_rungs.max(1), ..LadderConfig::default() },
     )
     .map_err(|e| ProtoError::Malformed(format!("brownout ladder derivation: {e}")))?;
-    let rungs = ladders
-        .iter()
-        .zip(&parents)
-        .map(|(ladder, parent)| {
-            (0..ladder.len())
-                .map(|rung| {
-                    let plan = ladder.plan(rung);
-                    if plan.validate_thresholds().is_ok() {
-                        (plan, false)
-                    } else {
-                        (parent, true)
-                    }
-                })
-                .collect()
-        })
-        .collect();
     let mut worker = Worker {
         cfg: &cfg,
         parents: &parents,
-        rungs,
+        ladders: &ladders,
         exec: HardwareExecutor::with_options(
             hw,
             ComputePath::Software,
@@ -451,7 +435,7 @@ struct Item<'a> {
     rung: u8,
     /// The plan view it runs on: its ladder rung, or the parent.
     plan: &'a BoundNetwork,
-    /// Served by the thresholds-stripped parent.
+    /// Served by the parent path.
     degraded: bool,
     image: Tensor,
     budget: Duration,
@@ -462,11 +446,8 @@ struct Worker<'a> {
     cfg: &'a ReplicaWorkerConfig,
     /// Each plan with its thresholds stripped: the exact parent path.
     parents: &'a [BoundNetwork],
-    /// Per task, the view each validated ladder rung serves and whether
-    /// it is degraded: the rung's plan when its banks pass
-    /// `validate_thresholds`, else the task's parent. Ladders never
-    /// change after `Ready`, so this is worked out once.
-    rungs: Vec<Vec<(&'a BoundNetwork, bool)>>,
+    /// Per task, the validated brownout ladder, derived before `Ready`.
+    ladders: &'a [BrownoutLadder],
     exec: HardwareExecutor,
     heartbeat_seq: u64,
 }
@@ -477,9 +458,9 @@ impl<'a> Worker<'a> {
     ///
     /// Each item gets its own `replica_request` span and resolves its
     /// plan view: unknown task → typed error; a rung beyond the
-    /// validated ladder or an invalid threshold bank → the
-    /// thresholds-stripped parent, marked degraded. The runnable items
-    /// then run as one pass ([`Worker::run_pass`]).
+    /// validated ladder → the thresholds-stripped parent, marked
+    /// degraded. The runnable items then run as one pass
+    /// ([`Worker::run_pass`]).
     fn serve_batch(
         &mut self,
         requests: Vec<Request>,
@@ -520,25 +501,29 @@ impl<'a> Worker<'a> {
     /// The plan view, input image and budget `r` runs with, or its
     /// terminal frame when it cannot run. Degradation order (DESIGN.md
     /// §13): rungs validated at startup serve their browned threshold
-    /// banks; a rung beyond the validated ladder depth serves the
-    /// thresholds-stripped parent path and is marked degraded —
-    /// quality-unknown territory the ladder refused to certify — as does
-    /// a rung whose banks failed validation when the worker was built.
-    /// Rung 0 is the ladder's bit-identical clone of the plan.
+    /// banks, marked degraded when the rung was bound as the parent path
+    /// ([`BoundNetwork::degraded`]); a rung beyond the validated ladder
+    /// depth serves the thresholds-stripped parent path and is marked
+    /// degraded — quality-unknown territory the ladder refused to
+    /// certify. Rung 0 is the ladder's bit-identical clone of the plan.
     fn resolve(&self, r: Request) -> Result<Item<'a>, Frame> {
-        let Some(rungs) = self.rungs.get(r.task as usize) else {
+        let task = r.task as usize;
+        let Some(ladder) = self.ladders.get(task) else {
             return Err(Frame::ErrorReply {
                 id: r.id,
                 trace: r.trace,
                 code: ErrorCode::UnknownTask,
                 rung: r.rung,
                 retry_after_ms: 0,
-                message: format!("task {} of {}", r.task, self.rungs.len()),
+                message: format!("task {} of {}", r.task, self.ladders.len()),
             });
         };
-        let (plan, degraded) = match rungs.get(r.rung as usize) {
-            Some(&view) => view,
-            None => (&self.parents[r.task as usize], true),
+        let (plan, degraded) = match usize::from(r.rung) {
+            rung if rung < ladder.len() => {
+                let plan = ladder.plan(rung);
+                (plan, plan.degraded().is_some())
+            }
+            _ => (&self.parents[task], true),
         };
         Ok(Item {
             id: r.id,
@@ -595,7 +580,6 @@ impl<'a> Worker<'a> {
         );
         let views: Vec<&BoundNetwork> = items.iter().map(|i| i.plan).collect();
         let images: Vec<&Tensor> = items.iter().map(|i| &i.image).collect();
-        // zero-gated MAC accounting, as the brownout ladders were validated
         let (all_logits, on_parent) =
             match self.exec.run_coalesced_guarded(&views, &images, true, &mut guard) {
                 Ok(all_logits) => (all_logits, false),
@@ -930,7 +914,7 @@ mod tests {
         (plans, ArrayConfig::default())
     }
 
-    /// A plan whose threshold bank fails validation (NaN-poisoned), not
+    /// A plan bound from a NaN-poisoned threshold bank (so degraded), not
     /// yet prepacked.
     fn poisoned_plan() -> (BoundNetwork, ArrayConfig) {
         let arch = vgg16_arch(0.0625, 32, 3, 4, 8);

@@ -14,7 +14,7 @@ use mime_serve::proto::{
 use mime_serve::{FrontDoor, FrontDoorConfig, RetryPolicy};
 use std::io::Write;
 use std::net::{Shutdown, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn harness() -> FrontDoor {
     FrontDoor::start(FrontDoorConfig {
@@ -134,4 +134,24 @@ fn malformed_frame_corpus_gets_typed_errors_and_server_survives() {
     // it is terminal and counted, with nothing left in flight.
     assert_eq!(report.failed, 1);
     assert_eq!(report.requests, 1);
+}
+
+/// The restart backoff alone paces respawns. `cat` never sends Ready, so
+/// each failed spawn costs the 100 ms spawn timeout plus the flat 200 ms
+/// backoff: a fleet up for `elapsed_ms` fails at most one spawn per
+/// 300 ms, plus the one in flight when it started.
+#[test]
+fn respawns_are_paced_by_the_restart_backoff() {
+    let started = Instant::now();
+    let door = harness();
+    let stopper = door.stopper();
+    std::thread::sleep(Duration::from_secs(1));
+    stopper.stop();
+    let report = door.wait();
+    let elapsed_ms = started.elapsed().as_millis() as u64;
+    assert!(
+        (1..=1 + elapsed_ms / 300).contains(&report.spawn_failures),
+        "{} failed spawns in {elapsed_ms} ms",
+        report.spawn_failures
+    );
 }

@@ -17,7 +17,7 @@
 //! * [`runtime`] — hardware-in-the-loop executor running trained networks
 //!   on the functional array with task-aware parameter residency.
 //! * [`serve`] — resilient serving loop: bounded admission, deadlines,
-//!   retries, per-task circuit breakers, supervised workers.
+//!   retries, supervised workers respawned after a backoff.
 //! * [`obs`] — tracing spans, the metrics registry, and the structured
 //!   logger behind the per-layer profiling hooks.
 //!
